@@ -833,11 +833,9 @@ func BenchmarkBackendRepCode9Q(b *testing.B) {
 // --- Shot-replay engine benchmarks (full simulation vs replay) ---
 //
 // Each group runs the same experiment at equal shot count with the
-// engine forced off (every shot through fetch/decode/QMB/timing queues),
-// in interpreted replay (the PR 3 engine: op-by-op through the
-// qphys.State interface), and in compiled replay (per-schedule fused
-// kernels, PR 4). Results are bit-identical by the engine contract; only
-// ns/op moves.
+// engine forced off (every shot through fetch/decode/QMB/timing queues)
+// and in compiled replay (per-schedule kernels). Results are
+// bit-identical by the engine contract; only ns/op moves.
 
 // replayBenchModes maps engine modes to their sub-benchmark names.
 var replayBenchModes = []struct {
@@ -845,7 +843,6 @@ var replayBenchModes = []struct {
 	name string
 }{
 	{replay.ModeOff, "full"},
-	{replay.ModeInterp, "interp"},
 	{replay.ModeCompiled, "compiled"},
 }
 
@@ -881,8 +878,7 @@ func BenchmarkReplayRB(b *testing.B) {
 // BenchmarkReplayRepCode drives the syndromes-only repetition-code memory
 // round (encode, CNOT syndrome extraction, 5 measurements per shot)
 // directly through the engine at equal shot count — the physics-bound
-// workload the compiled-schedule engine (PR 4) is measured on
-// (trajectory backend, compiled vs the PR 3 interp number).
+// workload the compiled-schedule engine is measured on.
 func BenchmarkReplayRepCode(b *testing.B) {
 	p := expt.DefaultRepCodeParams()
 	src := expt.RepCodeShotProgram(p, false)

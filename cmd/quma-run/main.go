@@ -66,7 +66,7 @@ func main() {
 		shots       = flag.Int("shots", 1, "number of times to run the program on one machine (the shot loop of an experiment)")
 		shotWorkers = flag.Int("shot-workers", 0, "bound on concurrent shot shards when -shots exceeds the shard threshold (0 = one per CPU); results are bit-identical for any value")
 		lanes       = flag.Int("lanes", 0, "run groups of up to this many equal-size shot shards in lockstep on the batched SoA trajectory executor (0 or 1 = scalar shards); results are bit-identical for any value")
-		replayMode  = flag.String("replay", "auto", "shot-replay engine mode: compiled (replay the compiled schedule when safe), interp (op-by-op replay, the A/B baseline), auto (best available = compiled), or off (full simulation per shot)")
+		replayMode  = flag.String("replay", "auto", "shot-replay engine mode: compiled (replay the compiled schedule when safe; results are bit-identical to off), auto (= compiled), or off (full simulation per shot); interp is a deprecated alias of compiled")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -231,14 +231,11 @@ func main() {
 
 // printEngine reports what the shot-replay engine did.
 func printEngine(stats replay.Stats) {
-	switch {
-	case stats.Safe && stats.Compiled:
+	if stats.Safe {
 		fmt.Printf("shot-replay engine: %d/%d shots replayed from the compiled schedule\n", stats.Replayed, stats.Shots)
-	case stats.Safe:
-		fmt.Printf("shot-replay engine: %d/%d shots replayed from the recorded schedule\n", stats.Replayed, stats.Shots)
-	default:
-		fmt.Printf("shot-replay engine: full simulation (%s)\n", stats.Reason)
+		return
 	}
+	fmt.Printf("shot-replay engine: full simulation (%s)\n", stats.Reason)
 }
 
 // runSharded executes the shot-shard plan: shard k runs plan[k] shots on
@@ -251,8 +248,8 @@ func printEngine(stats replay.Stats) {
 // merge in shard order; the machines return in shard order too, so the
 // caller's "last machine" state is deterministic.
 func runSharded(cfg core.Config, prog *isa.Program, plan []int, workers, lanes int, mode replay.Mode) (replay.Stats, []*core.Machine, error) {
-	if mode == replay.ModeOff || mode == replay.ModeInterp {
-		lanes = 1 // no batched executor for these modes
+	if mode == replay.ModeOff {
+		lanes = 1 // no batched executor for full simulation
 	}
 	groups := expt.LaneGroups(plan, lanes)
 	if workers <= 0 {

@@ -130,29 +130,26 @@
 //
 // # Compiled replay schedules
 //
-// Replay's default engine compiles the recorded schedule once into
-// specialized closure-free steps (internal/replay/compile.go lowering
-// into qphys.SchedOp) instead of interpreting it op-by-op; ModeInterp
-// keeps the interpreter as the A/B baseline. The compiled-schedule
-// invariants:
+// Replay compiles the recorded schedule once into specialized
+// closure-free steps (internal/replay/compile.go lowering into
+// qphys.SchedOp); it is the engine's only replay path ("interp" survives
+// as a deprecated alias of it). The compiled-schedule invariants:
 //
 //   - PRNG-order preservation. Compilation never adds, removes, or
 //     reorders a PRNG draw: one variate per multi-operator channel in
 //     recorded TD order, then the projection and integration draws of
-//     each measurement. Every pricing decision feeds on the same float64
-//     inputs as the interpreted path, so the selected Kraus operators,
-//     outcomes, and results are bit-identical across off/interp/compiled
-//     for every decoherent configuration. Two qualified slacks remain:
-//     the sign of zeros from real-coefficient scaling (observable by
-//     nothing), and — only when decoherence is disabled outright —
-//     unitary fusion, which makes amplitudes float-equivalent rather
-//     than bit-exact (measured results still agree; regression-tested).
+//     each measurement. Every recorded operation lowers to exactly one
+//     step applying the same operator — nothing is merged or reordered —
+//     so every pricing decision feeds on the same float64 inputs as the
+//     full pipeline, and the selected Kraus operators, outcomes, results
+//     and post-shot states are bit-identical between off and compiled
+//     for every program (TestCompiledReplayStateBitExact). The one
+//     slack is the sign of zeros from real-coefficient scaling, which
+//     nothing downstream can observe.
 //   - Per-schedule tables. Each decoherence channel's axis-aligned
 //     pricing coefficients and operator tables are hoisted out of the
 //     shot loop into one qphys.ChannelTable, deduplicated by the
-//     machine cache's Kraus-slice identity; adjacent deterministic
-//     single-qubit unitaries on one qubit fuse into one matrix
-//     (qphys.FuseUnitaries, pinned to the dense reference at 1e-12).
+//     machine cache's Kraus-slice identity.
 //   - Population carries. A kernel that already sweeps the state
 //     (channel application, same-qubit unitary, projection) accumulates
 //     the next consumer's populations in exactly the addition order a
@@ -162,8 +159,8 @@
 //   - Devirtualized dispatch. A type switch binds the whole shot loop to
 //     the concrete backend: *qphys.Trajectory runs one RunSchedule pass
 //     per shot with the hot channel path inlined, *qphys.Density gets
-//     direct concrete-type calls and hoisted operator/conjugate tables,
-//     and a qphys.State interface fallback covers future backends.
+//     direct concrete-type calls and hoisted operator/conjugate tables.
+//     A new backend needs its own executor before it can replay.
 //   - Zero allocations per shot. All scratch (step slice, tables,
 //     measurement buffer) is allocated at compile time, and the compiled
 //     form is memoized on the machine (core.Machine.ReplayCache, keyed
@@ -212,7 +209,7 @@
 // concurrency, queue order, worker count, or which pooled machine
 // served it. internal/conformance adds the randomized differential
 // layer that keeps the whole execution matrix — {density, trajectory} ×
-// {off, interp, auto, compiled} — agreeing on generated programs, safe
+// {off, auto, compiled} — agreeing on generated programs, safe
 // and unsafe alike. See the package documentation of internal/service
 // for the API and the invariant list.
 //

@@ -6,9 +6,9 @@ package conformance
 // keeps its own DeriveSeed(pointSeed, k) PRNG — so for every corpus
 // program the measurement stream must be byte-identical across every
 // lane width, every ShotWorkers value, and every replay mode. ModeOff
-// and ModeInterp cannot batch (they demote lanes to scalar shards),
-// which is itself part of the contract: asking for lanes there must
-// not change a single byte either.
+// cannot batch (it demotes lanes to scalar shards), which is itself
+// part of the contract: asking for lanes there must not change a single
+// byte either.
 //
 // CI runs this file under -race in the chaos smoke step.
 

@@ -10,7 +10,7 @@
 //   - replay-safe programs (pulses, waits, CNOTs, measurements whose
 //     results are never consumed classically): shots past the detection
 //     prefix replay — the differential run catches any divergence
-//     between full simulation, interpreted replay, and compiled replay;
+//     between full simulation and compiled replay;
 //   - replay-unsafe programs (measurement-dependent branches and
 //     arithmetic): the engine must detect them and fall back, with
 //     results identical across modes anyway;

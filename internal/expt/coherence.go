@@ -37,10 +37,10 @@ type SweepParams struct {
 	// shard — same seeds, same streams). Results are bit-identical for
 	// any value; see shotshard.go.
 	BatchLanes int
-	// Replay selects the shot-replay engine mode: replay.ModeOff,
-	// ModeInterp, or ModeCompiled (default auto = compiled). Results are
-	// bit-identical for any value — see internal/replay; interp vs
-	// compiled is the A/B knob for the per-schedule compiler.
+	// Replay selects the shot-replay engine mode: replay.ModeOff (full
+	// simulation of every shot) or ModeCompiled (default auto = compiled;
+	// the deprecated ModeInterp is an alias of it). Results are
+	// bit-identical for any value — see internal/replay.
 	Replay replay.Mode
 }
 

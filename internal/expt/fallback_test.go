@@ -75,7 +75,7 @@ func TestCorrectedRepCodeFallbackAcrossModesAndPooling(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, want := runShots(t, mRef, src, shots, replay.ModeOff)
-		for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeInterp, replay.ModeCompiled, replay.ModeAuto} {
+		for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeCompiled, replay.ModeAuto} {
 			// Fresh machine.
 			mf, err := core.New(cfg)
 			if err != nil {
@@ -115,7 +115,7 @@ func TestPhaseCodeActiveResetAcrossAllModes(t *testing.T) {
 	p.Rounds = 60
 	p.WaitCycles = 800
 	var want *PhaseCodeResult
-	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeInterp, replay.ModeCompiled} {
+	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeCompiled} {
 		cfg := core.DefaultConfig()
 		for i := 0; i < 5; i++ {
 			cfg.Qubit = append(cfg.Qubit, DephasingQubit(20e-6))

@@ -53,10 +53,10 @@ type RepCodeParams struct {
 	// shard — same seeds, same streams). Results are bit-identical for
 	// any value; see shotshard.go.
 	BatchLanes int
-	// Replay selects the shot-replay engine mode: replay.ModeOff,
-	// ModeInterp, or ModeCompiled (default auto = compiled). Results are
-	// bit-identical for any value — see internal/replay; interp vs
-	// compiled is the A/B knob for the per-schedule compiler. The
+	// Replay selects the shot-replay engine mode: replay.ModeOff (full
+	// simulation of every shot) or ModeCompiled (default auto = compiled;
+	// the deprecated ModeInterp is an alias of it). Results are
+	// bit-identical for any value — see internal/replay. The
 	// feedback-corrected variant always falls back to full simulation:
 	// its pulse schedule depends on the measured syndromes.
 	Replay replay.Mode

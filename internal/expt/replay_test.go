@@ -10,15 +10,14 @@ import (
 )
 
 // Property: for every experiment, on both backends and for any worker
-// count, results produced with the shot-replay engine — interpreted
-// (interp) or compiled (compiled/auto) — are bit-identical to full
-// per-shot simulation (off). This is the engine's contract — replay may
+// count, results produced with compiled shot replay (compiled/auto) are
+// bit-identical to full per-shot simulation (off). This is the engine's contract — replay may
 // only change speed, never a single bit of output — and it holds whether
 // the experiment replays (T1/Ramsey/AllXY/RB/uncorrected repcode) or is
 // detected unsafe and falls back (corrected repcode, phase code).
 
 // replayModes are the engine modes every experiment must agree across.
-var replayModes = []replay.Mode{replay.ModeOff, replay.ModeInterp, replay.ModeCompiled}
+var replayModes = []replay.Mode{replay.ModeOff, replay.ModeCompiled}
 
 func forBackendsAndWorkers(t *testing.T, f func(t *testing.T, backend core.Backend, workers int)) {
 	for _, b := range []core.Backend{core.BackendDensity, core.BackendTrajectory} {

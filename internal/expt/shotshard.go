@@ -140,8 +140,8 @@ func LaneGroups(plan []int, lanes int) [][2]int {
 // batchLanes > 1 opts eligible shards into lockstep batching: groups of
 // consecutive equal-size shards (LaneGroups) run as one replay.RunBatch
 // invocation — per-lane machines, seeds, and streams unchanged — with
-// up to shotWorkers groups in flight instead of shards. Modes without a
-// batched executor (off, interp) ignore the knob. Result bytes are
+// up to shotWorkers groups in flight instead of shards. ModeOff has no
+// batched executor and ignores the knob. Result bytes are
 // identical for every batchLanes value by the per-lane bit-identity
 // contract.
 //
@@ -190,9 +190,9 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 	sctx, cancelShards := context.WithCancel(ctx)
 	defer cancelShards()
 	lanes := batchLanes
-	if mode == replay.ModeOff || mode == replay.ModeInterp {
-		// No batched executor for these modes: singleton groups keep the
-		// per-shard scheduling (one shard per pool slot).
+	if mode == replay.ModeOff {
+		// No batched executor for full simulation: singleton groups keep
+		// the per-shard scheduling (one shard per pool slot).
 		lanes = 1
 	}
 	groups := LaneGroups(plan, lanes)

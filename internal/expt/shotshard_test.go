@@ -87,7 +87,7 @@ func TestRunProgramStreamIdenticalAcrossShotWorkers(t *testing.T) {
 	src := "mov r15, 40\nQNopReg r15\nPulse {q0}, X90\nWait 4\nMPG {q0}, 300\nMD {q0}, r7\nMPG {q1}, 300\nMD {q1}, r8\nhalt\n"
 	env := NewEnv()
 	var ref *ProgramResult
-	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeInterp, replay.ModeCompiled} {
+	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeCompiled} {
 		for _, sw := range shardWorkerCounts() {
 			res, err := env.RunProgram(context.Background(), cfg, ProgramParams{Source: src, Shots: 552, Replay: mode, ShotWorkers: sw})
 			if err != nil {
@@ -259,7 +259,7 @@ func TestRunProgramStreamIdenticalAcrossBatchLanes(t *testing.T) {
 	src := "mov r15, 40\nQNopReg r15\nPulse {q0}, X90\nWait 4\nMPG {q0}, 300\nMD {q0}, r7\nMPG {q1}, 300\nMD {q1}, r8\nhalt\n"
 	env := NewEnv()
 	var ref *ProgramResult
-	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeInterp, replay.ModeCompiled, replay.ModeAuto} {
+	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeCompiled, replay.ModeAuto} {
 		for _, lanes := range []int{0, 1, 2, 3, 8} {
 			for _, sw := range []int{1, 4} {
 				res, err := env.RunProgram(context.Background(), cfg, ProgramParams{Source: src, Shots: 552, Replay: mode, ShotWorkers: sw, BatchLanes: lanes})

@@ -650,29 +650,3 @@ func (t *Trajectory) Apply1RDCarry(u Matrix, q int) PopCarry {
 	}
 	return PopCarry{P0: np0, P1: np1, Valid: true}
 }
-
-// FuseUnitaries returns the single 2×2 matrix equivalent to applying the
-// given single-qubit unitaries in slice order (us[0] first), i.e. the
-// product us[n-1]·…·us[1]·us[0]. Schedule compilers use it to collapse a
-// run of adjacent deterministic unitaries on one qubit into a single
-// Apply1. The fused product agrees with sequential application to
-// floating-point rounding (the kernel property tests pin it to the dense
-// reference at 1e-12), not bit for bit — runs of adjacent unitaries do
-// not occur between PRNG-consuming steps in the machine's recorded
-// schedules unless decoherence is disabled, so end-to-end replay results
-// remain bit-identical in practice.
-func FuseUnitaries(us ...Matrix) Matrix {
-	if len(us) == 0 {
-		return Identity(2)
-	}
-	for _, u := range us {
-		if u.N != 2 {
-			panic("qphys: FuseUnitaries requires single-qubit unitaries")
-		}
-	}
-	out := us[0]
-	for _, u := range us[1:] {
-		out = u.Mul(out)
-	}
-	return out
-}

@@ -225,54 +225,6 @@ func TestNegateBothMatchesApply2CZ(t *testing.T) {
 	}
 }
 
-// TestFusedUnitaryPinnedToDenseReference pins FuseUnitaries and the
-// compiled single-qubit kernels to the dense Embed reference at 1e-12:
-// the fused product applied once must agree with sequential application
-// and with the lifted matrix product.
-func TestFusedUnitaryPinnedToDenseReference(t *testing.T) {
-	const n = 3
-	runs := [][]Matrix{
-		{RX(0.4), REquator(1.0, 0.7)},
-		{REquator(0.2, math.Pi/2), REquator(1.9, math.Pi), RZ(0.8)},
-		{Hadamard(), PauliX(), Hadamard()},
-	}
-	for ri, run := range runs {
-		for q := 0; q < n; q++ {
-			fused := FuseUnitaries(run...)
-			seq := randomTrajectory(n, int64(ri)+3)
-			one := randomTrajectory(n, int64(ri)+3)
-			for _, u := range run {
-				seq.Apply1(u, q)
-			}
-			one.Apply1(fused, q)
-			for i := range seq.Psi {
-				if d := cAbs(seq.Psi[i] - one.Psi[i]); d > 1e-12 {
-					t.Fatalf("run %d q=%d: fused deviates from sequential by %g at %d", ri, q, d, i)
-				}
-			}
-			// Dense reference: the lifted product matrix.
-			lift := Identity(1 << n)
-			for _, u := range run {
-				lift = Embed(u, q, n).Mul(lift)
-			}
-			ref := randomTrajectory(n, int64(ri)+3)
-			want := make([]complex128, len(ref.Psi))
-			for i := range want {
-				var s complex128
-				for j := range ref.Psi {
-					s += lift.Data[i*lift.N+j] * ref.Psi[j]
-				}
-				want[i] = s
-			}
-			for i := range want {
-				if d := cAbs(want[i] - one.Psi[i]); d > 1e-12 {
-					t.Fatalf("run %d q=%d: fused deviates from dense reference by %g at %d", ri, q, d, i)
-				}
-			}
-		}
-	}
-}
-
 // TestChannelTablePinnedToDenseReference pins the hoisted-channel density
 // kernel to the dense lifted Kraus sum at 1e-12 (and bitwise to
 // ApplyKraus1).

@@ -1,20 +1,21 @@
-// batch.go — the batch-aware compiled entry: one engine invocation that
-// runs several shot shards ("lanes") in lockstep on a shared compiled
-// schedule via qphys.TrajBatch.
+// batch.go — the engine's one record/detect/replay protocol. RunBatch
+// runs several shot shards ("lanes") in one invocation; Run is RunBatch
+// over a single lane. With two or more trajectory lanes, the replayed
+// shots run in lockstep on a shared compiled schedule via
+// qphys.TrajBatch.
 //
-// The division of labour mirrors the scalar engine exactly. Lead and
-// detection shots stay per lane on the scalar machines — they feed each
-// lane's PRNG stream (cold-start transient, recording, comparison) and
-// let every lane validate replay safety against its own controller and
-// caches. Only the steady-state replayed shots run batched, and only
-// when every lane independently detected safety, every lane's recorded
-// schedule is value-identical to lane 0's (lanes are distinct machines,
-// so pointer identity cannot hold across them — but identical configs
-// produce value-identical schedules, and the compiled tables derive
-// from matrix values), and every lane's backend is the trajectory
-// state. Any lane failing any gate demotes the whole group to the
-// per-lane scalar paths, which are bit-identical anyway — batching is
-// only ever a throughput fast path, never a semantic one.
+// Lead and detection shots stay per lane on the scalar machines — they
+// feed each lane's PRNG stream (cold-start transient, recording,
+// comparison) and let every lane validate replay safety against its own
+// controller and caches. Only the steady-state replayed shots run
+// batched, and only when every lane independently detected safety,
+// every lane's recorded schedule is value-identical to lane 0's (lanes
+// are distinct machines, so pointer identity cannot hold across them —
+// but identical configs produce value-identical schedules, and the
+// compiled tables derive from matrix values), and every lane's backend
+// is the trajectory state. Any lane failing any gate demotes the whole
+// group to per-lane scalar completion, which is bit-identical anyway —
+// batching is only ever a throughput fast path, never a semantic one.
 package replay
 
 import (
@@ -43,11 +44,12 @@ type BatchLane struct {
 // holds one Stats per lane, index-aligned with lanes.
 //
 // Cancellation and failure abort the whole batch: the first error (a
-// shot failure during a lane's lead phase, or a context preemption
-// inside the batched loop) is returned and the remaining work of every
-// lane is abandoned — callers treat the group as one failed job, which
-// matches the sharded engine's cancel-the-siblings semantics. A panic
-// unwinds with the machines mid-timeline; callers must discard them.
+// shot failure during a lane's full-pipeline shots, or a context
+// preemption inside a replayed loop) is returned and the remaining work
+// of every lane is abandoned — callers treat the group as one failed
+// job, which matches the sharded engine's cancel-the-siblings
+// semantics. A panic unwinds with the machines mid-timeline; callers
+// must discard them.
 func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int, mode Mode) ([]Stats, error) {
 	stats := make([]Stats, len(lanes))
 	if len(lanes) == 0 {
@@ -66,32 +68,32 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if len(lanes) == 1 || mode == ModeOff || mode == ModeInterp {
-		// Nothing to amortize (or a mode whose executor has no batched
-		// form): run the lanes as plain sequential engine invocations.
+	// The recorders collect every full-pipeline shot's measurement
+	// results; they are detached on every exit (machines go back to the
+	// pool or are discarded, never with a live probe).
+	recs := make([]*recorder, len(lanes))
+	for i, ln := range lanes {
+		recs[i] = &recorder{}
+		ln.M.SetProbe(recs[i])
+		ln.M.Controller.ResetReplayTracking()
+	}
+	defer clearProbes(lanes)
+
+	if mode == ModeOff {
 		for i, ln := range lanes {
-			st, err := Run(ctx, ln.M, p, Options{Shots: shots, Mode: mode, OnShot: ln.OnShot, BaseShot: ln.BaseShot})
-			stats[i] = st
-			if err != nil {
+			if err := laneFullShots(ctx, p, recs[i], ln, 0, shots); err != nil {
 				return stats, err
 			}
+			stats[i].Reason = "replay disabled"
 		}
 		return stats, nil
 	}
 
-	lead := shots
-	if lead > detectShots {
-		lead = detectShots
-	}
-	recs := make([]*recorder, len(lanes))
+	lead := min(shots, detectShots)
 	scheds := make([][]op, len(lanes))
 	reasons := make([]string, len(lanes))
 	for i, ln := range lanes {
-		m := ln.M
-		rec := &recorder{}
-		recs[i] = rec
-		m.SetProbe(rec)
-		m.Controller.ResetReplayTracking()
+		rec := recs[i]
 		var s1, s2 []op
 		for shot := 0; shot < lead; shot++ {
 			if shot == 1 || shot == 2 {
@@ -99,8 +101,7 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 			} else {
 				rec.recording = false
 			}
-			if err := laneFullShot(ctx, m, p, rec, ln, shot); err != nil {
-				clearProbes(lanes[:i+1])
+			if err := laneFullShots(ctx, p, rec, ln, shot, shot+1); err != nil {
 				return stats, err
 			}
 			switch shot {
@@ -112,7 +113,7 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 		}
 		rec.recording = false
 		scheds[i] = s2
-		if reason := m.Controller.ReplayUnsafeReason(); reason != "" {
+		if reason := ln.M.Controller.ReplayUnsafeReason(); reason != "" {
 			reasons[i] = reason
 		} else if !schedulesEqual(s1, s2) {
 			reasons[i] = "schedule is not shot-invariant"
@@ -122,23 +123,14 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 		for i := range stats {
 			stats[i].Reason = "too few shots to amortize recording"
 		}
-		clearProbes(lanes)
 		return stats, nil
 	}
 
-	batchable := true
-	var trajs []*qphys.Trajectory
+	batchable := len(lanes) > 1
+	trajs := make([]*qphys.Trajectory, 0, len(lanes))
 	for i, ln := range lanes {
-		if reasons[i] != "" {
-			batchable = false
-			break
-		}
 		t, ok := ln.M.State.(*qphys.Trajectory)
-		if !ok {
-			batchable = false
-			break
-		}
-		if i > 0 && !schedulesEqualValue(scheds[0], scheds[i]) {
+		if !batchable || !ok || reasons[i] != "" || !schedulesEqualValue(scheds[0], scheds[i]) {
 			batchable = false
 			break
 		}
@@ -146,29 +138,21 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 	}
 
 	if !batchable {
-		// Demote to per-lane scalar completion: each lane finishes
-		// exactly as its own Run invocation would from this point.
+		// Per-lane scalar completion: unsafe lanes stay on the full
+		// pipeline; safe lanes replay their own compiled schedule.
 		for i, ln := range lanes {
 			st := &stats[i]
 			if reasons[i] != "" {
 				st.Reason = reasons[i]
-				for shot := lead; shot < shots; shot++ {
-					if err := laneFullShot(ctx, ln.M, p, recs[i], ln, shot); err != nil {
-						clearProbes(lanes[i:])
-						return stats, err
-					}
+				if err := laneFullShots(ctx, p, recs[i], ln, lead, shots); err != nil {
+					return stats, err
 				}
-				ln.M.SetProbe(nil)
 				continue
 			}
-			st.Safe = true
-			st.Lead = lead
+			st.Safe, st.Compiled, st.Lead = true, true, lead
 			ln.M.SetProbe(nil)
-			st.Compiled = true
 			comp := memoizedCompile(ln.M, p, scheds[i])
-			st.Replayed, err = comp.run(ctx, ln.M, ln.BaseShot, lead, shots, ln.OnShot)
-			if err != nil {
-				clearProbes(lanes[i+1:])
+			if st.Replayed, err = comp.run(ctx, ln.M, ln.BaseShot, lead, shots, ln.OnShot); err != nil {
 				return stats, err
 			}
 		}
@@ -216,19 +200,21 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 	return stats, nil
 }
 
-// laneFullShot runs one full-pipeline shot for a lane, mirroring Run's
-// fullShot closure (ctx gate, recorder MD reset, OnShot delivery, error
-// decoration with the lane's global shot index).
-func laneFullShot(ctx context.Context, m *core.Machine, p *isa.Program, rec *recorder, ln BatchLane, shot int) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("replay: preempted before shot %d: %w", ln.BaseShot+shot, err)
-	}
-	rec.md = rec.md[:0]
-	if err := m.RunProgram(p); err != nil {
-		return fmt.Errorf("replay: shot %d: %w", ln.BaseShot+shot, err)
-	}
-	if ln.OnShot != nil {
-		ln.OnShot(ln.BaseShot+shot, rec.md)
+// laneFullShots runs shots [from, to) of a lane through the full
+// pipeline: ctx gate before every shot, recorder MD reset, OnShot
+// delivery, and error decoration with the lane's global shot index.
+func laneFullShots(ctx context.Context, p *isa.Program, rec *recorder, ln BatchLane, from, to int) error {
+	for shot := from; shot < to; shot++ {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("replay: preempted before shot %d: %w", ln.BaseShot+shot, err)
+		}
+		rec.md = rec.md[:0]
+		if err := ln.M.RunProgram(p); err != nil {
+			return fmt.Errorf("replay: shot %d: %w", ln.BaseShot+shot, err)
+		}
+		if ln.OnShot != nil {
+			ln.OnShot(ln.BaseShot+shot, rec.md)
+		}
 	}
 	return nil
 }
@@ -243,8 +229,14 @@ func clearProbes(lanes []BatchLane) {
 }
 
 // memoizedCompile resolves the compiled form of a freshly recorded
-// schedule through the machine-resident memo, exactly as Run does:
-// every hit is validated entry-for-entry against the recording, a miss
+// schedule through the machine-resident memo, keyed by program identity:
+// a machine pooled for the lifetime of a sweep (or of the batch service,
+// whose service-lifetime assembly cache keeps program pointers stable)
+// compiles each distinct program once, however many programs interleave
+// on it. Every hit is validated entry-for-entry against the fresh
+// recording (whose matrices alias stable machine-cache entries), so a
+// stale entry — e.g. after core invalidated the cache on
+// UploadPulse/SetQubitParams — can only miss, never corrupt. A miss
 // compiles and (bounded) stores.
 func memoizedCompile(m *core.Machine, p *isa.Program, sched []op) *compiled {
 	cache, _ := m.ReplayCache.(map[*isa.Program]*compileCache)

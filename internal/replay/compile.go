@@ -1,20 +1,21 @@
 // compile.go turns a validated shot schedule into a compiled form:
 // closure-free specialized steps (qphys.SchedOp) bound to the concrete
-// state-backend type. The interpreted replay loop (replay.go) still pays,
-// per shot, for interface dispatch on every operation, per-call operator
+// state-backend type. Replaying the recorded operations one call at a
+// time through the qphys.State interface would pay, per shot, for
+// interface dispatch on every operation, per-call operator
 // classification and Born-weight derivation inside ApplyKraus1, and one
 // population pass per channel application and measurement. Compilation
 // hoists all of that out of the shot loop:
 //
-//   - Runs of adjacent deterministic single-qubit unitaries on the same
-//     qubit fuse into one precomputed 2×2 matrix (qphys.FuseUnitaries),
-//     and unitaries with real diagonal entries (every pulse rotation) are
+//   - Every recorded operation lowers to exactly one step that applies
+//     the same operator — the schedule is never rewritten, reordered, or
+//     merged, so compiled replay performs the full pipeline's arithmetic.
+//     Unitaries with real diagonal entries (every pulse rotation) are
 //     classified for the cheaper Apply1RD kernel.
 //   - Each decoherence channel's axis-aligned Kraus pricing coefficients
 //     and operator tables are hoisted once per schedule into a
 //     qphys.ChannelTable, deduplicated by the machine cache's Kraus-slice
-//     identity. The PRNG draw order per step is unchanged, so results
-//     stay bit-identical to interpreted replay.
+//     identity. The PRNG draw order per step is unchanged.
 //   - Population passes are chained: a channel application or measurement
 //     asks the nearest preceding state-modifying step to accumulate its
 //     populations during that step's own application pass, in the exact
@@ -22,9 +23,9 @@
 //     phase-safe two-qubit gates (CZ), which preserve every |a|² bit for
 //     bit.
 //   - The executors are devirtualized: the trajectory backend runs the
-//     whole shot in one qphys.RunSchedule pass; the density backend gets
-//     direct concrete-type calls; an interface fallback covers future
-//     backends.
+//     whole shot in one qphys.RunSchedule pass (or, for lockstep lanes,
+//     qphys.TrajBatch.RunScheduleBatch); the density backend gets direct
+//     concrete-type calls.
 //
 // All per-schedule scratch (step slice, channel tables, measurement
 // buffer) is allocated at compile time, so compiled replay performs zero
@@ -57,8 +58,6 @@ type compiled struct {
 	pulses uint64
 	// nMD is the number of measurements per shot (sizes the MD buffer).
 	nMD int
-	// fused counts unitary-fusion events (compile diagnostics, tests).
-	fused int
 }
 
 // compileSchedule compiles a recorded steady-state schedule. Channel
@@ -69,17 +68,6 @@ func compileSchedule(sched []op) *compiled {
 	c := &compiled{}
 	tables := make(map[*qphys.Matrix]*qphys.ChannelTable)
 	addUnitary := func(q int, u qphys.Matrix) {
-		if n := len(c.ops); n > 0 {
-			if s := &c.ops[n-1]; (s.Kind == qphys.SchedApply1 || s.Kind == qphys.SchedApply1RD) && int(s.Q) == q {
-				s.U = qphys.FuseUnitaries(s.U, u)
-				s.Kind = qphys.SchedApply1
-				if qphys.RealDiag2(s.U) {
-					s.Kind = qphys.SchedApply1RD
-				}
-				c.fused++
-				return
-			}
-		}
 		kind := qphys.SchedApply1
 		if qphys.RealDiag2(u) {
 			kind = qphys.SchedApply1RD
@@ -95,7 +83,7 @@ func compileSchedule(sched []op) *compiled {
 			}
 			if len(o.kraus) == 1 {
 				// ApplyKraus1 applies a single-operator channel as a plain
-				// unitary without drawing a variate, so it fuses like one.
+				// unitary without drawing a variate, so it lowers like one.
 				addUnitary(o.q, o.kraus[0])
 			} else if o.kraus != nil {
 				ct, ok := tables[&o.kraus[0]]
@@ -213,8 +201,8 @@ func phaseSafeGate2(u qphys.Matrix) bool {
 
 // runDensity executes one compiled shot against the devirtualized density
 // backend. The density kernels apply channels exactly (no PRNG, no
-// populations), so the win here is hoisted operator tables, fused
-// unitaries, and direct calls.
+// populations), so the win here is hoisted operator tables and direct
+// calls.
 func (c *compiled) runDensity(m *core.Machine, d *qphys.Density, md []MD) []MD {
 	for i := range c.ops {
 		o := &c.ops[i]
@@ -225,27 +213,6 @@ func (c *compiled) runDensity(m *core.Machine, d *qphys.Density, md []MD) []MD {
 			d.ApplyChannel(o.Ch, int(o.Q))
 		case qphys.SchedCZ, qphys.SchedApply2:
 			d.Apply2(o.U, int(o.Q), int(o.Qb))
-		case qphys.SchedMeasure:
-			md = append(md, MD{Qubit: int(o.Q), Result: m.MeasureQubit(int(o.Q))})
-		}
-	}
-	m.PulsesPlayed += c.pulses
-	return md
-}
-
-// runGeneric executes one compiled shot through the qphys.State
-// interface — the fallback for backends the compiler has no fast path
-// for. Fused unitaries and per-shot counter batching still apply.
-func (c *compiled) runGeneric(m *core.Machine, state qphys.State, md []MD) []MD {
-	for i := range c.ops {
-		o := &c.ops[i]
-		switch o.Kind {
-		case qphys.SchedApply1, qphys.SchedApply1RD:
-			state.Apply1(o.U, int(o.Q))
-		case qphys.SchedChannel:
-			state.ApplyKraus1(o.Ch.Ops(), int(o.Q))
-		case qphys.SchedCZ, qphys.SchedApply2:
-			state.Apply2(o.U, int(o.Q), int(o.Qb))
 		case qphys.SchedMeasure:
 			md = append(md, MD{Qubit: int(o.Q), Result: m.MeasureQubit(int(o.Q))})
 		}
@@ -307,16 +274,7 @@ func (c *compiled) run(ctx context.Context, m *core.Machine, base, first, shots 
 			}
 		}
 	default:
-		for shot := first; shot < shots; shot++ {
-			if err := check(shot); err != nil {
-				return replayed, err
-			}
-			md = c.runGeneric(m, m.State, md[:0])
-			replayed++
-			if onShot != nil {
-				onShot(base+shot, md)
-			}
-		}
+		return 0, fmt.Errorf("replay: no compiled executor for state backend %T", m.State)
 	}
 	return replayed, nil
 }

@@ -10,7 +10,7 @@ import (
 	"quma/internal/qphys"
 )
 
-// Unit tests of the schedule compiler: lowering, fusion, channel-table
+// Unit tests of the schedule compiler: lowering, channel-table
 // deduplication, carry linking, and the machine-resident compile cache.
 
 func TestCompileScheduleLowering(t *testing.T) {
@@ -21,8 +21,8 @@ func TestCompileScheduleLowering(t *testing.T) {
 	cz := qphys.CZ()
 	sched := []op{
 		{kind: opPulse, q: 0, u: x90},
-		{kind: opPulse, q: 0, u: y180},           // adjacent same-qubit: fuses
-		{kind: opIdle, q: 0, kraus: single},      // single-operator channel: fuses too
+		{kind: opPulse, q: 0, u: y180},           // adjacent same-qubit: its own step
+		{kind: opIdle, q: 0, kraus: single},      // single-operator channel: a unitary step
 		{kind: opIdle, q: 1, kraus: kraus},       // multi-operator channel
 		{kind: opIdle, q: 2, kraus: kraus},       // same cached slice: shared table
 		{kind: opGate2, q: 0, qb: 1, u: cz},      // CZ: phase-safe, NegateBoth
@@ -31,16 +31,15 @@ func TestCompileScheduleLowering(t *testing.T) {
 		{kind: opMeasure, q: 0},
 	}
 	c := compileSchedule(sched)
-	if c.fused != 2 {
-		t.Errorf("fused = %d, want 2 (adjacent pulse + single-op channel)", c.fused)
-	}
 	if c.pulses != 4 {
 		t.Errorf("pulses = %d, want 4 (3 pulses + 1 flux)", c.pulses)
 	}
 	if c.nMD != 1 {
 		t.Errorf("nMD = %d, want 1", c.nMD)
 	}
-	kinds := []uint8{qphys.SchedApply1, qphys.SchedChannel, qphys.SchedChannel, qphys.SchedCZ, qphys.SchedChannel, qphys.SchedMeasure}
+	// Every recorded operation with an effect lowers to exactly one step
+	// applying the recorded operator: nothing is merged.
+	kinds := []uint8{qphys.SchedApply1RD, qphys.SchedApply1RD, qphys.SchedApply1RD, qphys.SchedChannel, qphys.SchedChannel, qphys.SchedCZ, qphys.SchedChannel, qphys.SchedMeasure}
 	if len(c.ops) != len(kinds) {
 		t.Fatalf("compiled to %d steps, want %d: %+v", len(c.ops), len(kinds), c.ops)
 	}
@@ -49,23 +48,22 @@ func TestCompileScheduleLowering(t *testing.T) {
 			t.Errorf("step %d kind = %d, want %d", i, c.ops[i].Kind, k)
 		}
 	}
-	if c.ops[1].Ch != c.ops[2].Ch || c.ops[1].Ch != c.ops[4].Ch {
+	for i, u := range []qphys.Matrix{x90, y180, single[0]} {
+		if &c.ops[i].U.Data[0] != &u.Data[0] {
+			t.Errorf("step %d must apply the recorded operator itself", i)
+		}
+	}
+	if c.ops[3].Ch != c.ops[4].Ch || c.ops[3].Ch != c.ops[6].Ch {
 		t.Error("identical cached Kraus slices must share one ChannelTable")
 	}
 	// Carry links: channel(q1)→channel(q2); channel(q2)→channel(q0)
-	// through the phase-safe CZ; channel(q0)→measure(q0); the wrap-around
-	// link points the last producer at the first consumer (channel q1).
-	if got := c.ops[1].CarryFor; got != 2 {
-		t.Errorf("step 1 carries for %d, want 2", got)
-	}
-	if got := c.ops[2].CarryFor; got != 0 {
-		t.Errorf("step 2 carries for %d, want 0 (through the CZ)", got)
-	}
-	if got := c.ops[4].CarryFor; got != 0 {
-		t.Errorf("step 4 carries for %d, want 0 (the measurement)", got)
-	}
-	if got := c.ops[5].CarryFor; got != -1 {
-		t.Errorf("measure of q0 carries for %d, want -1 (wrap consumer is q1)", got)
+	// through the phase-safe CZ; channel(q0)→measure(q0). No unitary
+	// step carries (none precedes a consumer on its own qubit), and no
+	// wrap-around link exists: the schedule starts with a unitary.
+	for i, want := range []int16{-1, -1, -1, 2, 0, -1, 0, -1} {
+		if got := c.ops[i].CarryFor; got != want {
+			t.Errorf("step %d carries for %d, want %d", i, got, want)
+		}
 	}
 }
 

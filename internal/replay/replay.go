@@ -20,21 +20,24 @@
 //     consecutive steady-state shots are identical — which also catches
 //     timing-induced variation such as SSB-phase drift when the shot
 //     period is not a multiple of the modulation period.
-//   - Replays: drives the qphys.State backend directly from the recorded
-//     schedule for all remaining shots — no assembler, no pipeline, no
-//     timing queues — preserving the exact PRNG consumption order
-//     (channel sampling → projection → integration noise, in TD order),
-//     so results are bit-identical to full simulation.
-//   - Compiles (the default): before replaying, the schedule is lowered
-//     once into specialized closure-free steps bound to the concrete
-//     backend type (see compile.go): fused adjacent unitaries, hoisted
-//     per-schedule channel pricing tables, population carries threaded
-//     between steps and across shots, and devirtualized executors. The
-//     compiled form is memoized on the machine (core.Machine.ReplayCache)
-//     and validated against each fresh recording, so pooled machines
-//     compile each program once per lifetime. ModeInterp keeps the
-//     op-by-op interpreter as the A/B baseline; both are bit-identical
-//     to full simulation.
+//   - Replays: compiles the steady-state schedule once into specialized
+//     closure-free steps bound to the concrete backend type (see
+//     compile.go) — hoisted per-schedule channel pricing tables,
+//     population carries threaded between steps and across shots, and
+//     devirtualized executors — then drives the qphys.State backend
+//     directly from the compiled form for all remaining shots: no
+//     assembler, no pipeline, no timing queues. Every step applies
+//     exactly the operation the full pipeline applies, in the same
+//     order, with the same PRNG consumption (channel sampling →
+//     projection → integration noise, in TD order), so measured results
+//     and the state after every shot are bit-identical to full
+//     simulation for every program. (The specialized kernels may flip
+//     the sign of an exact zero, which no later operation can observe;
+//     see qphys/compiled.go.)
+//     The compiled form is memoized on the machine
+//     (core.Machine.ReplayCache) and validated against each fresh
+//     recording, so pooled machines compile each program once per
+//     lifetime.
 //
 // Feedback programs (e.g. examples/feedback, the corrected repetition
 // code) are detected as unsafe and transparently fall back to full
@@ -62,28 +65,21 @@ import (
 type Mode string
 
 const (
-	// ModeAuto records leading shots, then replays the schedule when the
-	// program is detected replay-safe, using the best available engine —
-	// currently the compiled one (the default; "" means auto).
+	// ModeAuto records leading shots, then replays the compiled schedule
+	// when the program is detected replay-safe (the default; "" means
+	// auto).
 	ModeAuto Mode = "auto"
-	// ModeOff runs every shot through the full pipeline.
+	// ModeOff runs every shot through the full pipeline — the reference
+	// every other mode is bit-identical to.
 	ModeOff Mode = "off"
 	// ModeCompiled records leading shots and, when safe, compiles the
 	// schedule once into specialized closure-free steps bound to the
 	// concrete backend type (see compile.go), then replays the compiled
-	// form. Bit-identical to ModeInterp and ModeOff whenever the
-	// schedule separates same-qubit unitaries with at least one
-	// channel application — every decoherent configuration. With
-	// decoherence disabled, adjacent unitaries fuse into one
-	// precomputed matrix (qphys.FuseUnitaries): amplitudes then agree
-	// to floating-point rounding rather than bit-for-bit, which leaves
-	// measured results identical in practice (regression-tested) but
-	// not provably bit-exact.
+	// form. Bit-identical to ModeOff for every program.
 	ModeCompiled Mode = "compiled"
-	// ModeInterp records leading shots and, when safe, replays the
-	// schedule by interpreting the recorded operation stream op-by-op
-	// through the qphys.State interface — the pre-compilation engine,
-	// kept as the A/B baseline for ModeCompiled.
+	// ModeInterp is a deprecated alias of ModeCompiled: it runs compiled
+	// replay. ParseMode accepts it and echoes it unchanged, so existing
+	// requests and command lines keep working.
 	ModeInterp Mode = "interp"
 )
 
@@ -159,7 +155,7 @@ type Stats struct {
 	// Safe reports whether the program was detected replay-safe.
 	Safe bool
 	// Compiled reports whether replayed shots ran from the compiled
-	// schedule (false: interpreted replay or no replay at all).
+	// schedule (false: no replay at all).
 	Compiled bool
 	// Lead counts the full-pipeline lead/detect shots this run paid
 	// before replay engaged. It is zero whenever replay did not engage
@@ -291,15 +287,13 @@ func schedulesEqual(a, b []op) bool {
 	return true
 }
 
-// Run executes the program Shots times on the machine, per Options.Mode.
-// The machine should be freshly constructed or ResetState so the engine
-// owns its full deterministic timeline. Results (data collection unit,
-// OnShot measurement streams, PulsesPlayed/Measurements counters) are
-// bit-identical across modes for every program with decoherent qubits —
-// replay only changes how fast they are produced. (The one qualified
-// case: with decoherence disabled entirely, compiled replay fuses
-// adjacent same-qubit unitaries, and results are float-equivalent rather
-// than provably bit-exact — see ModeCompiled.)
+// Run executes the program Shots times on the machine, per Options.Mode:
+// RunBatch over a single lane. The machine should be freshly constructed
+// or ResetState so the engine owns its full deterministic timeline.
+// Results (data collection unit, OnShot measurement streams,
+// PulsesPlayed/Measurements counters, and the quantum state after every
+// shot) are bit-identical across modes for every program — replay only
+// changes how fast they are produced.
 //
 // Cancellation: a done ctx preempts the run between full-pipeline shots
 // and, inside replayed loops, within ctxCheckShots shots, returning the
@@ -310,153 +304,6 @@ func schedulesEqual(a, b []op) bool {
 // never perturb it. The machine is left mid-timeline; ResetState returns
 // it to a sound pooled state (enforced by expt's cancellation tests).
 func Run(ctx context.Context, m *core.Machine, p *isa.Program, opts Options) (Stats, error) {
-	st := Stats{Shots: opts.Shots}
-	if opts.Shots <= 0 {
-		return st, fmt.Errorf("replay: Shots must be positive, got %d", opts.Shots)
-	}
-	mode, err := ParseMode(string(opts.Mode))
-	if err != nil {
-		return st, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	rec := &recorder{}
-	m.SetProbe(rec)
-	defer m.SetProbe(nil)
-	m.Controller.ResetReplayTracking()
-
-	base := opts.BaseShot
-	fullShot := func(shot int) error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("replay: preempted before shot %d: %w", base+shot, err)
-		}
-		rec.md = rec.md[:0]
-		if err := m.RunProgram(p); err != nil {
-			return fmt.Errorf("replay: shot %d: %w", base+shot, err)
-		}
-		if opts.OnShot != nil {
-			opts.OnShot(base+shot, rec.md)
-		}
-		return nil
-	}
-
-	if mode == ModeOff {
-		for shot := 0; shot < opts.Shots; shot++ {
-			if err := fullShot(shot); err != nil {
-				return st, err
-			}
-		}
-		st.Reason = "replay disabled"
-		return st, nil
-	}
-
-	lead := opts.Shots
-	if lead > detectShots {
-		lead = detectShots
-	}
-	var s1, s2 []op
-	for shot := 0; shot < lead; shot++ {
-		if shot == 1 || shot == 2 {
-			rec.recording, rec.sched = true, nil
-		} else {
-			rec.recording = false
-		}
-		if err := fullShot(shot); err != nil {
-			return st, err
-		}
-		switch shot {
-		case 1:
-			s1 = rec.sched
-		case 2:
-			s2 = rec.sched
-		}
-	}
-	rec.recording = false
-
-	if opts.Shots <= detectShots {
-		st.Reason = "too few shots to amortize recording"
-		return st, nil
-	}
-	if reason := m.Controller.ReplayUnsafeReason(); reason != "" {
-		st.Reason = reason
-	} else if !schedulesEqual(s1, s2) {
-		st.Reason = "schedule is not shot-invariant"
-	}
-	if st.Reason != "" {
-		for shot := lead; shot < opts.Shots; shot++ {
-			if err := fullShot(shot); err != nil {
-				return st, err
-			}
-		}
-		return st, nil
-	}
-
-	// Replay: drive the state backend directly from the steady-state
-	// schedule, consuming the machine PRNG in exactly the recorded order.
-	st.Safe = true
-	st.Lead = lead
-	m.SetProbe(nil)
-	if mode != ModeInterp {
-		// Compiled replay (ModeAuto, ModeCompiled): specialize the
-		// schedule once, then run closure-free steps per shot. The
-		// compiled form is memoized on the machine, keyed by program
-		// identity — a machine pooled for the lifetime of a sweep (or of
-		// the batch service, which also makes program pointers stable via
-		// its service-lifetime assembly cache) compiles each distinct
-		// program once, however many programs interleave on it. Every
-		// hit is still validated entry-for-entry against the freshly
-		// recorded schedule (whose matrices alias stable machine-cache
-		// entries), so a stale entry — e.g. after core invalidated the
-		// cache on UploadPulse/SetQubitParams — can only miss, never
-		// corrupt.
-		st.Compiled = true
-		comp := memoizedCompile(m, p, s2)
-		st.Replayed, err = comp.run(ctx, m, base, lead, opts.Shots, opts.OnShot)
-		return st, err
-	}
-	state := m.State
-	nMD := 0
-	for i := range s2 {
-		if s2[i].kind == opMeasure {
-			nMD++
-		}
-	}
-	md := make([]MD, 0, nMD)
-	for shot := lead; shot < opts.Shots; shot++ {
-		if (shot-lead)%ctxCheckShots == 0 {
-			if err := ctx.Err(); err != nil {
-				return st, fmt.Errorf("replay: preempted at shot %d: %w", base+shot, err)
-			}
-		}
-		md = md[:0]
-		for i := range s2 {
-			o := &s2[i]
-			switch o.kind {
-			case opIdle:
-				if o.u.N != 0 {
-					state.Apply1(o.u, o.q)
-				}
-				if o.kraus != nil {
-					state.ApplyKraus1(o.kraus, o.q)
-				}
-			case opPulse:
-				if o.u.N != 0 {
-					state.Apply1(o.u, o.q)
-				}
-				m.PulsesPlayed++
-			case opGate2:
-				state.Apply2(o.u, o.q, o.qb)
-				m.PulsesPlayed++
-			case opMeasure:
-				md = append(md, MD{Qubit: o.q, Result: m.MeasureQubit(o.q)})
-			}
-		}
-		st.Replayed++
-		if opts.OnShot != nil {
-			opts.OnShot(base+shot, md)
-		}
-	}
-	return st, nil
+	stats, err := RunBatch(ctx, p, []BatchLane{{M: m, BaseShot: opts.BaseShot, OnShot: opts.OnShot}}, opts.Shots, opts.Mode)
+	return stats[0], err
 }

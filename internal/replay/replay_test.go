@@ -2,6 +2,7 @@ package replay
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -105,20 +106,21 @@ func requireIdentical(t *testing.T, off, auto [][]MD, moff, mauto *core.Machine)
 }
 
 func TestReplayBitIdenticalToFullSimulation(t *testing.T) {
+	// ModeInterp is the deprecated alias of compiled replay: it must
+	// still parse (echoed unchanged) and run the compiled engine.
+	if m, err := ParseMode("interp"); err != nil || m != ModeInterp {
+		t.Fatalf(`ParseMode("interp") = %q, %v; want the alias echoed`, m, err)
+	}
 	backends(t, func(t *testing.T, cfg core.Config) {
 		const shots = 60
 		stOff, off, moff := runEngine(t, cfg, simpleShot, shots, ModeOff)
 		if stOff.Replayed != 0 {
 			t.Errorf("ModeOff replayed %d shots", stOff.Replayed)
 		}
-		for _, mode := range []Mode{ModeAuto, ModeInterp, ModeCompiled} {
+		for _, mode := range []Mode{ModeAuto, ModeCompiled, ModeInterp} {
 			st, got, m := runEngine(t, cfg, simpleShot, shots, mode)
-			if !st.Safe || st.Replayed != shots-detectShots {
-				t.Errorf("%s stats = %+v, want safe with %d replayed", mode, st, shots-detectShots)
-			}
-			wantCompiled := mode != ModeInterp
-			if st.Compiled != wantCompiled {
-				t.Errorf("%s stats = %+v, want Compiled=%v", mode, st, wantCompiled)
+			if !st.Safe || !st.Compiled || st.Replayed != shots-detectShots {
+				t.Errorf("%s stats = %+v, want compiled with %d replayed", mode, st, shots-detectShots)
 			}
 			requireIdentical(t, off, got, moff, m)
 		}
@@ -126,9 +128,9 @@ func TestReplayBitIdenticalToFullSimulation(t *testing.T) {
 }
 
 // TestCompiledBitIdenticalToInterpreted is the engine-level A/B of the
-// schedule compiler on a CZ + multi-measure program: the compiled
-// executor must reproduce the interpreted replay loop bit for bit on
-// both backends.
+// schedule compiler on a CZ + multi-measure program: compiled replay
+// must reproduce the full pipeline — the reference interpreter of the
+// program — bit for bit on both backends.
 func TestCompiledBitIdenticalToInterpreted(t *testing.T) {
 	src := `
 mov r15, 40000
@@ -149,25 +151,24 @@ halt
 		cfg.NumQubits = 2
 		cfg.CollectK = 2
 		const shots = 50
-		stI, interp, mi := runEngine(t, cfg, src, shots, ModeInterp)
+		stO, off, mo := runEngine(t, cfg, src, shots, ModeOff)
 		stC, comp, mc := runEngine(t, cfg, src, shots, ModeCompiled)
-		if !stI.Safe || stI.Compiled {
-			t.Fatalf("interp stats = %+v", stI)
+		if stO.Safe || stO.Replayed != 0 {
+			t.Fatalf("off stats = %+v", stO)
 		}
 		if !stC.Safe || !stC.Compiled {
 			t.Fatalf("compiled stats = %+v", stC)
 		}
-		requireIdentical(t, interp, comp, mi, mc)
+		requireIdentical(t, off, comp, mo, mc)
 	})
 }
 
-// TestNoiselessFusionKeepsResultsIdentical covers the one configuration
-// where compiled replay is float-equivalent rather than provably
-// bit-exact: with decoherence disabled, no channel separates same-qubit
-// pulses, so adjacent unitaries fuse into one precomputed matrix. The
-// measured results must still be identical across every mode at fixed
-// seeds (the amplitudes agree to rounding, and no pricing decision sits
-// within an ulp of a draw).
+// TestNoiselessFusionKeepsResultsIdentical covers decoherence disabled,
+// where no channel separates same-qubit pulses: the configuration in
+// which merging adjacent unitaries into one matrix would change
+// rounding. Compiled replay applies every recorded unitary as its own
+// step, so measured results must be identical to the full pipeline (the
+// state-level check is TestCompiledReplayStateBitExact).
 func TestNoiselessFusionKeepsResultsIdentical(t *testing.T) {
 	src := `
 mov r15, 400
@@ -186,18 +187,16 @@ halt
 		t.Run(string(b), func(t *testing.T) {
 			cfg := core.DefaultConfig()
 			cfg.Backend = b
-			cfg.Qubit = []qphys.QubitParams{{}} // decoherence disabled: fusion fires
+			cfg.Qubit = []qphys.QubitParams{{}} // decoherence disabled
 			cfg.Seed = 13
 			cfg.CollectK = 1
 			const shots = 50
 			_, off, moff := runEngine(t, cfg, src, shots, ModeOff)
-			for _, mode := range []Mode{ModeInterp, ModeCompiled} {
-				st, got, m := runEngine(t, cfg, src, shots, mode)
-				if !st.Safe {
-					t.Fatalf("%s: noiseless pulse program must replay: %+v", mode, st)
-				}
-				requireIdentical(t, off, got, moff, m)
+			st, got, m := runEngine(t, cfg, src, shots, ModeCompiled)
+			if !st.Safe {
+				t.Fatalf("noiseless pulse program must replay: %+v", st)
 			}
+			requireIdentical(t, off, got, moff, m)
 		})
 	}
 }
@@ -217,7 +216,7 @@ func TestFeedbackFallbackUnderResetStatePooling(t *testing.T) {
 			return runEngine(t, c, feedbackShot, shots, mode)
 		}
 		_, want, mwant := fresh(ModeOff)
-		for _, mode := range []Mode{ModeOff, ModeInterp, ModeCompiled, ModeAuto} {
+		for _, mode := range []Mode{ModeOff, ModeCompiled, ModeAuto} {
 			// Pooled machine: constructed under another seed, used for an
 			// unrelated replay-safe program, then reset — it must behave
 			// exactly like a fresh machine under the target seed.
@@ -382,4 +381,104 @@ halt
 		_, off, moff := runEngine(t, cfg, src, shots, ModeOff)
 		requireIdentical(t, off, auto, moff, mauto)
 	})
+}
+
+// stateBits snapshots the raw IEEE bits of the machine's quantum state
+// (Trajectory.Psi or Density.Rho), so a comparison sees every rounding
+// difference, not just those that surface in a measured result.
+func stateBits(t *testing.T, s qphys.State) []uint64 {
+	t.Helper()
+	var amps []complex128
+	switch st := s.(type) {
+	case *qphys.Trajectory:
+		amps = st.Psi
+	case *qphys.Density:
+		amps = st.Rho.Data
+	default:
+		t.Fatalf("unexpected state backend %T", s)
+	}
+	bits := make([]uint64, 0, 2*len(amps))
+	for _, a := range amps {
+		bits = append(bits, math.Float64bits(real(a)), math.Float64bits(imag(a)))
+	}
+	return bits
+}
+
+// TestCompiledReplayStateBitExact compares the post-shot quantum state,
+// bit for bit, between the full pipeline and compiled replay after every
+// shot. The two configurations are the ones where merging adjacent
+// same-qubit unitaries into one matrix would change rounding: a qubit
+// with decoherence off and back-to-back pulses, and a decoherent qubit
+// whose detuning rotation directly follows each pulse.
+func TestCompiledReplayStateBitExact(t *testing.T) {
+	// The pulses after the measurement leave the post-shot state
+	// unprojected, so rounding differences cannot be erased by collapse.
+	src := `
+mov r15, 400
+QNopReg r15
+Pulse {q0}, X90
+Wait 4
+Pulse {q0}, Y90
+Wait 4
+MPG {q0}, 300
+MD {q0}, r7
+Wait 340
+Pulse {q0}, X90
+Wait 4
+Pulse {q0}, Y90
+Wait 4
+Pulse {q0}, Xm90
+Wait 4
+halt
+`
+	noiseless := qphys.QubitParams{}
+	detuned := qphys.DefaultQubitParams()
+	detuned.FreqDetuningHz = 1.3e5
+	configs := []struct {
+		name string
+		q    qphys.QubitParams
+	}{{"decoherence-off", noiseless}, {"decoherent-detuned", detuned}}
+	for _, b := range []core.Backend{core.BackendDensity, core.BackendTrajectory} {
+		for _, c := range configs {
+			t.Run(string(b)+"/"+c.name, func(t *testing.T) {
+				cfg := core.DefaultConfig()
+				cfg.Backend = b
+				cfg.Qubit = []qphys.QubitParams{c.q}
+				cfg.Seed = 21
+				cfg.CollectK = 1
+				const shots = 200
+				states := func(mode Mode) (Stats, [][]uint64) {
+					m, err := core.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var out [][]uint64
+					st, err := Run(context.Background(), m, asm.MustAssemble(src), Options{Shots: shots, Mode: mode, OnShot: func(int, []MD) {
+						out = append(out, stateBits(t, m.State))
+					}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return st, out
+				}
+				_, want := states(ModeOff)
+				st, got := states(ModeCompiled)
+				if !st.Safe || !st.Compiled || st.Replayed != shots-detectShots {
+					t.Fatalf("compiled stats = %+v, want %d compiled replayed shots", st, shots-detectShots)
+				}
+				differ := 0
+				for s := range want {
+					for i := range want[s] {
+						if want[s][i] != got[s][i] {
+							differ++
+							break
+						}
+					}
+				}
+				if differ != 0 {
+					t.Errorf("post-shot state differs bit-wise on %d/%d shots", differ, shots)
+				}
+			})
+		}
+	}
 }

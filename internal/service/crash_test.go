@@ -638,7 +638,7 @@ func TestStreamReconnectResumesWithLastEventID(t *testing.T) {
 	}
 	readStream := func(lastEventID string) []sse {
 		t.Helper()
-		hreq, err := http.NewRequest(http.MethodGet, hs.URL+"/v1/jobs/"+id+"/progress", nil)
+		hreq, err := http.NewRequest(http.MethodGet, hs.URL+"/v1/jobs/"+id+"/stream", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,8 +37,7 @@
 //	                          experiment, closing with the terminal state.
 //	                          Events carry monotonic per-job ids; a
 //	                          reconnect with Last-Event-ID resumes after
-//	                          that id without duplicates (/progress is an
-//	                          alias of /stream)
+//	                          that id without duplicates
 //	GET    /healthz           liveness + queue depth (total and per
 //	                          priority class), cache hit/miss/eviction
 //	                          counters (+ journal recovery stats when

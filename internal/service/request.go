@@ -58,8 +58,9 @@ type ExperimentRequest struct {
 	// bit-identical for any value, and the field is scrubbed from the
 	// canonical form and the result's params echo.
 	BatchLanes int `json:"batch_lanes,omitempty"`
-	// Replay is the shot-replay engine mode: "", auto, compiled, interp,
-	// off. Results are bit-identical for any value.
+	// Replay is the shot-replay engine mode: "", auto, compiled, or off
+	// ("interp" is a deprecated alias of compiled). Results are
+	// bit-identical for any value.
 	Replay string `json:"replay,omitempty"`
 
 	// DelaysCycles overrides the swept delays (t1/ramsey/echo).

@@ -292,7 +292,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/progress", s.handleStream)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	return s
 }
@@ -827,10 +826,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleStream serves the SSE progress stream (mounted at both /stream
-// and /progress). Every event carries a monotonically numbered per-job
-// id; a client that reconnects with the standard Last-Event-ID header
-// resumes from the event after it — the job's full history is retained
+// handleStream serves the SSE progress stream at /stream. Every event
+// carries a monotonically numbered per-job id; a client that reconnects
+// with the standard Last-Event-ID header resumes from the event after
+// it — the job's full history is retained
 // (it is bounded by the batch size), so a dropped connection never
 // loses an event, and in particular never the terminal one. After a
 // server restart the history restarts from the recovered state; a

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -301,6 +302,36 @@ func TestMalformedRequestsReturnStructured400(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestInterpReplayAliasRunsCompiled pins the deprecated "interp" replay
+// mode: it validates, runs compiled replay, and measures exactly what
+// "off" measures.
+func TestInterpReplayAliasRunsCompiled(t *testing.T) {
+	env := expt.NewEnv()
+	run := func(mode string) expt.ProgramResult {
+		r := ExperimentRequest{Type: "asm", Seed: 9, Rounds: 60, Replay: mode,
+			Program: "mov r15, 40000\nQNopReg r15\nPulse {q0}, X90\nWait 4\nMPG {q0}, 300\nMD {q0}, r7\nhalt\n"}
+		if errs := r.Validate(0); len(errs) != 0 {
+			t.Fatalf("replay %q rejected: %+v", mode, errs)
+		}
+		b, err := Execute(context.Background(), env, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct{ Result expt.ProgramResult }
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc.Result
+	}
+	off, alias := run("off"), run("interp")
+	if !alias.Safe || !alias.Compiled {
+		t.Fatalf("interp result reports safe=%v compiled=%v, want compiled replay", alias.Safe, alias.Compiled)
+	}
+	if alias.StreamHash != off.StreamHash || fmt.Sprint(alias.Ones) != fmt.Sprint(off.Ones) {
+		t.Fatalf("interp measured (%x, %v), off measured (%x, %v)", alias.StreamHash, alias.Ones, off.StreamHash, off.Ones)
 	}
 }
 
