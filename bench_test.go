@@ -110,10 +110,12 @@ func BenchmarkTable5Decoding(b *testing.B) {
 		{Op: isa.OpApply2, QAddr: isa.MaskQ(0, 1), UOp: "CNOT", Imm: 1},
 		{Op: isa.OpMeasure, QAddr: isa.MaskQ(0), Rd: 7},
 	}
+	var buf []isa.Instruction
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, in := range instr {
-			if _, err := cs.Expand(in); err != nil {
+			var err error
+			if buf, err = cs.AppendExpand(buf[:0], in); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -406,8 +408,10 @@ func BenchmarkHorizontalMicrocode(b *testing.B) {
 func BenchmarkSeqZMicroOpExpansion(b *testing.B) {
 	b.Run("uop-level", func(b *testing.B) {
 		u := newSeqZUnit(b)
+		var trs []uop.Trigger
 		for i := 0; i < b.N; i++ {
-			trs, err := u.Expand("Z", clock.Cycle(i*8))
+			var err error
+			trs, err = u.Expand(trs[:0], "Z", clock.Cycle(i*8))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -419,8 +423,10 @@ func BenchmarkSeqZMicroOpExpansion(b *testing.B) {
 	b.Run("microcode-level", func(b *testing.B) {
 		cs := microcode.StandardControlStore()
 		in := isa.Instruction{Op: isa.OpApply, QAddr: isa.MaskQ(0), UOp: "Z"}
+		var mis []isa.Instruction
 		for i := 0; i < b.N; i++ {
-			mis, err := cs.Expand(in)
+			var err error
+			mis, err = cs.AppendExpand(mis[:0], in)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -844,6 +850,54 @@ var replayBenchModes = []struct {
 }{
 	{replay.ModeOff, "full"},
 	{replay.ModeCompiled, "compiled"},
+}
+
+// BenchmarkFullPipelineShot measures one steady-state shot through the
+// full QuMA pipeline (controller → microcode → QMB → timing queues → µop
+// unit → CTPG/MDU → state backend) — the path every shot of a feedback
+// program and the lead/detect shots of every replay shard pay. allocs/op
+// must stay 0 (TestFullPipelineShotDoesNotAllocate pins it).
+func BenchmarkFullPipelineShot(b *testing.B) {
+	pulses, _ := expt.RandomCliffordSequence(128, rand.New(rand.NewSource(128)))
+	shots := []struct {
+		name   string
+		qubits int
+		prog   *isa.Program
+	}{
+		{"rb_m128", 1, asm.MustAssemble(expt.RBShotProgram(expt.DefaultRBParams(), pulses))},
+		{"repcode_d3", 5, asm.MustAssemble(expt.RepCodeShotProgram(expt.DefaultRepCodeParams(), false))},
+	}
+	for _, sp := range shots {
+		for _, backend := range []core.Backend{core.BackendDensity, core.BackendTrajectory} {
+			b.Run(sp.name+"/"+string(backend), func(b *testing.B) {
+				cfg := core.DefaultConfig()
+				cfg.Backend = backend
+				cfg.NumQubits = sp.qubits
+				m, err := core.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				// Shot 0 carries the cold-start transient.
+				if err := m.RunProgram(sp.prog); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// The playback and digital-output logs record every shot
+					// until the next reset; truncate them so b.N shots do not
+					// grow them without bound.
+					for _, c := range m.CTPG {
+						c.ResetPlaybacks()
+					}
+					m.Digital.Reset()
+					if err := m.RunProgram(sp.prog); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkReplayRB runs randomized benchmarking — the pulse-heaviest

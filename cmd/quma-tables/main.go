@@ -268,7 +268,7 @@ Measure q0, r7`
 	}
 	for _, f := range pulses {
 		name := strings.Fields(strings.SplitN(f.text, ": ", 2)[1])[0]
-		trs, err := u.Expand(name, f.td)
+		trs, err := u.Expand(nil, name, f.td)
 		if err != nil {
 			return err
 		}

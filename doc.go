@@ -101,6 +101,16 @@
 // channels, pulse rotations, flux unitaries, measurement chains — against
 // the state backend for all remaining shots.
 //
+// The lead shots are each run's (each shard's) fixed price, and every
+// shot of a feedback program pays the same full pipeline. In steady state
+// that pipeline and Machine.ResetState allocate nothing
+// (TestFullPipelineShotDoesNotAllocate): the microcode and µop units
+// expand into reused buffers, and a reset clears the controller, queues
+// and logs in place. qumabench's traced run on a 2-vCPU Xeon VM puts an
+// RB m=128 shot at ~136 µs through the full pipeline against ~11 µs
+// compiled, and the three lead shots of a run at ~0.37 ms
+// (core.full_shot_us, replay.compiled_shot_ns, replay.lead_us).
+//
 // Invariants:
 //
 //   - Safety detection is conservative and two-fold. The execution

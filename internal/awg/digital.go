@@ -92,9 +92,10 @@ func (d *DigitalOutputUnit) TotalHighCycles(ch int) clock.Cycle {
 	return total
 }
 
-// Reset returns all outputs to idle with no history.
+// Reset returns all outputs to idle with no history, keeping the
+// per-output buffers for reuse.
 func (d *DigitalOutputUnit) Reset() {
 	for ch := range d.intervals {
-		d.intervals[ch] = nil
+		d.intervals[ch] = d.intervals[ch][:0]
 	}
 }

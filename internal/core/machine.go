@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"quma/internal/asm"
@@ -163,9 +164,9 @@ type Machine struct {
 	// small matrices.
 	decoCache map[decoKey]decoVal
 	cz        qphys.Matrix // cached CZ unitary for the flux-pulse path
-	// cs is the Q control store loaded at construction, kept so
-	// ResetState can rebuild the execution layer without re-deriving it.
-	cs *microcode.ControlStore
+	// triggers is the reused buffer the micro-operation unit expands each
+	// fired pulse into.
+	triggers []uop.Trigger
 	// probe, when non-nil, observes the quantum-operation stream.
 	probe Probe
 	// ReplayCache is an opaque slot for the shot-replay engine to memoize
@@ -266,9 +267,8 @@ func New(cfg Config) (*Machine, error) {
 		m.Collector = readout.NewDataCollector(cfg.CollectK)
 	}
 
-	m.cs = microcode.StandardControlStore()
 	m.QMB = exec.NewQMB(m.onPulse, m.onMPG, nil)
-	m.Controller = exec.NewController(m.cs, m.QMB)
+	m.Controller = exec.NewController(microcode.StandardControlStore(), m.QMB)
 	// MD needs the controller for write-back, so it is wired afterwards.
 	m.QMB.MDQ.OnFire = m.onMD
 	return m, nil
@@ -279,10 +279,12 @@ func New(cfg Config) (*Machine, error) {
 // calibrated CTPG lookup tables, micro-operation definitions, the MDU
 // calibration, and the rotation/decoherence caches all survive. The
 // quantum register, per-qubit clocks, deterministic-domain queues,
-// controller registers/memory, collector, playback logs, trace, and event
-// counters are cleared. A reset machine behaves bit-identically to a
-// fresh core.New with the same Config and seed, which is what lets the
-// sweep engine pool machines across points.
+// controller registers/memory (and any installed instruction cache),
+// collector, digital-output and playback logs, trace, and event counters
+// are cleared in place, keeping their buffers, so a reset allocates
+// nothing. A reset machine behaves bit-identically to a fresh core.New
+// with the same Config and seed, which is what lets the sweep engine
+// pool machines across points.
 //
 // Surviving LUT/µop state cuts both ways: custom UploadPulse /
 // DefinePrimitive calls made after construction also survive, so a
@@ -308,13 +310,12 @@ func (m *Machine) ResetState(seed int64) {
 	for _, c := range m.CTPG {
 		c.ResetPlaybacks()
 	}
-	m.Digital = awg.NewDigitalOutputUnit()
+	m.Digital.Reset()
 	if m.Collector != nil {
 		m.Collector.Reset()
 	}
-	m.QMB = exec.NewQMB(m.onPulse, m.onMPG, nil)
-	m.Controller = exec.NewController(m.cs, m.QMB)
-	m.QMB.MDQ.OnFire = m.onMD
+	m.QMB.Reset()
+	m.Controller.Reset()
 }
 
 // SetProbe installs (or removes, with nil) the quantum-operation stream
@@ -456,36 +457,41 @@ func (m *Machine) advance(q int, to clock.Sample) {
 // micro-operation unit, trigger the CTPG(s), and apply the resulting
 // physics to the chip.
 func (m *Machine) onPulse(e exec.PulseEvent, td clock.Cycle) {
-	qs := e.Qubits.Qubits()
 	if e.UOp == "CZ" {
-		if len(qs) != 2 {
+		if e.Qubits.Count() != 2 {
 			m.fail(fmt.Errorf("core: CZ requires exactly 2 qubits, got %s", e.Qubits))
 			return
 		}
+		// The two set bits, in ascending order.
+		qa := bits.TrailingZeros16(uint16(e.Qubits))
+		qb := bits.Len16(uint16(e.Qubits)) - 1
 		// The CZ flux pulse goes out on a dedicated flux line with the
 		// same fixed latency as drive pulses.
 		at := (td + awg.FixedDelayCycles).Samples()
-		m.advance(qs[0], at)
-		m.advance(qs[1], at)
-		m.State.Apply2(m.cz, qs[0], qs[1])
+		m.advance(qa, at)
+		m.advance(qb, at)
+		m.State.Apply2(m.cz, qa, qb)
 		if m.probe != nil {
-			m.probe.Gate2(m.cz, qs[0], qs[1])
+			m.probe.Gate2(m.cz, qa, qb)
 		}
-		m.tracef(td, "pulse", "CZ %s", e.Qubits)
+		if m.Cfg.TraceEvents {
+			m.tracef(td, "pulse", "CZ %s", e.Qubits)
+		}
 		m.PulsesPlayed++
 		return
 	}
-	for _, q := range qs {
+	for q := range e.Qubits.All() {
 		if q >= len(m.CTPG) {
 			m.fail(fmt.Errorf("core: qubit %d has no drive channel", q))
 			return
 		}
-		triggers, err := m.UOp.Expand(e.UOp, td)
+		var err error
+		m.triggers, err = m.UOp.Expand(m.triggers[:0], e.UOp, td)
 		if err != nil {
 			m.fail(err)
 			return
 		}
-		for _, tr := range triggers {
+		for _, tr := range m.triggers {
 			pb, err := m.CTPG[q].Trigger(tr.CW, tr.At)
 			if err != nil {
 				m.fail(err)
@@ -494,7 +500,9 @@ func (m *Machine) onPulse(e exec.PulseEvent, td clock.Cycle) {
 			m.applyPlayback(q, pb)
 		}
 	}
-	m.tracef(td, "pulse", "%s %s", e.UOp, e.Qubits)
+	if m.Cfg.TraceEvents {
+		m.tracef(td, "pulse", "%s %s", e.UOp, e.Qubits)
+	}
 }
 
 // applyPlayback converts a CTPG playback into a rotation on qubit q.
@@ -547,7 +555,9 @@ func (m *Machine) onMPG(e exec.MPGEvent, td clock.Cycle) {
 		m.fail(err)
 		return
 	}
-	m.tracef(td, "mpg", "%s for %d cycles", e.Qubits, e.Duration)
+	if m.Cfg.TraceEvents {
+		m.tracef(td, "mpg", "%s for %d cycles", e.Qubits, e.Duration)
+	}
 }
 
 // onMD runs the measurement chain for each addressed qubit: advance
@@ -556,7 +566,7 @@ func (m *Machine) onMPG(e exec.MPGEvent, td clock.Cycle) {
 // and write the packed binary results to the destination register.
 func (m *Machine) onMD(e exec.MDEvent, td clock.Cycle) {
 	var packed int64
-	for _, q := range e.Qubits.Qubits() {
+	for q := range e.Qubits.All() {
 		if q >= m.Cfg.NumQubits {
 			m.fail(fmt.Errorf("core: MD on absent qubit %d", q))
 			return
@@ -575,11 +585,13 @@ func (m *Machine) onMD(e exec.MDEvent, td clock.Cycle) {
 	}
 	// Single-qubit MD writes 0/1; multi-qubit MD packs bit q of the
 	// result word, mirroring the combined-readout extension of §5.1.2.
-	if len(e.Qubits.Qubits()) == 1 && packed != 0 {
+	if e.Qubits.Count() == 1 && packed != 0 {
 		packed = 1
 	}
 	m.Controller.WriteReg(e.Rd, packed)
-	m.tracef(td, "md", "%s -> %s", e.Qubits, e.Rd)
+	if m.Cfg.TraceEvents {
+		m.tracef(td, "md", "%s -> %s", e.Qubits, e.Rd)
+	}
 }
 
 // MeasureQubit runs the per-qubit measurement chain at the current state:
@@ -610,9 +622,9 @@ func (m *Machine) FinishMeasure(outcome int) int {
 	return result
 }
 
+// tracef appends a timeline entry. Callers check Cfg.TraceEvents first:
+// building the arguments boxes them, which the untraced per-shot path
+// must not pay.
 func (m *Machine) tracef(td clock.Cycle, kind, format string, args ...any) {
-	if !m.Cfg.TraceEvents {
-		return
-	}
 	m.trace = append(m.trace, TraceEntry{TD: td, Kind: kind, Desc: fmt.Sprintf(format, args...)})
 }

@@ -1,18 +1,35 @@
-package core
+package core_test
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
+	"quma/internal/asm"
+	"quma/internal/awg"
+	"quma/internal/core"
+	"quma/internal/exec"
 	"quma/internal/qphys"
+	"quma/internal/replay"
 )
 
-// resetProbeSrc exercises pulses, decoherence, measurement, and the data
-// collector in a short multi-round loop.
+// resetProbeSrc exercises pulses, decoherence, measurement, the data
+// collector and the digital outputs in a short multi-round loop, and
+// folds a data-memory and a host-memory cell into its tally, so state a
+// reset failed to clear shows up in the results.
 const resetProbeSrc = `
 mov r15, 4000
 mov r1, 0
 mov r2, 20
 mov r9, 0
+mov r3, 0
+load r4, r3[5]
+add r9, r9, r4
+hld r4, 7
+add r9, r9, r4
 Loop:
 QNopReg r15
 Pulse {q0}, X90
@@ -25,53 +42,152 @@ bne r1, r2, Loop
 halt
 `
 
+// resetDirtySrc leaves registers, a data-memory cell, a host-memory
+// cell and digital-output intervals behind.
+const resetDirtySrc = `
+mov r3, 0
+mov r5, 1000
+store r5, r3[5]
+hst r5, 7
+mov r12, -3
+Pulse {q0}, X180
+Wait 4
+Measure q0, r8
+Wait 400
+halt
+`
+
+// resetScenarios each leave a machine in a different dirty state that
+// ResetState must clear; construction never leaves any of it behind.
+var resetScenarios = []struct {
+	name  string
+	dirty func(t *testing.T, m *core.Machine)
+}{
+	{"probe-program", func(t *testing.T, m *core.Machine) {
+		if err := m.RunAssembly(resetProbeSrc); err != nil {
+			t.Fatal(err)
+		}
+	}},
+	{"registers-memory-digital", func(t *testing.T, m *core.Machine) {
+		if err := m.RunAssembly(resetDirtySrc); err != nil {
+			t.Fatal(err)
+		}
+		if m.Digital.Intervals(0) == nil || m.Controller.Mem[5] == 0 || m.Controller.HostMem[7] == 0 {
+			t.Fatal("dirtying program left no digital interval or memory write")
+		}
+	}},
+	{"pending-queues", func(t *testing.T, m *core.Machine) {
+		// Stop mid-program: events sit in the QMB/timing queues, a time
+		// point is open and an interval is accumulating.
+		p := asm.MustAssemble("Pulse {q0}, X180\nWait 4\nMPG {q0}, 300\nMD {q0}, r7\nWait 12\nhalt")
+		if err := m.Controller.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			if err := m.Controller.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m.QMB.TC.PendingEvents() == 0 || m.QMB.PendingInterval() == 0 {
+			t.Fatal("no pending queue entries left behind")
+		}
+	}},
+	{"preempted-lead-shot", func(t *testing.T, m *core.Machine) {
+		// The replay engine's lead shots, canceled after the first one:
+		// the run returns mid-timeline with its recorder detached.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		_, err := replay.Run(ctx, m, asm.MustAssemble(resetDirtySrc), replay.Options{
+			Shots:  10,
+			OnShot: func(int, []replay.MD) { cancel() },
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("lead shot not preempted: %v", err)
+		}
+	}},
+	{"icache", func(t *testing.T, m *core.Machine) {
+		ic, err := exec.NewICache(4, 2, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Controller.ICache = ic
+		if err := m.RunAssembly(resetProbeSrc); err != nil {
+			t.Fatal(err)
+		}
+	}},
+}
+
+// resetFingerprint renders everything a freshly constructed machine
+// starts with and a program run changes: the architectural state of the
+// controller, QMB and timing controller, the logs, and the counters.
+func resetFingerprint(m *core.Machine) string {
+	c, q := m.Controller, m.QMB
+	var b strings.Builder
+	fmt.Fprintf(&b, "regs=%v pc=%d halted=%v steps=%d icache=%v unsafe=%q\n",
+		c.Regs, c.PC, c.Halted(), c.Steps, c.ICache != nil, c.ReplayUnsafeReason())
+	fmt.Fprintf(&b, "mem=%v\nhost=%v\n", c.Mem, c.HostMem)
+	fmt.Fprintf(&b, "labels=%d interval=%d started=%v td=%d pending=%d tq=%v\n",
+		q.LabelsIssued(), q.PendingInterval(), q.TC.Started(), q.TC.TD(), q.TC.PendingEvents(), q.TC.TQ.Snapshot())
+	fmt.Fprintf(&b, "twoq=%v\n", q.TwoQubitOps)
+	for ch := 0; ch < awg.NumDigitalOutputs; ch++ {
+		fmt.Fprintf(&b, "digital%d=%v ", ch, m.Digital.Intervals(ch))
+	}
+	for i, ctpg := range m.CTPG {
+		fmt.Fprintf(&b, "\nplaybacks%d=%d", i, len(ctpg.Playbacks()))
+	}
+	fmt.Fprintf(&b, "\npulses=%d measurements=%d trace=%d", m.PulsesPlayed, m.Measurements, len(m.Trace()))
+	if m.Collector != nil {
+		fmt.Fprintf(&b, " collector=%v/%v", m.Collector.Sums(), m.Collector.Counts())
+	}
+	for q := 0; q < m.Cfg.NumQubits; q++ {
+		fmt.Fprintf(&b, " p%d=%x", q, math.Float64bits(m.State.ProbExcited(q)))
+	}
+	return b.String()
+}
+
 // TestResetStateMatchesFreshMachine is the Machine.ResetState contract: a
 // reset machine behaves bit-identically to a freshly constructed one with
-// the same config and seed, on both backends, even after the machine has
-// run an unrelated program under a different seed.
+// the same config and seed, on both backends, whatever the machine did
+// under a different seed before — ran a program, left registers, memory
+// and digital-output intervals behind, stopped with events pending in
+// the queues, had replay's lead shots preempted by cancellation, or had
+// an instruction cache installed. ResetState clears in place, keeping
+// buffers, so each of these is state it must clear rather than drop.
 func TestResetStateMatchesFreshMachine(t *testing.T) {
-	for _, backend := range []Backend{BackendDensity, BackendTrajectory} {
+	for _, backend := range []core.Backend{core.BackendDensity, core.BackendTrajectory} {
 		t.Run(string(backend), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Backend = backend
-			cfg.CollectK = 1
-			cfg.Seed = 42
+			for _, sc := range resetScenarios {
+				t.Run(sc.name, func(t *testing.T) {
+					cfg := core.DefaultConfig()
+					cfg.Backend = backend
+					cfg.CollectK = 1
+					cfg.Seed = 42
 
-			fresh, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fresh.RunAssembly(resetProbeSrc); err != nil {
-				t.Fatal(err)
-			}
+					fresh, err := core.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dirty := cfg
+					dirty.Seed = 99
+					reused, err := core.New(dirty)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sc.dirty(t, reused)
+					reused.ResetState(42)
+					if f, r := resetFingerprint(fresh), resetFingerprint(reused); f != r {
+						t.Fatalf("after reset:\nfresh:  %s\nreused: %s", f, r)
+					}
 
-			dirty := cfg
-			dirty.Seed = 99
-			reused, err := New(dirty)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := reused.RunAssembly(resetProbeSrc); err != nil {
-				t.Fatal(err)
-			}
-			reused.ResetState(42)
-			if err := reused.RunAssembly(resetProbeSrc); err != nil {
-				t.Fatal(err)
-			}
-
-			if fresh.Controller.Regs[9] != reused.Controller.Regs[9] {
-				t.Errorf("ones: fresh=%d reused=%d", fresh.Controller.Regs[9], reused.Controller.Regs[9])
-			}
-			fa, ra := fresh.Collector.Averages(), reused.Collector.Averages()
-			if fa[0] != ra[0] {
-				t.Errorf("collector average: fresh=%v reused=%v", fa[0], ra[0])
-			}
-			if fresh.PulsesPlayed != reused.PulsesPlayed || fresh.Measurements != reused.Measurements {
-				t.Errorf("counters: fresh=(%d,%d) reused=(%d,%d)",
-					fresh.PulsesPlayed, fresh.Measurements, reused.PulsesPlayed, reused.Measurements)
-			}
-			if p, q := fresh.State.ProbExcited(0), reused.State.ProbExcited(0); p != q {
-				t.Errorf("final state: fresh=%v reused=%v", p, q)
+					for _, m := range []*core.Machine{fresh, reused} {
+						if err := m.RunAssembly(resetProbeSrc); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if f, r := resetFingerprint(fresh), resetFingerprint(reused); f != r {
+						t.Fatalf("after the probe program:\nfresh:  %s\nreused: %s", f, r)
+					}
+				})
 			}
 		})
 	}
@@ -81,10 +197,10 @@ func TestResetStateMatchesFreshMachine(t *testing.T) {
 // survive a reset (that is the point of reusing the machine), while the
 // playback log and trace are cleared.
 func TestResetStateKeepsCalibration(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.TraceEvents = true
 	cfg.Qubit = []qphys.QubitParams{qphys.DefaultQubitParams()}
-	m, err := New(cfg)
+	m, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +231,7 @@ func TestResetStateKeepsCalibration(t *testing.T) {
 // points therefore requires unconditional per-point re-upload, as
 // RunRabi does).
 func TestResetStateKeepsCustomUploads(t *testing.T) {
-	m, err := New(DefaultConfig())
+	m, err := core.New(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

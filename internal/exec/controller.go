@@ -45,6 +45,9 @@ type Controller struct {
 
 	prog   *isa.Program
 	halted bool
+	// expanded is the reused buffer the physical microcode unit expands
+	// each quantum instruction into.
+	expanded []isa.Instruction
 	// Steps counts executed instructions.
 	Steps uint64
 	// pendingMD counts queued MD events per destination register; reads
@@ -83,6 +86,24 @@ func NewController(cs *microcode.ControlStore, qmb *QMB) *Controller {
 		Mem:     make([]int64, DefaultMemWords),
 		HostMem: make([]int64, 256),
 	}
+}
+
+// Reset returns the controller to its just-constructed state in place:
+// registers, data memory and host memory zeroed, no program loaded, no
+// instruction cache, step count and replay-safety tracking cleared. The
+// memory buffers, control store and QMB are kept; the QMB is not reset
+// here (its owner resets it).
+func (c *Controller) Reset() {
+	c.Regs = [isa.NumRegs]int64{}
+	clear(c.Mem)
+	clear(c.HostMem)
+	c.PC = 0
+	c.ICache = nil
+	c.prog = nil
+	c.halted = false
+	c.Steps = 0
+	c.pendingMD = [isa.NumRegs]int{}
+	c.ResetReplayTracking()
 }
 
 // Load installs a program and resets PC and halt state (registers and
@@ -129,14 +150,6 @@ func (c *Controller) setReg(r isa.Reg, v int64) {
 	c.writtenThisRun[r] = true
 }
 
-// markUnsafe records the first reason the running program cannot be
-// schedule-replayed.
-func (c *Controller) markUnsafe(reason string) {
-	if c.unsafeReason == "" {
-		c.unsafeReason = reason
-	}
-}
-
 // ReplayUnsafeReason returns why the program(s) executed since the last
 // ResetReplayTracking cannot be replayed from a recorded schedule, or ""
 // if no unsafe pattern was observed. The detection is conservative: it
@@ -173,10 +186,15 @@ func (c *Controller) syncIfRead(r isa.Reg) error {
 			return err
 		}
 	}
+	// Only the first reason is kept (and formatted), so a program already
+	// known to be unsafe pays nothing more per read.
+	if c.unsafeReason != "" {
+		return nil
+	}
 	if c.tainted[r] {
-		c.markUnsafe(fmt.Sprintf("instruction at PC %d consumed measurement result in %s", c.PC, r))
+		c.unsafeReason = fmt.Sprintf("instruction at PC %d consumed measurement result in %s", c.PC, r)
 	} else if c.everWritten[r] && !c.writtenThisRun[r] {
-		c.markUnsafe(fmt.Sprintf("instruction at PC %d consumed cross-shot state in %s", c.PC, r))
+		c.unsafeReason = fmt.Sprintf("instruction at PC %d consumed cross-shot state in %s", c.PC, r)
 	}
 	return nil
 }
@@ -250,7 +268,9 @@ func (c *Controller) Step() error {
 		}
 		// Memory cells are not tracked per address, so any load may be
 		// consuming cross-shot state.
-		c.markUnsafe(fmt.Sprintf("data-memory load at PC %d", c.PC))
+		if c.unsafeReason == "" {
+			c.unsafeReason = fmt.Sprintf("data-memory load at PC %d", c.PC)
+		}
 		c.setReg(in.Rd, c.Mem[addr])
 	case isa.OpStore:
 		if err := c.syncIfRead(in.Rs); err != nil {
@@ -291,7 +311,9 @@ func (c *Controller) Step() error {
 		if in.Imm < 0 || in.Imm >= int64(len(c.HostMem)) {
 			return fmt.Errorf("exec: host load address %d out of range at PC %d", in.Imm, c.PC)
 		}
-		c.markUnsafe(fmt.Sprintf("host-memory load at PC %d", c.PC))
+		if c.unsafeReason == "" {
+			c.unsafeReason = fmt.Sprintf("host-memory load at PC %d", c.PC)
+		}
 		c.setReg(in.Rd, c.HostMem[in.Imm])
 	case isa.OpHostStore:
 		if err := c.syncIfRead(in.Rs); err != nil {
@@ -319,11 +341,12 @@ func (c *Controller) Step() error {
 		if !in.Op.IsQuantum() {
 			return fmt.Errorf("exec: unhandled opcode %s at PC %d", in.Op, c.PC)
 		}
-		mis, err := c.CS.Expand(in)
+		var err error
+		c.expanded, err = c.CS.AppendExpand(c.expanded[:0], in)
 		if err != nil {
 			return fmt.Errorf("exec: PC %d: %w", c.PC, err)
 		}
-		for _, mi := range mis {
+		for _, mi := range c.expanded {
 			if mi.Op == isa.OpMD {
 				c.pendingMD[mi.Rd]++
 			}

@@ -93,6 +93,17 @@ func NewQMB(
 	return q
 }
 
+// Reset returns the QMB to its just-constructed state in place: empty
+// queues, a stopped timeline, no open time point, label numbering from
+// the start, and only CZ as a two-qubit operation. The queue buffers,
+// the timing controller's registrations and the fire handlers are kept.
+func (q *QMB) Reset() {
+	q.TC.Reset()
+	clear(q.TwoQubitOps)
+	q.TwoQubitOps["CZ"] = true
+	q.nextLabel, q.acc, q.haveLabel, q.curLabel = 0, 0, false, 0
+}
+
 // Wait accumulates interval before the next time point.
 func (q *QMB) Wait(cycles clock.Cycle) { q.acc += cycles }
 
@@ -126,7 +137,7 @@ func (q *QMB) Submit(in isa.Instruction) error {
 			q.PulseQ.Push(PulseEvent{Qubits: in.QAddr, UOp: in.UOp}, l)
 			return nil
 		}
-		for _, qb := range in.QAddr.Qubits() {
+		for qb := range in.QAddr.All() {
 			q.PulseQ.Push(PulseEvent{Qubits: isa.MaskQ(qb), UOp: in.UOp}, l)
 		}
 		return nil

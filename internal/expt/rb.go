@@ -74,11 +74,12 @@ type RBResult struct {
 	AvgPulsesPerClifford float64
 }
 
-// rbShotProgram emits the per-shot program for one Clifford sequence
-// (with recovery): init, sequence, measure. The shot loop and the
-// ones-count both live in the engine now — the program never consumes the
-// measurement result, which is what makes RB replay-safe.
-func rbShotProgram(p RBParams, pulses []string) string {
+// RBShotProgram emits the per-shot program for one Clifford sequence
+// (with recovery, as RandomCliffordSequence returns it): init, sequence,
+// measure. The shot loop and the ones-count both live in the engine now
+// — the program never consumes the measurement result, which is what
+// makes RB replay-safe.
+func RBShotProgram(p RBParams, pulses []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "mov r15, %d\n", p.InitCycles)
 	fmt.Fprintf(&b, "QNopReg r15\n")
@@ -120,7 +121,7 @@ func (e *Env) RunRB(ctx context.Context, cfg core.Config, p RBParams) (*RBResult
 		length := p.Lengths[i/p.Trials]
 		seqRng := rand.New(rand.NewSource(DeriveSeed(p.Seed, i)))
 		pulses, _ := RandomCliffordSequence(length, seqRng)
-		prog, err := e.progs.get(rbShotProgram(p, pulses))
+		prog, err := e.progs.get(RBShotProgram(p, pulses))
 		if err != nil {
 			return err
 		}

@@ -13,6 +13,9 @@ package isa
 
 import (
 	"fmt"
+	"iter"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -54,15 +57,22 @@ func MaskQ(qubits ...int) QubitMask {
 }
 
 // Qubits returns the selected qubit indices in ascending order.
-func (m QubitMask) Qubits() []int {
-	var out []int
-	for q := 0; q < MaxQubits; q++ {
-		if m&(1<<q) != 0 {
-			out = append(out, q)
+func (m QubitMask) Qubits() []int { return slices.Collect(m.All()) }
+
+// All iterates the selected qubit indices in ascending order without
+// allocating — the form the per-shot pipeline uses.
+func (m QubitMask) All() iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for rest := uint16(m); rest != 0; rest &= rest - 1 {
+			if !yield(bits.TrailingZeros16(rest)) {
+				return
+			}
 		}
 	}
-	return out
 }
+
+// Count returns the number of selected qubits.
+func (m QubitMask) Count() int { return bits.OnesCount16(uint16(m)) }
 
 // Contains reports whether qubit q is selected.
 func (m QubitMask) Contains(q int) bool { return q >= 0 && q < MaxQubits && m&(1<<q) != 0 }

@@ -145,31 +145,39 @@ func (cs *ControlStore) Names() []string {
 // Expand translates one QIS instruction into QuMIS microinstructions.
 // QuMIS instructions pass through unchanged (the prototype in the paper
 // accepts a mix of both), and classical instructions are rejected — they
-// never reach the physical microcode unit.
+// never reach the physical microcode unit. Expand returns a fresh slice;
+// the execution controller's per-instruction path uses AppendExpand.
 func (cs *ControlStore) Expand(in isa.Instruction) ([]isa.Instruction, error) {
+	return cs.AppendExpand(nil, in)
+}
+
+// AppendExpand is Expand into a caller-owned buffer: it appends the
+// expansion of in to dst and returns the extended slice, so a caller
+// that reuses dst across instructions expands without allocating. On
+// error dst is returned unchanged.
+func (cs *ControlStore) AppendExpand(dst []isa.Instruction, in isa.Instruction) ([]isa.Instruction, error) {
 	switch in.Op {
 	case isa.OpWait, isa.OpWaitReg, isa.OpQNopReg, isa.OpPulse, isa.OpMPG, isa.OpMD:
-		return []isa.Instruction{in}, nil
+		return append(dst, in), nil
 	case isa.OpMeasure:
 		q := in.QAddr
-		return []isa.Instruction{
-			{Op: isa.OpMPG, QAddr: q, Imm: cs.MeasurePulseCycles},
-			{Op: isa.OpMD, QAddr: q, Rd: in.Rd},
-		}, nil
+		return append(dst,
+			isa.Instruction{Op: isa.OpMPG, QAddr: q, Imm: cs.MeasurePulseCycles},
+			isa.Instruction{Op: isa.OpMD, QAddr: q, Rd: in.Rd},
+		), nil
 	case isa.OpApply, isa.OpApply2:
-		operands, err := operandQubits(in)
+		operands, n, err := operandQubits(in)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		mp, ok := cs.programs[in.UOp]
 		if !ok {
-			return nil, fmt.Errorf("microcode: no microprogram for operation %q", in.UOp)
+			return dst, fmt.Errorf("microcode: no microprogram for operation %q", in.UOp)
 		}
-		if mp.Arity != len(operands) {
-			return nil, fmt.Errorf("microcode: %s has arity %d, instruction %q supplies %d operands",
-				in.UOp, mp.Arity, in, len(operands))
+		if mp.Arity != n {
+			return dst, fmt.Errorf("microcode: %s has arity %d, instruction %q supplies %d operands",
+				in.UOp, mp.Arity, in, n)
 		}
-		out := make([]isa.Instruction, 0, len(mp.Steps))
 		for _, s := range mp.Steps {
 			mi := isa.Instruction{Op: s.Op, UOp: s.UOp, Imm: s.Imm}
 			if s.Op != isa.OpWait {
@@ -182,39 +190,47 @@ func (cs *ControlStore) Expand(in isa.Instruction) ([]isa.Instruction, error) {
 			if s.Op == isa.OpMD {
 				mi.Rd = in.Rd
 			}
-			out = append(out, mi)
+			dst = append(dst, mi)
 		}
-		return out, nil
+		return dst, nil
 	}
-	return nil, fmt.Errorf("microcode: classical instruction %q reached the physical microcode unit", in)
+	return dst, fmt.Errorf("microcode: classical instruction %q reached the physical microcode unit", in)
 }
 
-// operandQubits recovers the ordered operand list from a QIS instruction:
-// Apply has one qubit; Apply2 stores the first-listed operand index in
-// Imm (see the assembler) and the pair in QAddr.
-func operandQubits(in isa.Instruction) ([]int, error) {
-	qs := in.QAddr.Qubits()
+// operandQubits recovers the ordered operand list from a QIS instruction
+// as (operands, count): Apply has one qubit; Apply2 stores the
+// first-listed operand index in Imm (see the assembler) and the pair in
+// QAddr.
+func operandQubits(in isa.Instruction) ([2]int, int, error) {
+	var qs [2]int
+	n := 0
+	for q := range in.QAddr.All() {
+		if n < len(qs) {
+			qs[n] = q
+		}
+		n++
+	}
 	switch in.Op {
 	case isa.OpApply:
-		if len(qs) != 1 {
-			return nil, fmt.Errorf("microcode: Apply needs exactly one qubit, got %s", in.QAddr)
+		if n != 1 {
+			return qs, 0, fmt.Errorf("microcode: Apply needs exactly one qubit, got %s", in.QAddr)
 		}
-		return qs, nil
+		return qs, 1, nil
 	case isa.OpApply2:
-		if len(qs) != 2 {
-			return nil, fmt.Errorf("microcode: Apply2 needs exactly two qubits, got %s", in.QAddr)
+		if n != 2 {
+			return qs, 0, fmt.Errorf("microcode: Apply2 needs exactly two qubits, got %s", in.QAddr)
 		}
 		first := int(in.Imm)
 		if first != qs[0] && first != qs[1] {
-			return nil, fmt.Errorf("microcode: Apply2 first-operand %d not in %s", first, in.QAddr)
+			return qs, 0, fmt.Errorf("microcode: Apply2 first-operand %d not in %s", first, in.QAddr)
 		}
 		second := qs[0]
 		if second == first {
 			second = qs[1]
 		}
-		return []int{first, second}, nil
+		return [2]int{first, second}, 2, nil
 	}
-	return nil, fmt.Errorf("microcode: %s has no qubit operands", in.Op)
+	return qs, 0, fmt.Errorf("microcode: %s has no qubit operands", in.Op)
 }
 
 // StandardControlStore returns a control store loaded with the default

@@ -96,8 +96,11 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 		rec := recs[i]
 		var s1, s2 []op
 		for shot := 0; shot < lead; shot++ {
+			// Shots 1 and 2 are recorded into fresh schedules (s1 is
+			// kept for the comparison, s2 may be memoized), each sized
+			// from the previous shot's operation count.
 			if shot == 1 || shot == 2 {
-				rec.recording, rec.sched = true, nil
+				rec.recording, rec.sched = true, make([]op, 0, rec.ops)
 			} else {
 				rec.recording = false
 			}
@@ -208,7 +211,7 @@ func laneFullShots(ctx context.Context, p *isa.Program, rec *recorder, ln BatchL
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("replay: preempted before shot %d: %w", ln.BaseShot+shot, err)
 		}
-		rec.md = rec.md[:0]
+		rec.md, rec.ops = rec.md[:0], 0
 		if err := ln.M.RunProgram(p); err != nil {
 			return fmt.Errorf("replay: shot %d: %w", ln.BaseShot+shot, err)
 		}

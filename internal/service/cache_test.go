@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"quma/internal/expt"
+	"quma/internal/journal"
 )
 
 // submitRaw posts a batch and returns the HTTP status, the decoded
@@ -92,6 +93,52 @@ func TestCacheHitTerminalImmediate(t *testing.T) {
 	}
 	if id == id1 {
 		t.Fatal("affecting-field variant reused the cached job")
+	}
+}
+
+// TestDoneImpliesRetired is the terminal-visibility contract: by the
+// time a job is observably done (its done channel, hence its status), it
+// is journaled and retired — a resubmission sent right then is a cache
+// hit on that job, and the retention trim it caused has happened (with
+// one retained job, the previous one is already gone).
+func TestDoneImpliesRetired(t *testing.T) {
+	jr, err := journal.Open(journal.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr.Close()
+	s, hs := startTestServer(t, Config{Workers: 1, MaxRetainedJobs: 1, Journal: jr})
+	base := hs.URL
+	prev := ""
+	for i := 0; i < 20; i++ {
+		req := quickAsm(int64(900 + i))
+		id, resp := submit(t, base, req)
+		if id == "" {
+			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
+		}
+		s.mu.Lock()
+		jb := s.jobs[id]
+		s.mu.Unlock()
+		if jb == nil {
+			t.Fatalf("job %s not found", id)
+		}
+		<-jb.done
+		code, hitID, cache, status, _ := submitRaw(t, base, req)
+		if code != http.StatusOK || cache != "hit" || status != StatusDone || hitID != id {
+			t.Fatalf("resubmit %d right after done: status %d cache %q job %s %q, want 200 hit on %s done",
+				i, code, cache, hitID, status, id)
+		}
+		if prev != "" {
+			resp, err := http.Get(base + "/v1/jobs/" + prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("job %s beyond the retention bound still served (%d) after %s was done", prev, resp.StatusCode, id)
+			}
+		}
+		prev = id
 	}
 }
 

@@ -208,7 +208,7 @@
 // shot loop, which checks it with bounded staleness (every
 // replay.ctxCheckShots shots) — so preemption lands mid-sweep, not
 // between experiments. A preempted job never exposes a partial result:
-// the expt layer returns (nil, wrapped ctx error) and job.finish drops
+// the expt layer returns (nil, wrapped ctx error) and job.setTerminal drops
 // the result slots on any non-done terminal state. The flip side is the
 // determinism half of the contract: a job that completes is bit-identical
 // to an uncancellable run — cancellation can only abort, never perturb

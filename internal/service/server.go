@@ -122,8 +122,11 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu        sync.Mutex
-	status    string
+	mu     sync.Mutex
+	status string
+	// finishing marks a claimed terminal transition (see finishJob):
+	// the status stays live until the job is journaled and retired.
+	finishing bool
 	completed int
 	results   []json.RawMessage
 	errCode   string
@@ -169,24 +172,35 @@ func (j *job) snapshot() progressEvent {
 	return j.snapshotLocked()
 }
 
-// finish moves the job to a terminal state exactly once: later callers
-// (a DELETE racing the worker, a worker racing drain) are no-ops. On any
-// non-done terminal state the result slots are dropped — a canceled or
-// failed job retains no partial results, by contract.
-func (j *job) finish(status, code, msg string) bool {
+// endedLocked reports whether the job is terminal or its terminal
+// transition is already claimed; callers hold j.mu.
+func (j *job) endedLocked() bool { return j.finishing || terminal(j.status) }
+
+// claimFinish claims the job's terminal transition exactly once: later
+// callers (a DELETE racing the worker, a worker racing drain) get false.
+// The claim is invisible to clients; setTerminal makes it visible.
+func (j *job) claimFinish() bool {
 	j.mu.Lock()
-	if terminal(j.status) {
-		j.mu.Unlock()
+	defer j.mu.Unlock()
+	if j.endedLocked() {
 		return false
 	}
+	j.finishing = true
+	return true
+}
+
+// setTerminal makes a claimed transition visible: the status a client
+// reads and the done channel. On any non-done terminal state the result
+// slots are dropped — a canceled or failed job retains no partial
+// results, by contract. The caller publishes the terminal event.
+func (j *job) setTerminal(status, code, msg string) {
+	j.mu.Lock()
 	j.status, j.errCode, j.errMsg = status, code, msg
 	if status != StatusDone {
 		j.results = nil
 	}
 	j.mu.Unlock()
 	close(j.done)
-	j.publish()
-	return true
 }
 
 // publish appends the job's current state to its event history under
@@ -776,6 +790,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	jb.mu.Unlock()
 	if queued {
 		s.finishJob(jb, StatusCanceled, CodeCanceled, "canceled before execution started")
+		// A dequeuing worker may hold the terminal claim instead; its
+		// transition completes without waiting on anything this
+		// handler holds.
+		<-jb.done
 	}
 	ev := jb.snapshot()
 	writeJSON(w, http.StatusOK, struct {
@@ -902,10 +920,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		case <-jb.done:
-			// The terminal state is set (finish closes done after setting
-			// it) but its published event may still be in flight or may
-			// have been dropped from a full channel: drain what is
-			// buffered, then emit a terminal snapshot under the next id.
+			// The terminal state is set (setTerminal closes done after
+			// setting it) but its published event may still be in
+			// flight or may have been dropped from a full channel: drain
+			// what is buffered, then emit a terminal snapshot under the
+			// next id.
 			for {
 				select {
 				case ne := <-ch:
@@ -1002,7 +1021,7 @@ func (s *Server) runJob(jb *job) {
 	defer cancel()
 
 	jb.mu.Lock()
-	if terminal(jb.status) {
+	if jb.endedLocked() {
 		// A DELETE finished the job between dequeue and here.
 		jb.mu.Unlock()
 		return
@@ -1025,7 +1044,7 @@ func (s *Server) runJob(jb *job) {
 			return
 		}
 		jb.mu.Lock()
-		if terminal(jb.status) {
+		if jb.endedLocked() {
 			// A DELETE landed after the experiment's last context check;
 			// the job is already canceled and retains no results — this
 			// one is dropped too, honoring the no-partial-results contract.
@@ -1043,14 +1062,16 @@ func (s *Server) runJob(jb *job) {
 	s.observeJobDuration(time.Since(start))
 }
 
-// finishJob is the single terminal-transition point: move the job to a
-// terminal state (exactly once), journal the transition, and retire it
-// into the retention window. The journal append is best-effort and
-// happens after the in-memory transition — if the process dies in
-// between, recovery re-executes the job and determinism reproduces the
-// identical bytes.
+// finishJob is the single terminal-transition point: claim the terminal
+// transition (exactly once), journal it, retire the job into the
+// retention window, and only then make the terminal state visible. A
+// client that observes the terminal status (or the done channel, or the
+// terminal event) therefore also observes everything retire did: a done
+// job's result-cache entry and the retention trim. The journal append is
+// best-effort — if the process dies before it, recovery re-executes the
+// job and determinism reproduces the identical bytes.
 func (s *Server) finishJob(jb *job, status, code, msg string) {
-	if !jb.finish(status, code, msg) {
+	if !jb.claimFinish() {
 		return
 	}
 	if s.jr != nil {
@@ -1068,7 +1089,8 @@ func (s *Server) finishJob(jb *job, status, code, msg string) {
 			s.journalAppend(journal.Failed(jb.id, code, msg))
 		}
 	}
-	s.retire(jb)
+	s.retire(jb, status, code, msg)
+	jb.publish()
 }
 
 // retire records a terminal job and evicts the oldest finished jobs
@@ -1078,19 +1100,22 @@ func (s *Server) finishJob(jb *job, status, code, msg string) {
 // also where the job's admission charge is settled: the tenant quota is
 // released exactly once, and a completed job is indexed into the
 // content-addressed cache (a failed or canceled one is not — only done
-// jobs carry the canonical result document).
-func (s *Server) retire(jb *job) {
+// jobs carry the canonical result document). The terminal state becomes
+// visible last, in the same critical section, so a submission that
+// finds the job terminal also finds its cache entry.
+func (s *Server) retire(jb *job, status, code, msg string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if jb.tenantSt != nil {
 		jb.tenantSt.release(len(jb.reqs))
 		jb.tenantSt = nil
 	}
-	if s.cache != nil && jb.reqHash != "" && jb.snapshot().Status == StatusDone {
+	if s.cache != nil && jb.reqHash != "" && status == StatusDone {
 		s.cache.insert(jb.reqHash, jb.id)
 	}
 	s.retired = append(s.retired, jb.id)
 	s.trimRetiredLocked()
+	jb.setTerminal(status, code, msg)
 }
 
 // trimRetiredLocked evicts beyond the retention bound; callers hold

@@ -67,11 +67,25 @@ func (q *TimingQueue) Pop() (TimePoint, bool) {
 		return TimePoint{}, false
 	}
 	q.head++
-	if q.head > 64 && q.head*2 > len(q.entries) {
-		q.entries = append(q.entries[:0], q.entries[q.head:]...)
-		q.head = 0
-	}
+	q.entries, q.head = compact(q.entries, q.head)
 	return tp, true
+}
+
+// Reset empties the queue, keeping its buffer.
+func (q *TimingQueue) Reset() { q.entries, q.head = q.entries[:0], 0 }
+
+// compact reclaims the consumed prefix of a FIFO buffer: an emptied
+// queue rewinds to the start of its buffer, and a mostly consumed one
+// moves its live tail down, so a queue refilled shot after shot reuses
+// one buffer instead of growing.
+func compact[T any](entries []T, head int) ([]T, int) {
+	switch {
+	case head == len(entries):
+		return entries[:0], 0
+	case head > 64 && head*2 > len(entries):
+		return append(entries[:0], entries[head:]...), 0
+	}
+	return entries, head
 }
 
 // Snapshot returns the queued time points front-first (for the paper's
@@ -87,6 +101,7 @@ type queue interface {
 	name() string
 	frontLabel() (Label, bool)
 	fireFront(td clock.Cycle)
+	reset()
 }
 
 // EventQueue buffers events of type E, each tagged with the label of the
@@ -156,13 +171,12 @@ func (q *EventQueue[E]) frontLabel() (Label, bool) {
 	return q.entries[q.head].label, true
 }
 
+func (q *EventQueue[E]) reset() { q.entries, q.head = q.entries[:0], 0 }
+
 func (q *EventQueue[E]) fireFront(td clock.Cycle) {
 	e := q.entries[q.head]
 	q.head++
-	if q.head > 64 && q.head*2 > len(q.entries) {
-		q.entries = append(q.entries[:0], q.entries[q.head:]...)
-		q.head = 0
-	}
+	q.entries, q.head = compact(q.entries, q.head)
 	if q.OnFire != nil {
 		q.OnFire(e.ev, td)
 	}
@@ -192,6 +206,19 @@ func (c *Controller) Register(q queue) {
 func (c *Controller) Start() {
 	c.td = 0
 	c.started = true
+}
+
+// Reset stops the timeline at TD = 0 and empties the timing queue and
+// every registered event queue, keeping their buffers and registrations:
+// the state of a freshly built controller with the same queues
+// registered.
+func (c *Controller) Reset() {
+	c.TQ.Reset()
+	for _, q := range c.queues {
+		q.reset()
+	}
+	c.td = 0
+	c.started = false
 }
 
 // Started reports whether the timeline is running.

@@ -126,22 +126,23 @@ func (u *Unit) Names() []string {
 	return out
 }
 
-// Expand translates a micro-operation triggered at deterministic time at
-// into its scheduled codeword triggers.
-func (u *Unit) Expand(name string, at clock.Cycle) ([]Trigger, error) {
+// Expand appends the codeword triggers of a micro-operation triggered at
+// deterministic time at to dst and returns the extended slice; a caller
+// that reuses dst across pulses expands without allocating. On error dst
+// is returned unchanged.
+func (u *Unit) Expand(dst []Trigger, name string, at clock.Cycle) ([]Trigger, error) {
 	seq, ok := u.seqs[name]
 	if !ok {
-		return nil, fmt.Errorf("uop: unknown micro-operation %q", name)
+		return dst, fmt.Errorf("uop: unknown micro-operation %q", name)
 	}
-	out := make([]Trigger, 0, len(seq))
 	t := at + u.Delay
 	for i, st := range seq {
 		if i > 0 {
 			t += st.Delta
 		}
-		out = append(out, Trigger{CW: st.CW, At: t})
+		dst = append(dst, Trigger{CW: st.CW, At: t})
 	}
-	return out, nil
+	return dst, nil
 }
 
 // SeqZ is the paper's worked example: emulating a Z gate as a Y gate

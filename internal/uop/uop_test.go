@@ -22,7 +22,7 @@ func TestDefineRejectsEmptyAndNonZeroFirstDelta(t *testing.T) {
 func TestPrimitivePassThrough(t *testing.T) {
 	u := NewUnit()
 	u.DefinePrimitive("X180", 1)
-	trs, err := u.Expand("X180", 100)
+	trs, err := u.Expand(nil, "X180", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestPrimitivePassThrough(t *testing.T) {
 
 func TestExpandUnknown(t *testing.T) {
 	u := NewUnit()
-	if _, err := u.Expand("nope", 0); err == nil {
+	if _, err := u.Expand(nil, "nope", 0); err == nil {
 		t.Error("expected error for unknown uOp")
 	}
 }
@@ -43,7 +43,7 @@ func TestSeqZSchedule(t *testing.T) {
 	if err := u.Define("Z", SeqZ()); err != nil {
 		t.Fatal(err)
 	}
-	trs, err := u.Expand("Z", 200)
+	trs, err := u.Expand(nil, "Z", 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSeqZPhysicallyImplementsZ(t *testing.T) {
 	if err := ctpg.UploadStandardLibrary(0); err != nil {
 		t.Fatal(err)
 	}
-	trs, err := u.Expand("Z", 0)
+	trs, err := u.Expand(nil, "Z", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestExpandDelayApplied(t *testing.T) {
 	u := NewUnit()
 	u.Delay = 3
 	u.DefinePrimitive("I", 0)
-	trs, _ := u.Expand("I", 50)
+	trs, _ := u.Expand(nil, "I", 50)
 	if trs[0].At != 53 {
 		t.Errorf("At = %d, want 53 (TD+Δ)", trs[0].At)
 	}
@@ -147,7 +147,7 @@ func TestRedefineReplaces(t *testing.T) {
 	u := NewUnit()
 	u.DefinePrimitive("g", 1)
 	u.DefinePrimitive("g", 2)
-	trs, _ := u.Expand("g", 0)
+	trs, _ := u.Expand(nil, "g", 0)
 	if trs[0].CW != 2 {
 		t.Error("redefinition must replace")
 	}
