@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"quma/internal/aps2"
@@ -1031,4 +1032,78 @@ func BenchmarkPhaseCode(b *testing.B) {
 	}
 	b.ReportMetric(bare, "bare-err")
 	b.ReportMetric(protected, "protected-err")
+}
+
+// laneBenchSource is BenchmarkReplayLanes' replay-safe shot on nq
+// qubits: 48 layers of one pulse per qubit, each layer after the first
+// opening with a CNOT on a neighbouring pair when nq ≥ 2, then a
+// readout of every qubit.
+func laneBenchSource(nq int) string {
+	pulses := []string{"X90", "Y90", "Xm90", "Y180", "X180", "Ym90"}
+	var b strings.Builder
+	w := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
+	w("mov r15, 4000")
+	w("QNopReg r15")
+	for layer := 0; layer < 48; layer++ {
+		if nq >= 2 && layer > 0 {
+			q := layer % (nq - 1)
+			w("Apply2 CNOT, q%d, q%d", q+1, q)
+		}
+		for q := 0; q < nq; q++ {
+			w("Pulse {q%d}, %s", q, pulses[(layer+q)%len(pulses)])
+			w("Wait 4")
+		}
+	}
+	for q := 0; q < nq; q++ {
+		w("MPG {q%d}, 300", q)
+		w("MD {q%d}, r7", q)
+		w("Wait 340")
+	}
+	w("halt")
+	return b.String()
+}
+
+// BenchmarkReplayLanes is the evidence behind the sweep engine's
+// automatic lane rule (expt.ShardLaneGroups): the trajectory-backend
+// cost per shot of one shot shard per lane through replay.RunBatch, at
+// each register size and lane count. lanes-1 is the scalar executor;
+// more lanes run the replayed shots in lockstep. Lead shots are
+// included, as they are in a sharded sweep point.
+func BenchmarkReplayLanes(b *testing.B) {
+	shots := 1024
+	if testing.Short() {
+		shots = 128
+	}
+	for _, nq := range []int{1, 2, 3, 4, 5, 9} {
+		prog := asm.MustAssemble(laneBenchSource(nq))
+		cfg := core.DefaultConfig()
+		cfg.Backend = core.BackendTrajectory
+		cfg.NumQubits = nq
+		for _, lanes := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("nq%d/lanes-%d", nq, lanes), func(b *testing.B) {
+				bl := make([]replay.BatchLane, lanes)
+				for l := range bl {
+					m, err := core.New(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					bl[l] = replay.BatchLane{M: m, BaseShot: l * shots}
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for l := range bl {
+						bl[l].M.ResetState(int64(i*lanes + l + 1))
+					}
+					sts, err := replay.RunBatch(context.Background(), prog, bl, shots, replay.ModeCompiled)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !sts[0].Compiled {
+						b.Fatalf("benchmark shot must replay: %+v", sts[0])
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes*shots), "ns/shot")
+			})
+		}
+	}
 }

@@ -18,12 +18,14 @@
 // DeriveSeed(seed, k), up to -shot-workers shards concurrently. The plan,
 // seeds, and merge order depend only on the shot count, so results are
 // bit-identical for any -shot-workers value. On the trajectory backend,
-// -lanes L > 1 additionally runs groups of up to L equal-size shards in
-// lockstep on the batched SoA executor (one lane per shard, same seeds,
-// same streams — bit-identical results, higher throughput). Instruction, pulse, and
-// measurement counters sum across shards; registers, final qubit state,
-// and the timeline come from the last shard's machine; the data
-// collection unit's averages merge exactly across the shards.
+// groups of consecutive shards run in lockstep on the batched executor
+// (one lane per shard, same seeds, same streams — bit-identical results,
+// higher throughput): -lanes L > 1 caps a group at L shards, -lanes 1
+// runs every shard scalar, and the default -lanes 0 picks the grouping
+// with the sweep engine's own rule (expt.ShardLaneGroups). Instruction,
+// pulse, and measurement counters sum across shards; registers, final
+// qubit state, and the timeline come from the last shard's machine; the
+// data collection unit's averages merge exactly across the shards.
 //
 // Usage:
 //
@@ -65,7 +67,7 @@ func main() {
 		binary      = flag.Bool("bin", false, "input is a binary (hex words) produced by quma-asm")
 		shots       = flag.Int("shots", 1, "number of times to run the program on one machine (the shot loop of an experiment)")
 		shotWorkers = flag.Int("shot-workers", 0, "bound on concurrent shot shards when -shots exceeds the shard threshold (0 = one per CPU); results are bit-identical for any value")
-		lanes       = flag.Int("lanes", 0, "run groups of up to this many equal-size shot shards in lockstep on the batched SoA trajectory executor (0 or 1 = scalar shards); results are bit-identical for any value")
+		lanes       = flag.Int("lanes", 0, "run groups of up to this many shot shards in lockstep on the batched trajectory executor (0 = auto, 1 = scalar); results are bit-identical for any value")
 		replayMode  = flag.String("replay", "auto", "shot-replay engine mode: compiled (replay the compiled schedule when safe; results are bit-identical to off), auto (= compiled), or off (full simulation per shot); interp is a deprecated alias of compiled")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -240,18 +242,16 @@ func printEngine(stats replay.Stats) {
 
 // runSharded executes the shot-shard plan: shard k runs plan[k] shots on
 // a fresh machine seeded expt.DeriveSeed(cfg.Seed, k) with its global
-// shot offset as replay.Options.BaseShot. With lanes > 1 the shards are
-// partitioned into lockstep batch groups (expt.LaneGroups) and each
-// group runs as one replay.RunBatch call — one lane per shard, same
-// seeds, same streams, so the grouping can never change a result byte.
-// Up to `workers` groups run concurrently (0 = one per CPU). Stats
-// merge in shard order; the machines return in shard order too, so the
-// caller's "last machine" state is deterministic.
+// shot offset as replay.Options.BaseShot. The shards are partitioned
+// into lockstep batch groups by the sweep engine's policy
+// (expt.ShardLaneGroups) and each group runs as one replay.RunBatch
+// call — one lane per shard, same seeds, same streams, so the grouping
+// can never change a result byte. Up to `workers` groups run
+// concurrently (0 = one per CPU). Stats merge in shard order; the
+// machines return in shard order too, so the caller's "last machine"
+// state is deterministic.
 func runSharded(cfg core.Config, prog *isa.Program, plan []int, workers, lanes int, mode replay.Mode) (replay.Stats, []*core.Machine, error) {
-	if mode == replay.ModeOff {
-		lanes = 1 // no batched executor for full simulation
-	}
-	groups := expt.LaneGroups(plan, lanes)
+	groups := expt.ShardLaneGroups(plan, lanes, workers, cfg, mode)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -288,12 +288,12 @@ func runSharded(cfg core.Config, prog *isa.Program, plan []int, workers, lanes i
 						break
 					}
 					machines[k] = sm
-					bl = append(bl, replay.BatchLane{M: sm, BaseShot: starts[k]})
+					bl = append(bl, replay.BatchLane{M: sm, BaseShot: starts[k], Shots: plan[k]})
 				}
 				if errs[gi] != nil {
 					continue
 				}
-				sts, err := replay.RunBatch(context.Background(), prog, bl, plan[g0], mode)
+				sts, err := replay.RunBatch(context.Background(), prog, bl, 0, mode)
 				copy(statsv[g0:g1], sts)
 				errs[gi] = err
 			}
@@ -324,7 +324,7 @@ func validateFlags(backend, replayMode string, shots, shotWorkers, lanes int) (r
 		return "", fmt.Errorf("-shot-workers must be non-negative (0 selects one per CPU), got %d", shotWorkers)
 	}
 	if lanes < 0 {
-		return "", fmt.Errorf("-lanes must be non-negative (0 and 1 select scalar shard execution), got %d", lanes)
+		return "", fmt.Errorf("-lanes must be non-negative (0 selects automatic grouping, 1 scalar shards), got %d", lanes)
 	}
 	switch core.Backend(backend) {
 	case core.BackendDensity, core.BackendTrajectory:

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"testing"
 
 	"quma/internal/asm"
@@ -76,6 +77,41 @@ func TestInterpAliasRunsCompiled(t *testing.T) {
 	for i := range wantSums {
 		if sums[i] != wantSums[i] || counts[i] != wantCounts[i] {
 			t.Fatalf("shard collector %d: interp (%v, %d), off (%v, %d)", i, sums[i], counts[i], wantSums[i], wantCounts[i])
+		}
+	}
+}
+
+// TestRunShardedLaneGroupingIsNeutral drives runSharded through the
+// shared grouping policy — automatic lanes (0), scalar shards (1) and
+// an explicit cap over the short remainder shard — and demands every
+// shard machine end with the same collector sums and quantum state.
+func TestRunShardedLaneGroupingIsNeutral(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Backend = core.BackendTrajectory
+	cfg.CollectK = 1
+	prog := asm.MustAssemble("mov r15, 400\nQNopReg r15\nPulse {q0}, X90\nWait 4\nMPG {q0}, 300\nMD {q0}, r7\nWait 340\nPulse {q0}, Y90\nWait 4\nhalt\n")
+	plan := expt.ShotShardPlan(600)
+	run := func(workers, lanes int) []string {
+		st, ms, err := runSharded(cfg, prog, plan, workers, lanes, replay.ModeAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Compiled || st.Shots != 600 {
+			t.Fatalf("workers=%d lanes=%d: stats %+v, want 600 compiled shots", workers, lanes, st)
+		}
+		var out []string
+		for _, m := range ms {
+			out = append(out, fmt.Sprint(m.Collector.Sums(), m.Collector.Counts(), m.State.ReducedQubit(0).Data))
+		}
+		return out
+	}
+	want := run(1, 1)
+	for _, c := range []struct{ workers, lanes int }{{1, 0}, {2, 0}, {0, 0}, {1, 8}, {2, 2}} {
+		got := run(c.workers, c.lanes)
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("workers=%d lanes=%d shard %d: %s, scalar %s", c.workers, c.lanes, k, got[k], want[k])
+			}
 		}
 	}
 }

@@ -278,10 +278,19 @@
 // pre-sharding builds) per lane by construction, not by tolerance.
 // Lanes that diverge (an anti-diagonal jump, a dense Kraus selection,
 // a mid-schedule branch) fall out to the scalar tail for that step and
-// rejoin; steady state allocates nothing per shot. The lane width is a
-// result-neutral scheduling knob (expt.RepCodeParams.BatchLanes, shard
-// groups of up to that many lanes), and QUMA_NOSIMD=1 disables the
-// SIMD kernels at process level — every suite passes both ways, and
-// the conformance suite pins batched-vs-scalar byte identity per
-// kernel and per experiment.
+// rejoin; steady state allocates nothing per shot. A one-qubit register
+// skips the span passes: there each step is two amplitudes per lane and
+// a shot is bound by one serial draw → √ → ÷ → scale chain per idle,
+// so the executor runs one plain loop over the lanes per step and lets
+// the CPU overlap the lanes' independent chains. Lanes may hold
+// different shot counts (a plan's last shard is short): they run in
+// lockstep as far as the shortest, then the survivors go on. The lane
+// width is a result-neutral scheduling knob (the BatchLanes field of
+// every experiment's parameters): by default (0) a shot worker that
+// would run several shards of one point back to back runs up to eight
+// of them in lockstep, wherever BenchmarkReplayLanes measures the
+// executor faster than scalar (expt.ShardLaneGroups); 1 forces scalar
+// shards. QUMA_NOSIMD=1 disables the SIMD kernels at process level —
+// every suite passes both ways, and the conformance suite pins
+// batched-vs-scalar byte identity per kernel and per experiment.
 package quma

@@ -522,12 +522,16 @@ func (m *Machine) applyPlayback(q int, pb awg.Playback) {
 	m.PulsesPlayed++
 }
 
-// rotationOf demodulates the played waveform at its absolute start time.
-// Since the waveform content is fixed per codeword, the result depends
-// only on the start time modulo the SSB period (hoisted into m.ssbPeriod
-// by New), which makes it cacheable — including the rotation matrix
-// itself, so the steady-state pulse path performs no demodulation and no
-// allocation.
+// rotationOf demodulates the played waveform at its start time. Since
+// the waveform content is fixed per codeword, the rotation depends only
+// on the start time modulo the SSB period (hoisted into m.ssbPeriod by
+// New), which makes it cacheable — including the rotation matrix itself,
+// so the steady-state pulse path performs no demodulation and no
+// allocation. A cached entry is demodulated at the key's phase, not at
+// the absolute time that first missed: the two agree mathematically but
+// not in their last bits, and the cache survives ResetState, so the
+// entry must be a pure function of its key for a reused machine to
+// match a fresh one bit for bit.
 func (m *Machine) rotationOf(q int, pb awg.Playback) rotVal {
 	period := m.ssbPeriod
 	if period == 0 {
@@ -538,7 +542,7 @@ func (m *Machine) rotationOf(q int, pb awg.Playback) rotVal {
 	if v, ok := m.rotCache[key]; ok {
 		return v
 	}
-	phi, theta := pulse.Rotation(pb.Wave, m.Cfg.SSBHz, pb.Start)
+	phi, theta := pulse.Rotation(pb.Wave, m.Cfg.SSBHz, key.phase)
 	v := rotVal{phi: phi, theta: theta, mat: qphys.REquator(phi, theta)}
 	m.rotCache[key] = v
 	return v

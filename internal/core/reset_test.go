@@ -57,6 +57,48 @@ Wait 400
 halt
 `
 
+// resetPhaseSrc ends on pulses at each of the four SSB phases of the
+// pulse grid (the -50 MHz sideband repeats every 20 samples, 4 cycles),
+// with no measurement after them, so the final state bits expose the
+// exact rotation matrices the machine applied.
+const resetPhaseSrc = `
+Wait 3
+Pulse {q0}, X90
+Wait 5
+Pulse {q0}, Y90
+Wait 6
+Pulse {q0}, X90
+Wait 7
+Pulse {q0}, Y180
+Wait 4
+halt
+`
+
+// resetOtherPhaseSrc plays the same codewords as resetPhaseSrc at the
+// same phases but at other absolute times, filling the rotation cache
+// with entries a fresh machine would first meet elsewhere.
+const resetOtherPhaseSrc = `
+mov r15, 4001
+QNopReg r15
+Pulse {q0}, X90
+Wait 5
+Pulse {q0}, X90
+Wait 6
+Pulse {q0}, Y90
+Wait 7
+Pulse {q0}, Y90
+Wait 5
+Pulse {q0}, Y180
+Wait 6
+Pulse {q0}, X90
+Wait 7
+Pulse {q0}, Y180
+Wait 5
+Pulse {q0}, Y180
+Wait 4
+halt
+`
+
 // resetScenarios each leave a machine in a different dirty state that
 // ResetState must clear; construction never leaves any of it behind.
 var resetScenarios = []struct {
@@ -105,6 +147,13 @@ var resetScenarios = []struct {
 			t.Fatalf("lead shot not preempted: %v", err)
 		}
 	}},
+	{"other-program", func(t *testing.T, m *core.Machine) {
+		// Another program pulsed at the probe's phases but at other
+		// absolute times; the rotation cache survives the reset.
+		if err := m.RunAssembly(resetOtherPhaseSrc); err != nil {
+			t.Fatal(err)
+		}
+	}},
 	{"icache", func(t *testing.T, m *core.Machine) {
 		ic, err := exec.NewICache(4, 2, 10)
 		if err != nil {
@@ -140,7 +189,10 @@ func resetFingerprint(m *core.Machine) string {
 		fmt.Fprintf(&b, " collector=%v/%v", m.Collector.Sums(), m.Collector.Counts())
 	}
 	for q := 0; q < m.Cfg.NumQubits; q++ {
-		fmt.Fprintf(&b, " p%d=%x", q, math.Float64bits(m.State.ProbExcited(q)))
+		fmt.Fprintf(&b, " p%d=%x rho%d=", q, math.Float64bits(m.State.ProbExcited(q)), q)
+		for _, v := range m.State.ReducedQubit(q).Data {
+			fmt.Fprintf(&b, "%x,%x;", math.Float64bits(real(v)), math.Float64bits(imag(v)))
+		}
 	}
 	return b.String()
 }
@@ -179,13 +231,15 @@ func TestResetStateMatchesFreshMachine(t *testing.T) {
 						t.Fatalf("after reset:\nfresh:  %s\nreused: %s", f, r)
 					}
 
-					for _, m := range []*core.Machine{fresh, reused} {
-						if err := m.RunAssembly(resetProbeSrc); err != nil {
-							t.Fatal(err)
+					for _, src := range []string{resetProbeSrc, resetPhaseSrc} {
+						for _, m := range []*core.Machine{fresh, reused} {
+							if err := m.RunAssembly(src); err != nil {
+								t.Fatal(err)
+							}
 						}
-					}
-					if f, r := resetFingerprint(fresh), resetFingerprint(reused); f != r {
-						t.Fatalf("after the probe program:\nfresh:  %s\nreused: %s", f, r)
+						if f, r := resetFingerprint(fresh), resetFingerprint(reused); f != r {
+							t.Fatalf("after %q:\nfresh:  %s\nreused: %s", src, f, r)
+						}
 					}
 				})
 			}

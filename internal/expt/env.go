@@ -134,11 +134,11 @@ type ProgramParams struct {
 	// function of Shots, so results are bit-identical for any value —
 	// see shotshard.go.
 	ShotWorkers int
-	// BatchLanes, when > 1, runs groups of up to that many equal-size
-	// shot shards in lockstep on the batched SoA executor (one lane per
-	// shard — same seeds, same streams). Results are bit-identical for
-	// any value: the knob trades nothing but throughput, exactly like
-	// ShotWorkers.
+	// BatchLanes caps how many shot shards run in lockstep on the
+	// batched trajectory executor (one lane per shard — same seeds, same
+	// streams): 0 = auto (ShardLaneGroups), 1 = scalar shards. Results
+	// are bit-identical for any value: the knob trades nothing but
+	// throughput, exactly like ShotWorkers.
 	BatchLanes int
 }
 

@@ -48,10 +48,10 @@ type RepCodeParams struct {
 	// bit-identical for any value — and to pre-sharding builds — for every
 	// Rounds; see shotshard.go.
 	ShotWorkers int
-	// BatchLanes, when > 1, runs groups of up to that many equal-size
-	// shot shards in lockstep on the batched SoA executor (one lane per
-	// shard — same seeds, same streams). Results are bit-identical for
-	// any value; see shotshard.go.
+	// BatchLanes caps how many shot shards run in lockstep on the
+	// batched trajectory executor (one lane per shard — same seeds, same
+	// streams): 0 = auto (ShardLaneGroups), 1 = scalar shards. Results
+	// are bit-identical for any value; see shotshard.go.
 	BatchLanes int
 	// Replay selects the shot-replay engine mode: replay.ModeOff (full
 	// simulation of every shot) or ModeCompiled (default auto = compiled;

@@ -35,22 +35,28 @@ package expt
 //     error — so a panic is never masked by the sibling aborts it
 //     caused, and the service taxonomy (internal vs canceled) is stable
 //     under sharding.
-//   - Lane batching (BatchLanes > 1): consecutive equal-size shards may
-//     run as one lockstep batch through replay.RunBatch — one compiled
-//     schedule, per-lane machines/seeds/PRNG streams (lane k IS shard
-//     k: same DeriveSeed(pointSeed, k), same BaseShot, same buffered
-//     stream slot). Because the plan, the seeds, and the merge order
-//     are untouched, changing the lane grouping can never change result
-//     bytes — batching is a throughput knob with the same neutrality
-//     contract as ShotWorkers. A panic inside a batch discards every
-//     machine of the group (the unwind passes all the puts) and cancels
-//     sibling groups; a group error is attributed to its first shard
-//     index for the lowest-index selection rule.
+//   - Lane batching: consecutive shards may run as one lockstep batch
+//     through replay.RunBatch — one compiled schedule, per-lane
+//     machines/seeds/PRNG streams (lane k IS shard k: same
+//     DeriveSeed(pointSeed, k), same BaseShot, same shot count, same
+//     buffered stream slot). Lanes of unequal size run in lockstep as
+//     far as the shortest; the survivors go on. BatchLanes caps a
+//     group; the default 0 groups the shards a shot worker would run
+//     back to back, where the lockstep executor is measured faster
+//     (ShardLaneGroups), and 1 runs every shard scalar. Because the
+//     plan, the seeds, and the merge order are untouched, changing the
+//     lane grouping can never change result bytes — batching is a
+//     throughput knob with the same neutrality contract as
+//     ShotWorkers. A panic inside a batch discards every machine of the
+//     group (the unwind passes all the puts) and cancels sibling
+//     groups; a group error is attributed to its first shard index for
+//     the lowest-index selection rule.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"quma/internal/core"
 	"quma/internal/isa"
@@ -109,26 +115,70 @@ type shardStream struct {
 }
 
 // LaneGroups partitions the shards of a plan into lockstep batch
-// groups: maximal runs of consecutive equal-size shards, sliced to at
-// most lanes members each. Each group is a [start, end) shard-index
-// range. lanes <= 1 yields singleton groups (the scalar per-shard
-// path). Grouping is a pure function of (plan, lanes) — but results do
-// not depend on it at all: every lane of a batch is bit-identical to
-// its scalar shard, so any grouping produces the same bytes.
+// groups: consecutive runs of at most lanes shards each. Each group is a
+// [start, end) shard-index range. lanes <= 1 yields singleton groups
+// (the scalar per-shard path). Members may differ in size (a plan's
+// last shard is usually short); replay.RunBatch runs them in lockstep
+// as far as the shortest goes. Grouping is a pure function of (plan,
+// lanes) — but results do not depend on it at all: every lane of a
+// batch is bit-identical to its scalar shard, so any grouping produces
+// the same bytes.
 func LaneGroups(plan []int, lanes int) [][2]int {
-	groups := make([][2]int, 0, len(plan))
-	if lanes < 1 {
-		lanes = 1
-	}
-	for k := 0; k < len(plan); {
-		end := k + 1
-		for end < len(plan) && plan[end] == plan[k] && end-k < lanes {
-			end++
-		}
-		groups = append(groups, [2]int{k, end})
-		k = end
+	lanes = max(lanes, 1)
+	groups := make([][2]int, 0, (len(plan)+lanes-1)/lanes)
+	for k := 0; k < len(plan); k += lanes {
+		groups = append(groups, [2]int{k, min(k+lanes, len(plan))})
 	}
 	return groups
+}
+
+// maxAutoLanes caps the automatic lane count.
+const maxAutoLanes = 8
+
+// autoLaneFloor is the smallest lane count at which the lockstep
+// executor beats the scalar one on an nq-qubit trajectory register, per
+// BenchmarkReplayLanes (median ns per shot over eight interleaved runs
+// on a 2-vCPU Xeon VM, lanes 1 / 2 / 4 / 8: nq=1 2083 / 1549 / 1460 /
+// 1252, nq=2 13505 / 17647 / 12938 / 9804, nq=3 21026 / 24715 / 16507 /
+// 12594, nq=4 40707 / 26297 / 19088 / 17095; three runs: nq=5 77058 /
+// 41040 / 29781 / 24261, nq=9 1358639 / 765897 / 480312 / 315661). Two
+// lanes lose at two and three qubits, where the span passes are too
+// short to pay their setup and the one-qubit lane kernel does not
+// apply.
+func autoLaneFloor(nq int) int {
+	if nq == 2 || nq == 3 {
+		return 4
+	}
+	return 2
+}
+
+// ShardLaneGroups is the lane grouping of a sharded shot job, shared by
+// every caller that runs shot shards (the sweep engine and quma-run).
+// batchLanes >= 1 caps the group size explicitly (1: scalar shards).
+// batchLanes == 0 is automatic: on the trajectory backend, groups of
+// ⌈shards ÷ g⌉ lanes with g = max(shotWorkers, ⌈shards ÷ 8⌉) — that is
+// ⌈shards ÷ shotWorkers⌉ lanes while that is at most 8 — so a worker
+// that would run several shards back to back runs them in lockstep
+// instead; groups smaller than autoLaneFloor stay scalar. shotWorkers
+// <= 0 means one per CPU. ModeOff has no batched executor and always
+// gets singletons. Like every grouping, the choice never changes a
+// result byte.
+func ShardLaneGroups(plan []int, batchLanes, shotWorkers int, cfg core.Config, mode replay.Mode) [][2]int {
+	lanes := batchLanes
+	switch {
+	case mode == replay.ModeOff:
+		lanes = 1
+	case lanes == 0 && cfg.Backend == core.BackendTrajectory:
+		if shotWorkers <= 0 {
+			shotWorkers = runtime.GOMAXPROCS(0)
+		}
+		groups := max(shotWorkers, (len(plan)+maxAutoLanes-1)/maxAutoLanes)
+		lanes = (len(plan) + groups - 1) / groups
+		if lanes < autoLaneFloor(cfg.NumQubits) {
+			lanes = 1
+		}
+	}
+	return LaneGroups(plan, lanes)
 }
 
 // runShotJobSharded executes one sweep point with its shot range split
@@ -139,13 +189,13 @@ func LaneGroups(plan []int, lanes int) [][2]int {
 // is the legacy unsharded path: one machine seeded pointSeed, live
 // callback delivery, bit-identical to the pre-sharding engine.
 //
-// batchLanes > 1 opts eligible shards into lockstep batching: groups of
-// consecutive equal-size shards (LaneGroups) run as one replay.RunBatch
-// invocation — per-lane machines, seeds, and streams unchanged — with
-// up to shotWorkers groups in flight instead of shards. ModeOff has no
-// batched executor and ignores the knob. Result bytes are
-// identical for every batchLanes value by the per-lane bit-identity
-// contract.
+// Shards run in lockstep batch groups (ShardLaneGroups of batchLanes:
+// 0 = auto, 1 = scalar): each group runs as one replay.RunBatch
+// invocation — per-lane machines, seeds, shot counts, and streams
+// unchanged — with up to shotWorkers groups in flight instead of
+// shards. ModeOff has no batched executor and ignores the knob. Result
+// bytes are identical for every batchLanes value by the per-lane
+// bit-identity contract.
 //
 // setup runs on every shard's machine (the pooled-machine rule for
 // machine customization). onShot, when non-nil, receives every shot in
@@ -191,13 +241,7 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 	// whose job already failed.
 	sctx, cancelShards := context.WithCancel(ctx)
 	defer cancelShards()
-	lanes := batchLanes
-	if mode == replay.ModeOff {
-		// No batched executor for full simulation: singleton groups keep
-		// the per-shard scheduling (one shard per pool slot).
-		lanes = 1
-	}
-	groups := LaneGroups(plan, lanes)
+	groups := ShardLaneGroups(plan, batchLanes, shotWorkers, mp.cfg, mode)
 	bufs := make([]shardStream, len(plan))
 	statsv := make([]replay.Stats, len(plan))
 	errs := make([]error, len(plan))
@@ -270,9 +314,9 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 					h.Shot(shot)
 				}
 			}
-			bl = append(bl, replay.BatchLane{M: m, BaseShot: starts[k], OnShot: cb})
+			bl = append(bl, replay.BatchLane{M: m, BaseShot: starts[k], Shots: plan[k], OnShot: cb})
 		}
-		sts, err := replay.RunBatch(sctx, prog, bl, plan[g0], mode)
+		sts, err := replay.RunBatch(sctx, prog, bl, 0, mode)
 		if err == nil {
 			for j := 0; j < n; j++ {
 				statsv[g0+j] = sts[j]

@@ -221,10 +221,10 @@ func TestRepCodeMatchesLegacyChunkFanout(t *testing.T) {
 	}
 }
 
-// TestLaneGroups pins the lane-grouping rule: maximal runs of
-// consecutive equal-size shards, sliced to the lane width. The grouping
-// is a pure function of (plan, lanes) — and per the tentpole contract it
-// could be anything at all without changing a single result byte.
+// TestLaneGroups pins the lane-grouping rule: consecutive shards,
+// sliced to the lane width whatever their sizes. The grouping is a pure
+// function of (plan, lanes) — and per the tentpole contract it could be
+// anything at all without changing a single result byte.
 func TestLaneGroups(t *testing.T) {
 	cases := []struct {
 		plan  []int
@@ -235,13 +235,60 @@ func TestLaneGroups(t *testing.T) {
 		{[]int{200, 200, 200}, 2, [][2]int{{0, 2}, {2, 3}}},
 		{[]int{200, 200, 200}, 1, [][2]int{{0, 1}, {1, 2}, {2, 3}}},
 		{[]int{200, 200, 200}, 0, [][2]int{{0, 1}, {1, 2}, {2, 3}}},
-		{[]int{256, 256, 100}, 4, [][2]int{{0, 2}, {2, 3}}},
-		{[]int{100, 256, 256}, 4, [][2]int{{0, 1}, {1, 3}}},
+		{[]int{256, 256, 100}, 4, [][2]int{{0, 3}}},
+		{[]int{256, 256, 100}, 2, [][2]int{{0, 2}, {2, 3}}},
+		{[]int{256, 144}, 8, [][2]int{{0, 2}}},
 		{[]int{256}, 4, [][2]int{{0, 1}}},
 	}
 	for _, c := range cases {
 		if got := LaneGroups(c.plan, c.lanes); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("LaneGroups(%v, %d) = %v, want %v", c.plan, c.lanes, got, c.want)
+		}
+	}
+}
+
+// TestShardLaneGroups pins the automatic lane rule (BatchLanes 0):
+// one group per shot worker, at most 8 lanes, only on the trajectory
+// backend and only at lane counts the executor wins at; explicit
+// counts cap the groups and ModeOff never batches.
+func TestShardLaneGroups(t *testing.T) {
+	traj := func(nq int) core.Config {
+		cfg := core.DefaultConfig()
+		cfg.Backend = core.BackendTrajectory
+		cfg.NumQubits = nq
+		return cfg
+	}
+	plan := func(shards int) []int {
+		p := make([]int, shards)
+		for i := range p {
+			p[i] = ShotShardSize
+		}
+		return p
+	}
+	singles := func(n int) [][2]int { return LaneGroups(plan(n), 1) }
+	cases := []struct {
+		name      string
+		plan      []int
+		lanes, sw int
+		cfg       core.Config
+		mode      replay.Mode
+		want      [][2]int
+	}{
+		{"rb point", []int{256, 144}, 0, 1, traj(1), replay.ModeAuto, [][2]int{{0, 2}}},
+		{"one shard per worker", []int{256, 144}, 0, 2, traj(1), replay.ModeAuto, singles(2)},
+		{"two lanes lose at nq=2", []int{256, 144}, 0, 1, traj(2), replay.ModeAuto, singles(2)},
+		{"four lanes win at nq=3", plan(8), 0, 2, traj(3), replay.ModeAuto, [][2]int{{0, 4}, {4, 8}}},
+		{"capped at eight", plan(10), 0, 1, traj(5), replay.ModeAuto, [][2]int{{0, 5}, {5, 10}}},
+		{"sixteen groups", plan(128), 0, 2, traj(5), replay.ModeAuto, LaneGroups(plan(128), 8)},
+		{"density", plan(4), 0, 1, core.DefaultConfig(), replay.ModeAuto, singles(4)},
+		{"mode off", plan(4), 0, 1, traj(1), replay.ModeOff, singles(4)},
+		{"explicit off", plan(4), 8, 1, traj(1), replay.ModeOff, singles(4)},
+		{"explicit cap", plan(4), 3, 1, traj(2), replay.ModeCompiled, [][2]int{{0, 3}, {3, 4}}},
+		{"explicit scalar", plan(4), 1, 1, traj(1), replay.ModeAuto, singles(4)},
+	}
+	for _, c := range cases {
+		if got := ShardLaneGroups(c.plan, c.lanes, c.sw, c.cfg, c.mode); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: ShardLaneGroups = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
@@ -307,6 +354,9 @@ func TestBatchLanesNeutralOnDensityBackend(t *testing.T) {
 
 // TestSweepBitIdenticalAcrossBatchLanes runs the T1 sweep with batching
 // enabled and demands the full result struct match the scalar engine.
+// 600 shots shard as [256 256 88], so every batch carries a short
+// remainder lane; BatchLanes 0 with one shot worker is the automatic
+// rule's three-lane group.
 func TestSweepBitIdenticalAcrossBatchLanes(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Backend = core.BackendTrajectory
@@ -314,19 +364,19 @@ func TestSweepBitIdenticalAcrossBatchLanes(t *testing.T) {
 	p.Rounds = 600
 	p.DelaysCycles = []int{0, 800, 1600}
 	var baseline *T1Result
-	for _, lanes := range []int{0, 2, 8} {
-		p.BatchLanes = lanes
+	for _, c := range []struct{ lanes, sw int }{{1, 0}, {0, 1}, {0, 0}, {2, 0}, {8, 0}, {8, 1}} {
+		p.BatchLanes, p.ShotWorkers = c.lanes, c.sw
 		res, err := NewEnv().RunT1(context.Background(), cfg, p)
 		if err != nil {
-			t.Fatalf("BatchLanes=%d: %v", lanes, err)
+			t.Fatalf("BatchLanes=%d ShotWorkers=%d: %v", c.lanes, c.sw, err)
 		}
-		res.Params.BatchLanes = 0
+		res.Params.BatchLanes, res.Params.ShotWorkers = 0, 0
 		if baseline == nil {
 			baseline = res
 			continue
 		}
 		if !reflect.DeepEqual(res, baseline) {
-			t.Fatalf("BatchLanes=%d result differs from scalar engine", lanes)
+			t.Fatalf("BatchLanes=%d ShotWorkers=%d result differs from scalar engine", c.lanes, c.sw)
 		}
 	}
 }
@@ -339,7 +389,7 @@ func TestRepCodeBitIdenticalAcrossBatchLanes(t *testing.T) {
 	p := DefaultRepCodeParams()
 	p.Rounds = 600
 	var baseline *RepCodeResult
-	for _, lanes := range []int{0, 4} {
+	for _, lanes := range []int{1, 0, 4} {
 		p.BatchLanes = lanes
 		res, err := RunRepCode(cfg, p)
 		if err != nil {
@@ -492,9 +542,9 @@ func BenchmarkBatchedRepCode(b *testing.B) {
 		pool := env.poolFor(cfg)
 		const shots = 2048
 		plan := ShotShardPlan(shots)
-		for _, lanes := range []int{0, 1, 4, 8} {
+		for _, lanes := range []int{1, 4, 8} {
 			name := "scalar"
-			if lanes > 0 {
+			if lanes > 1 {
 				name = fmt.Sprintf("lanes-%d", lanes)
 			}
 			b.Run(fmt.Sprintf("d%d/%s", dq, name), func(b *testing.B) {

@@ -6,6 +6,7 @@
 package fit
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 )
@@ -150,6 +151,40 @@ type DampedCosine struct {
 // Eval evaluates the model at x.
 func (d DampedCosine) Eval(x float64) float64 {
 	return d.A*math.Exp(-x/d.Tau)*math.Cos(2*math.Pi*d.Freq*x+d.Phase) + d.C
+}
+
+// dampedCosineJSON is DampedCosine's wire form: the same fields in the
+// same order, with τ nullable.
+type dampedCosineJSON struct {
+	A     float64
+	Tau   *float64
+	Freq  float64
+	Phase float64
+	C     float64
+}
+
+// MarshalJSON encodes an undamped model (τ = +Inf, as FitRabi returns)
+// with a null Tau, since JSON has no infinity. A finite τ encodes
+// exactly as the plain struct would.
+func (d DampedCosine) MarshalJSON() ([]byte, error) {
+	w := dampedCosineJSON{A: d.A, Tau: &d.Tau, Freq: d.Freq, Phase: d.Phase, C: d.C}
+	if math.IsInf(d.Tau, 1) {
+		w.Tau = nil
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON reverses MarshalJSON: a null Tau decodes as +Inf.
+func (d *DampedCosine) UnmarshalJSON(b []byte) error {
+	var w dampedCosineJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*d = DampedCosine{A: w.A, Tau: math.Inf(1), Freq: w.Freq, Phase: w.Phase, C: w.C}
+	if w.Tau != nil {
+		d.Tau = *w.Tau
+	}
+	return nil
 }
 
 // FitDampedCosine fits a Ramsey fringe. The frequency seed is scanned on

@@ -1,6 +1,7 @@
 package fit
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -172,5 +173,40 @@ func TestPropertyExpDecayRecovery(t *testing.T) {
 func TestSolveSingular(t *testing.T) {
 	if _, ok := solve([][]float64{{1, 1}, {1, 1}}, []float64{1, 2}); ok {
 		t.Error("singular system must fail")
+	}
+}
+
+// TestDampedCosineJSON pins the wire form: an undamped fit (FitRabi's
+// τ = +Inf) encodes with a null Tau and decodes back to +Inf, and a
+// finite fit encodes byte for byte as the plain struct.
+func TestDampedCosineJSON(t *testing.T) {
+	undamped := DampedCosine{A: 0.5, Tau: math.Inf(1), Freq: 0.25, Phase: math.Pi, C: 0.5}
+	b, err := json.Marshal(undamped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"A":0.5,"Tau":null,"Freq":0.25,"Phase":3.141592653589793,"C":0.5}`; string(b) != want {
+		t.Errorf("undamped encodes as %s, want %s", b, want)
+	}
+	var back DampedCosine
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != undamped {
+		t.Errorf("round trip: %+v, want %+v", back, undamped)
+	}
+
+	damped := DampedCosine{A: 0.4, Tau: 2e-5, Freq: 1e5, Phase: 0.1, C: 0.5}
+	type plain DampedCosine
+	want, err := json.Marshal(plain(damped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err = json.Marshal(damped); err != nil || string(b) != string(want) {
+		t.Errorf("finite fit encodes as %s (%v), want %s", b, err, want)
+	}
+	back = DampedCosine{}
+	if err := json.Unmarshal(b, &back); err != nil || back != damped {
+		t.Errorf("finite round trip: %+v (%v), want %+v", back, err, damped)
 	}
 }

@@ -187,8 +187,13 @@ func (b *TrajBatch) scatterLane(l int) {
 // is circular), and per lane the same arithmetic in the same order.
 // measure is invoked for every SchedMeasure step, per lane in lane
 // order, and must complete that lane's measurement chain (it may
-// consume that lane's PRNG).
+// consume that lane's PRNG). A one-qubit batch runs the lane kernel of
+// batch1.go instead of the span passes.
 func (b *TrajBatch) RunScheduleBatch(ops []SchedOp, measure func(lane, q, outcome int)) {
+	if b.nq == 1 {
+		b.runSchedule1(ops, measure)
+		return
+	}
 	for ii := range ops {
 		o := &ops[ii]
 		q := int(o.Q)

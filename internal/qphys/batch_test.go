@@ -9,7 +9,8 @@ package qphys
 // rotating-frame unitaries with carry chains, CZ, dense two-qubit
 // gates, measurements with and without carries) and compares under ==,
 // plus targeted pins for the degenerate measurement reset and the
-// zero-allocation steady state.
+// zero-allocation steady state. A one-qubit schedule covers the lane
+// kernel (batch1.go) the same way.
 
 import (
 	"fmt"
@@ -44,59 +45,150 @@ func batchTestSchedule() []SchedOp {
 	}
 }
 
+// batchTestSchedule1 is the one-qubit counterpart of
+// batchTestSchedule, for the lane kernel: fast and jumping channels,
+// a dense channel, both unitary kinds with and without carries,
+// measures carrying and not, and a trailing carry that wraps into the
+// next shot's first channel.
+func batchTestSchedule1() []SchedOp {
+	chans := testChannels()
+	deco := func(name string) *ChannelTable { return NewChannelTable(chans[name]) }
+	return []SchedOp{
+		{Kind: SchedChannel, Q: 0, Ch: deco("decoherence-huge"), CarryFor: 0},
+		{Kind: SchedApply1RD, Q: 0, U: REquator(0, math.Pi), CarryFor: 0},
+		{Kind: SchedChannel, Q: 0, Ch: deco("decoherence-short"), CarryFor: 0},
+		{Kind: SchedChannel, Q: 0, Ch: deco("decoherence-long"), CarryFor: -1},
+		{Kind: SchedApply1, Q: 0, U: RZ(0.4).Mul(RX(0.3)), CarryFor: 0},
+		{Kind: SchedChannel, Q: 0, Ch: deco("depolarizing"), CarryFor: 0},
+		{Kind: SchedMeasure, Q: 0, CarryFor: 0},
+		{Kind: SchedChannel, Q: 0, Ch: deco("thermal"), CarryFor: -1},
+		{Kind: SchedApply1RD, Q: 0, U: REquator(0.7, math.Pi/2), CarryFor: -1},
+		{Kind: SchedApply1, Q: 0, U: Hadamard(), CarryFor: -1},
+		{Kind: SchedChannel, Q: 0, Ch: deco("dense"), CarryFor: 0},
+		{Kind: SchedMeasure, Q: 0, CarryFor: -1},
+		{Kind: SchedChannel, Q: 0, Ch: deco("damping"), CarryFor: 0},
+	}
+}
+
+// simdModes lists the span-kernel bodies the host can run: the SIMD
+// kernels when present, and always the pure-Go bodies.
+func simdModes() []bool {
+	if useSIMD {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+// withSIMD runs f with the SIMD span kernels enabled or disabled.
+func withSIMD(on bool, f func()) {
+	simd512, simd := useSIMD512, useSIMD
+	defer func() { useSIMD512, useSIMD = simd512, simd }()
+	if !on {
+		useSIMD512, useSIMD = false, false
+	}
+	f()
+}
+
+// runLanesLikeReplay runs lane l for counts[l] shots the way
+// replay.RunBatch does: in lockstep up to the shortest remaining count,
+// then the survivors in a fresh batch (carries dropped), and a lone
+// survivor on the scalar executor with a fresh carry.
+func runLanesLikeReplay(lanes []*Trajectory, counts []int, ops []SchedOp, out [][]int) {
+	group := make([]int, len(lanes))
+	for l := range group {
+		group[l] = l
+	}
+	done := 0
+	for len(group) > 1 {
+		end := counts[group[0]]
+		members := make([]*Trajectory, len(group))
+		for j, l := range group {
+			end = min(end, counts[l])
+			members[j] = lanes[l]
+		}
+		b := NewTrajBatch(members)
+		if b.Lanes() != len(members) {
+			panic("Lanes() disagrees with the member count")
+		}
+		for ; done < end; done++ {
+			b.RunScheduleBatch(ops, func(j, q, outcome int) {
+				out[group[j]] = append(out[group[j]], outcome)
+			})
+		}
+		b.Scatter()
+		var survivors []int
+		for _, l := range group {
+			if counts[l] > done {
+				survivors = append(survivors, l)
+			}
+		}
+		group = survivors
+	}
+	if len(group) == 1 {
+		l := group[0]
+		carry, carryQ := PopCarry{}, -1
+		for ; done < counts[l]; done++ {
+			carry, carryQ = lanes[l].RunSchedule(ops, carry, carryQ, func(q, outcome int) {
+				out[l] = append(out[l], outcome)
+			})
+		}
+	}
+}
+
 // TestRunScheduleBatchMatchesScalarPerLane is the tentpole kernel pin:
-// for every lane width, each lane of the batch must track its scalar
-// RunSchedule twin bit for bit — amplitudes, outcomes, and PRNG
-// position — across multiple shots with carries threading shot to shot.
+// for every lane width, at five qubits (span passes) and one (lane
+// kernel), under the SIMD and the pure-Go span bodies, each lane of the
+// batch must track its scalar RunSchedule twin bit for bit —
+// amplitudes, outcomes, and PRNG position — across multiple shots with
+// carries threading shot to shot. Odd bases give the lanes unequal
+// shot counts, run as replay.RunBatch runs them.
 func TestRunScheduleBatchMatchesScalarPerLane(t *testing.T) {
-	const n, shots = 5, 4
-	ops := batchTestSchedule()
-	for _, L := range []int{1, 2, 3, 8} {
-		for base := int64(1); base <= 6; base++ {
-			refs := make([]*Trajectory, L)
-			lanes := make([]*Trajectory, L)
-			for l := 0; l < L; l++ {
-				seed := base*100 + int64(l)
-				refs[l] = randomTrajectory(n, seed)
-				lanes[l] = randomTrajectory(n, seed)
-			}
-			b := NewTrajBatch(lanes)
-			if b.Lanes() != L {
-				t.Fatalf("Lanes() = %d, want %d", b.Lanes(), L)
-			}
+	const shots = 4
+	schedules := []struct {
+		n   int
+		ops []SchedOp
+	}{{5, batchTestSchedule()}, {1, batchTestSchedule1()}}
+	for _, sc := range schedules {
+		for _, simd := range simdModes() {
+			for _, L := range []int{1, 2, 3, 8} {
+				for base := int64(1); base <= 6; base++ {
+					counts := make([]int, L)
+					refs := make([]*Trajectory, L)
+					lanes := make([]*Trajectory, L)
+					for l := 0; l < L; l++ {
+						counts[l] = shots + int(base%2)*(l%3)
+						seed := base*100 + int64(l)
+						refs[l] = randomTrajectory(sc.n, seed)
+						lanes[l] = randomTrajectory(sc.n, seed)
+					}
 
-			refOut := make([][]int, L)
-			carries := make([]PopCarry, L)
-			carryQ := make([]int, L)
-			for l := range carryQ {
-				carryQ[l] = -1
-			}
-			batchOut := make([][]int, L)
-			for shot := 0; shot < shots; shot++ {
-				for l := 0; l < L; l++ {
-					ll := l
-					carries[l], carryQ[l] = refs[l].RunSchedule(ops, carries[l], carryQ[l], func(q, outcome int) {
-						refOut[ll] = append(refOut[ll], outcome)
-					})
-				}
-				b.RunScheduleBatch(ops, func(lane, q, outcome int) {
-					batchOut[lane] = append(batchOut[lane], outcome)
-				})
-			}
-			b.Scatter()
+					refOut := make([][]int, L)
+					for l := 0; l < L; l++ {
+						ll := l
+						carry, carryQ := PopCarry{}, -1
+						for shot := 0; shot < counts[l]; shot++ {
+							carry, carryQ = refs[l].RunSchedule(sc.ops, carry, carryQ, func(q, outcome int) {
+								refOut[ll] = append(refOut[ll], outcome)
+							})
+						}
+					}
+					batchOut := make([][]int, L)
+					withSIMD(simd, func() { runLanesLikeReplay(lanes, counts, sc.ops, batchOut) })
 
-			for l := 0; l < L; l++ {
-				ctx := fmt.Sprintf("L=%d base=%d lane=%d", L, base, l)
-				if len(refOut[l]) != len(batchOut[l]) {
-					t.Fatalf("%s: outcome counts differ: %d vs %d", ctx, len(refOut[l]), len(batchOut[l]))
-				}
-				for i := range refOut[l] {
-					if refOut[l][i] != batchOut[l][i] {
-						t.Fatalf("%s: outcome %d differs: %d vs %d", ctx, i, refOut[l][i], batchOut[l][i])
+					for l := 0; l < L; l++ {
+						ctx := fmt.Sprintf("n=%d simd=%v L=%d base=%d lane=%d", sc.n, simd, L, base, l)
+						if len(refOut[l]) != len(batchOut[l]) {
+							t.Fatalf("%s: outcome counts differ: %d vs %d", ctx, len(refOut[l]), len(batchOut[l]))
+						}
+						for i := range refOut[l] {
+							if refOut[l][i] != batchOut[l][i] {
+								t.Fatalf("%s: outcome %d differs: %d vs %d", ctx, i, refOut[l][i], batchOut[l][i])
+							}
+						}
+						samePsi(t, refs[l], lanes[l], ctx)
+						sameRNG(t, refs[l], lanes[l], ctx)
 					}
 				}
-				samePsi(t, refs[l], lanes[l], ctx)
-				sameRNG(t, refs[l], lanes[l], ctx)
 			}
 		}
 	}
@@ -244,20 +336,24 @@ func TestNewTrajBatchRejectsMismatchedLanes(t *testing.T) {
 // allocations at any lane width (the scratch vectors are preallocated;
 // divergent lanes reuse the single scratch register).
 func TestRunScheduleBatchDoesNotAllocate(t *testing.T) {
-	const n = 5
-	ops := batchTestSchedule()
-	for _, L := range []int{1, 4} {
-		lanes := make([]*Trajectory, L)
-		for l := range lanes {
-			lanes[l] = randomTrajectory(n, int64(l+1))
-		}
-		b := NewTrajBatch(lanes)
-		measure := func(lane, q, outcome int) {}
-		allocs := testing.AllocsPerRun(100, func() {
-			b.RunScheduleBatch(ops, measure)
-		})
-		if allocs != 0 {
-			t.Fatalf("L=%d: RunScheduleBatch allocates %v times per shot, want 0", L, allocs)
+	schedules := []struct {
+		n   int
+		ops []SchedOp
+	}{{5, batchTestSchedule()}, {1, batchTestSchedule1()}}
+	for _, sc := range schedules {
+		for _, L := range []int{1, 4} {
+			lanes := make([]*Trajectory, L)
+			for l := range lanes {
+				lanes[l] = randomTrajectory(sc.n, int64(l+1))
+			}
+			b := NewTrajBatch(lanes)
+			measure := func(lane, q, outcome int) {}
+			allocs := testing.AllocsPerRun(100, func() {
+				b.RunScheduleBatch(sc.ops, measure)
+			})
+			if allocs != 0 {
+				t.Fatalf("n=%d L=%d: RunScheduleBatch allocates %v times per shot, want 0", sc.n, L, allocs)
+			}
 		}
 	}
 }
@@ -308,10 +404,9 @@ func TestSpanAntiAccBlocksKernels(t *testing.T) {
 						kp[2*l], kp[2*l+1] = ^uint64(0), ^uint64(0)
 					}
 				}
-				simd512, simd := useSIMD512, useSIMD
-				useSIMD512, useSIMD = false, false
-				spanAntiAccBlocks(ref, cr01, ci01, cr10, ci10, kp, refA, refB, mask*L)
-				useSIMD512, useSIMD = simd512, simd
+				withSIMD(false, func() {
+					spanAntiAccBlocks(ref, cr01, ci01, cr10, ci10, kp, refA, refB, mask*L)
+				})
 				spanAntiAccBlocks(span, cr01, ci01, cr10, ci10, kp, aA, aB, mask*L)
 				for i := range span {
 					if span[i] != ref[i] {

@@ -8,14 +8,12 @@
 // feed each lane's PRNG stream (cold-start transient, recording,
 // comparison) and let every lane validate replay safety against its own
 // controller and caches. Only the steady-state replayed shots run
-// batched, and only when every lane independently detected safety,
-// every lane's recorded schedule is value-identical to lane 0's (lanes
-// are distinct machines, so pointer identity cannot hold across them —
-// but identical configs produce value-identical schedules, and the
-// compiled tables derive from matrix values), and every lane's backend
-// is the trajectory state. Any lane failing any gate demotes the whole
-// group to per-lane scalar completion, which is bit-identical anyway —
-// batching is only ever a throughput fast path, never a semantic one.
+// batched, and only on the lanes that independently detected safety,
+// hold trajectory state, and recorded a schedule value-identical to the
+// group's first member. Every other lane completes on its own — the
+// full pipeline when unsafe, its own compiled schedule otherwise —
+// which is bit-identical anyway: batching is only ever a throughput
+// fast path, never a semantic one.
 package replay
 
 import (
@@ -34,14 +32,24 @@ import (
 type BatchLane struct {
 	M        *core.Machine
 	BaseShot int
-	OnShot   func(shot int, md []MD)
+	// Shots, when positive, is this lane's own shot count; zero runs
+	// the count passed to RunBatch.
+	Shots  int
+	OnShot func(shot int, md []MD)
 }
 
-// RunBatch executes the program Shots times on every lane, preserving
-// each lane's bit-exact equivalence to a standalone Run(lane.M, p,
-// Options{Shots, Mode, OnShot, BaseShot}) — same PRNG consumption, same
-// state evolution, same OnShot streams, same Stats. The returned slice
-// holds one Stats per lane, index-aligned with lanes.
+// RunBatch executes the program on every lane — lane.Shots times, or
+// shots when that is zero — preserving each lane's bit-exact
+// equivalence to a standalone Run(lane.M, p, Options{Shots, Mode,
+// OnShot, BaseShot}): same PRNG consumption, same state evolution, same
+// OnShot streams, same Stats. The returned slice holds one Stats per
+// lane, index-aligned with lanes.
+//
+// Lanes may differ in shot count. The replaying trajectory lanes run in
+// lockstep up to the shortest one's count; the survivors then go on in
+// lockstep while two or more remain, and the last one alone on the
+// scalar executor. Each switch drops the lanes' population carries,
+// which changes no bytes: a carry equals the fresh pass it replaces.
 //
 // Cancellation and failure abort the whole batch: the first error (a
 // shot failure during a lane's full-pipeline shots, or a context
@@ -55,11 +63,16 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 	if len(lanes) == 0 {
 		return stats, fmt.Errorf("replay: RunBatch requires at least one lane")
 	}
-	for i := range stats {
-		stats[i].Shots = shots
-	}
-	if shots <= 0 {
-		return stats, fmt.Errorf("replay: Shots must be positive, got %d", shots)
+	counts := make([]int, len(lanes))
+	for i, ln := range lanes {
+		counts[i] = shots
+		if ln.Shots > 0 {
+			counts[i] = ln.Shots
+		}
+		stats[i].Shots = counts[i]
+		if counts[i] <= 0 {
+			return stats, fmt.Errorf("replay: Shots must be positive, got %d", counts[i])
+		}
 	}
 	mode, err := ParseMode(string(mode))
 	if err != nil {
@@ -81,7 +94,7 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 
 	if mode == ModeOff {
 		for i, ln := range lanes {
-			if err := laneFullShots(ctx, p, recs[i], ln, 0, shots); err != nil {
+			if err := laneFullShots(ctx, p, recs[i], ln, 0, counts[i]); err != nil {
 				return stats, err
 			}
 			stats[i].Reason = "replay disabled"
@@ -89,13 +102,12 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 		return stats, nil
 	}
 
-	lead := min(shots, detectShots)
 	scheds := make([][]op, len(lanes))
 	reasons := make([]string, len(lanes))
 	for i, ln := range lanes {
 		rec := recs[i]
 		var s1, s2 []op
-		for shot := 0; shot < lead; shot++ {
+		for shot := 0; shot < min(counts[i], detectShots); shot++ {
 			// Shots 1 and 2 are recorded into fresh schedules (s1 is
 			// kept for the comparison, s2 may be memoized), each sized
 			// from the previous shot's operation count.
@@ -116,91 +128,113 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 		}
 		rec.recording = false
 		scheds[i] = s2
-		if reason := ln.M.Controller.ReplayUnsafeReason(); reason != "" {
-			reasons[i] = reason
-		} else if !schedulesEqual(s1, s2) {
+		switch unsafe := ln.M.Controller.ReplayUnsafeReason(); {
+		case counts[i] <= detectShots:
+			reasons[i] = "too few shots to amortize recording"
+		case unsafe != "":
+			reasons[i] = unsafe
+		case !schedulesEqual(s1, s2):
 			reasons[i] = "schedule is not shot-invariant"
 		}
 	}
-	if shots <= detectShots {
-		for i := range stats {
-			stats[i].Reason = "too few shots to amortize recording"
-		}
-		return stats, nil
-	}
 
-	batchable := len(lanes) > 1
-	trajs := make([]*qphys.Trajectory, 0, len(lanes))
+	// Unsafe lanes finish on the full pipeline and safe lanes that
+	// cannot join the lockstep group (another backend, or a schedule
+	// that differs from the group's by value) replay their own compiled
+	// schedule. The group is every other safe lane: trajectory state,
+	// schedule value-identical to its first member's (lanes are
+	// distinct machines, so cache-pointer identity cannot hold across
+	// them — but identical configs record value-identical schedules,
+	// and the compiled tables derive from matrix values).
+	var group []int
 	for i, ln := range lanes {
-		t, ok := ln.M.State.(*qphys.Trajectory)
-		if !batchable || !ok || reasons[i] != "" || !schedulesEqualValue(scheds[0], scheds[i]) {
-			batchable = false
-			break
-		}
-		trajs = append(trajs, t)
-	}
-
-	if !batchable {
-		// Per-lane scalar completion: unsafe lanes stay on the full
-		// pipeline; safe lanes replay their own compiled schedule.
-		for i, ln := range lanes {
-			st := &stats[i]
-			if reasons[i] != "" {
-				st.Reason = reasons[i]
-				if err := laneFullShots(ctx, p, recs[i], ln, lead, shots); err != nil {
-					return stats, err
-				}
-				continue
-			}
-			st.Safe, st.Compiled, st.Lead = true, true, lead
-			ln.M.SetProbe(nil)
-			comp := memoizedCompile(ln.M, p, scheds[i])
-			if st.Replayed, err = comp.run(ctx, ln.M, ln.BaseShot, lead, shots, ln.OnShot); err != nil {
+		st := &stats[i]
+		if reasons[i] != "" {
+			st.Reason = reasons[i]
+			if err := laneFullShots(ctx, p, recs[i], ln, detectShots, counts[i]); err != nil {
 				return stats, err
 			}
+			continue
 		}
+		st.Safe, st.Compiled, st.Lead = true, true, detectShots
+		ln.M.SetProbe(nil)
+		if _, ok := ln.M.State.(*qphys.Trajectory); ok && (group == nil || schedulesEqualValue(scheds[group[0]], scheds[i])) {
+			group = append(group, i)
+			continue
+		}
+		comp := memoizedCompile(ln.M, p, scheds[i])
+		if st.Replayed, err = comp.run(ctx, ln.M, ln.BaseShot, detectShots, counts[i], ln.OnShot); err != nil {
+			return stats, err
+		}
+	}
+	if group == nil {
 		return stats, nil
 	}
+	comp := memoizedCompile(lanes[group[0]].M, p, scheds[group[0]])
+	return stats, comp.runLockstep(ctx, lanes, group, counts, stats)
+}
 
-	// Batched steady state: one compiled schedule (lane 0's memo slot —
-	// validated value-identical across lanes above), one lockstep SoA
-	// executor, per-lane measurement chains and result delivery.
-	clearProbes(lanes)
-	comp := memoizedCompile(lanes[0].M, p, scheds[0])
-	for i := range stats {
-		stats[i].Safe = true
-		stats[i].Compiled = true
-		stats[i].Lead = lead
+// runLockstep replays the group's lanes from their first post-lead shot
+// on one compiled schedule: in lockstep on a qphys.TrajBatch while two
+// or more lanes have shots left, the last survivor alone on the scalar
+// executor. Lockstep runs up to the shortest member's count, then the
+// batch hands its state back and the survivors start a new one.
+func (c *compiled) runLockstep(ctx context.Context, lanes []BatchLane, group, counts []int, stats []Stats) error {
+	md := make([][]MD, len(group))
+	for j := range md {
+		md[j] = make([]MD, 0, c.nMD)
 	}
-	batch := qphys.NewTrajBatch(trajs)
-	md := make([][]MD, len(lanes))
-	for i := range md {
-		md[i] = make([]MD, 0, comp.nMD)
+	measure := func(j, q, outcome int) {
+		md[j] = append(md[j], MD{Qubit: q, Result: lanes[group[j]].M.FinishMeasure(outcome)})
 	}
-	measure := func(lane, q, outcome int) {
-		md[lane] = append(md[lane], MD{Qubit: q, Result: lanes[lane].M.FinishMeasure(outcome)})
-	}
-	for shot := lead; shot < shots; shot++ {
-		if (shot-lead)%ctxCheckShots == 0 {
-			if err := ctx.Err(); err != nil {
-				batch.Scatter()
-				return stats, fmt.Errorf("replay: preempted at shot %d: %w", lanes[0].BaseShot+shot, err)
+	done := detectShots
+	for len(group) > 1 {
+		end := counts[group[0]]
+		trajs := make([]*qphys.Trajectory, len(group))
+		for j, i := range group {
+			end = min(end, counts[i])
+			trajs[j] = lanes[i].M.State.(*qphys.Trajectory)
+		}
+		batch := qphys.NewTrajBatch(trajs)
+		for shot := done; shot < end; shot++ {
+			if (shot-done)%ctxCheckShots == 0 {
+				if err := ctx.Err(); err != nil {
+					batch.Scatter()
+					return fmt.Errorf("replay: preempted at shot %d: %w", lanes[group[0]].BaseShot+shot, err)
+				}
+			}
+			for j := range md {
+				md[j] = md[j][:0]
+			}
+			batch.RunScheduleBatch(c.ops, measure)
+			for j, i := range group {
+				ln := lanes[i]
+				ln.M.PulsesPlayed += c.pulses
+				stats[i].Replayed++
+				if ln.OnShot != nil {
+					ln.OnShot(ln.BaseShot+shot, md[j])
+				}
 			}
 		}
-		for i := range md {
-			md[i] = md[i][:0]
-		}
-		batch.RunScheduleBatch(comp.ops, measure)
-		for i, ln := range lanes {
-			ln.M.PulsesPlayed += comp.pulses
-			stats[i].Replayed++
-			if ln.OnShot != nil {
-				ln.OnShot(ln.BaseShot+shot, md[i])
+		batch.Scatter()
+		done = end
+		var survivors []int
+		for _, i := range group {
+			if counts[i] > done {
+				survivors = append(survivors, i)
 			}
 		}
+		group = survivors
+		md = md[:len(group)]
 	}
-	batch.Scatter()
-	return stats, nil
+	if len(group) == 0 {
+		return nil
+	}
+	i := group[0]
+	ln := lanes[i]
+	n, err := c.run(ctx, ln.M, ln.BaseShot, done, counts[i], ln.OnShot)
+	stats[i].Replayed += n
+	return err
 }
 
 // laneFullShots runs shots [from, to) of a lane through the full

@@ -215,13 +215,17 @@
 // (cancel_test.go in internal/expt pins both halves under -race).
 //
 // batch_lanes is a result-neutral scheduling knob, exactly like
-// workers and shot_workers: it selects the lockstep shot-batched SoA
-// executor (internal/qphys.TrajBatch) for groups of shot shards, and
+// workers and shot_workers: it caps the groups of shot shards that run
+// on the lockstep shot-batched executor (internal/qphys.TrajBatch), and
 // every lane replays the same per-shard seed and rng stream as the
 // scalar sharded path, so the result bytes are identical for any
-// value. Canonicalization therefore scrubs it from the cache key (a
-// batched and a scalar submission of the same physics hit the same
-// cache entry), no schema bump was needed to add it, and the service
-// conformance tests pin byte-identical -once output with and without
-// batching.
+// value. 0 (the default, and what the scrubbed canonical form runs) is
+// the sweep engine's automatic rule (expt.ShardLaneGroups): a shot
+// worker that would run several shards of one point back to back runs
+// them in lockstep, where the executor is measured faster; 1 runs
+// every shard scalar. Canonicalization therefore scrubs it from the
+// cache key (a batched and a scalar submission of the same physics hit
+// the same cache entry), no schema bump was needed to add it, and the
+// service conformance tests pin byte-identical -once output with and
+// without batching.
 package service

@@ -51,9 +51,9 @@ type ExperimentRequest struct {
 	// (0 = one per CPU). The shard plan is a pure function of the shot
 	// count, so results are identical for any value.
 	ShotWorkers int `json:"shot_workers,omitempty"`
-	// BatchLanes, when > 1, runs groups of up to that many equal-size
-	// shot shards in lockstep on the batched SoA trajectory executor
-	// (one lane per shard — same derived seeds, same streams). Like
+	// BatchLanes caps how many shot shards run in lockstep on the
+	// batched trajectory executor (one lane per shard — same derived
+	// seeds, same streams): 0 = auto, 1 = scalar shards. Like
 	// workers and shot_workers it is result-neutral: results are
 	// bit-identical for any value, and the field is scrubbed from the
 	// canonical form and the result's params echo.

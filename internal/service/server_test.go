@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -332,6 +333,30 @@ func TestInterpReplayAliasRunsCompiled(t *testing.T) {
 	}
 	if alias.StreamHash != off.StreamHash || fmt.Sprint(alias.Ones) != fmt.Sprint(off.Ones) {
 		t.Fatalf("interp measured (%x, %v), off measured (%x, %v)", alias.StreamHash, alias.Ones, off.StreamHash, off.Ones)
+	}
+}
+
+// TestExecuteRabi pins that a rabi job encodes: its fixed-phase fit is
+// undamped (τ = +Inf), which JSON cannot carry as a number, so the
+// result must encode it as null rather than fail the job.
+func TestExecuteRabi(t *testing.T) {
+	r := ExperimentRequest{Type: "rabi", Seed: 3, Rounds: 40}
+	if errs := r.Validate(0); len(errs) != 0 {
+		t.Fatalf("rabi request rejected: %+v", errs)
+	}
+	b, err := Execute(context.Background(), expt.NewEnv(), r)
+	if err != nil {
+		t.Fatalf("rabi job failed: %v", err)
+	}
+	var doc struct{ Result expt.RabiResult }
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if f := doc.Result.Fit; !math.IsInf(f.Tau, 1) || f.A <= 0 {
+		t.Errorf("decoded fit %+v, want an undamped fringe with positive amplitude", f)
+	}
+	if p := doc.Result.PiScale; !(p > 0.8 && p < 1.2) {
+		t.Errorf("PiScale = %v, want near 1", p)
 	}
 }
 
