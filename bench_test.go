@@ -43,7 +43,7 @@ func BenchmarkFig9AllXY(b *testing.B) {
 		cfg.Seed = int64(i + 1)
 		p := expt.DefaultAllXYParams()
 		p.Rounds = 50
-		res, err := expt.RunAllXY(cfg, p)
+		res, err := expt.NewEnv().RunAllXY(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func BenchmarkT1(b *testing.B) {
 		cfg.Seed = int64(i + 1)
 		p := expt.DefaultSweepParams()
 		p.Rounds = 60
-		res, err := expt.RunT1(cfg, p)
+		res, err := expt.NewEnv().RunT1(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func BenchmarkRamsey(b *testing.B) {
 		for k := 0; k < 40; k++ {
 			p.DelaysCycles = append(p.DelaysCycles, k*200)
 		}
-		res, err := expt.RunRamsey(cfg, p)
+		res, err := expt.NewEnv().RunRamsey(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func BenchmarkEcho(b *testing.B) {
 		cfg.Qubit = []qphys.QubitParams{qp}
 		p := expt.DefaultSweepParams()
 		p.Rounds = 60
-		res, err := expt.RunEcho(cfg, p)
+		res, err := expt.NewEnv().RunEcho(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func BenchmarkRB(b *testing.B) {
 		p := expt.DefaultRBParams()
 		p.Trials = 3
 		p.Rounds = 40
-		res, err := expt.RunRB(cfg, p)
+		res, err := expt.NewEnv().RunRB(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -472,7 +472,7 @@ func BenchmarkRabiCalibration(b *testing.B) {
 		cfg.Seed = int64(i + 1)
 		p := expt.DefaultRabiParams()
 		p.Rounds = 60
-		res, err := expt.RunRabi(cfg, p)
+		res, err := expt.NewEnv().RunRabi(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -490,7 +490,7 @@ func BenchmarkRepCode(b *testing.B) {
 		cfg.Seed = int64(i + 1)
 		p := expt.DefaultRepCodeParams()
 		p.Rounds = 100
-		res, err := expt.RunRepCode(cfg, p)
+		res, err := expt.NewEnv().RunRepCode(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -780,7 +780,7 @@ func BenchmarkBackendRepCode(b *testing.B) {
 				cfg.Seed = int64(i + 1)
 				p := expt.DefaultRepCodeParams()
 				p.Rounds = 100
-				res, err := expt.RunRepCode(cfg, p)
+				res, err := expt.NewEnv().RunRepCode(context.Background(), cfg, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -805,7 +805,7 @@ func BenchmarkBackendRB(b *testing.B) {
 				p := expt.DefaultRBParams()
 				p.Trials = 3
 				p.Rounds = 40
-				res, err := expt.RunRB(cfg, p)
+				res, err := expt.NewEnv().RunRB(context.Background(), cfg, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -828,7 +828,7 @@ func BenchmarkBackendRepCode9Q(b *testing.B) {
 		p.DataQubits = 5
 		p.Rounds = 60
 		p.WaitCycles = 800
-		res, err := expt.RunRepCode(cfg, p)
+		res, err := expt.NewEnv().RunRepCode(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -918,7 +918,7 @@ func BenchmarkReplayRB(b *testing.B) {
 					p.Trials = 3
 					p.Rounds = 120
 					p.Replay = mode
-					res, err := expt.RunRB(cfg, p)
+					res, err := expt.NewEnv().RunRB(context.Background(), cfg, p)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -1001,7 +1001,7 @@ func BenchmarkSweepEngine(b *testing.B) {
 				p := expt.DefaultSweepParams()
 				p.Rounds = 60
 				p.Workers = workers
-				res, err := expt.RunT1(cfg, p)
+				res, err := expt.NewEnv().RunT1(context.Background(), cfg, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1024,7 +1024,7 @@ func BenchmarkPhaseCode(b *testing.B) {
 		p := expt.DefaultRepCodeParams()
 		p.Rounds = 80
 		p.WaitCycles = 800
-		res, err := expt.RunPhaseCode(cfg, p)
+		res, err := expt.NewEnv().RunPhaseCode(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}

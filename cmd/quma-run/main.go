@@ -13,9 +13,11 @@
 // simulated shot; programs whose registers matter are detected unsafe and
 // fall back automatically.
 //
-// Shot counts above expt.ShotShardSize are split across the fixed shot-
-// shard plan (expt.ShotShardPlan): shard k runs on its own machine seeded
-// DeriveSeed(seed, k), up to -shot-workers shards concurrently. The plan,
+// Every -shots N > 1 run goes through the sweep engine's shot-shard
+// runner (expt.RunShots). Shot counts above expt.ShotShardSize are split
+// across the fixed shot-shard plan (expt.ShotShardPlan): shard k runs on
+// its own machine seeded DeriveSeed(seed, k), up to -shot-workers shards
+// concurrently; smaller counts run one shard seeded with -seed. The plan,
 // seeds, and merge order depend only on the shot count, so results are
 // bit-identical for any -shot-workers value. On the trajectory backend,
 // groups of consecutive shards run in lockstep on the batched executor
@@ -26,6 +28,14 @@
 // pulse, and measurement counters sum across shards; registers, final
 // qubit state, and the timeline come from the last shard's machine; the
 // data collection unit's averages merge exactly across the shards.
+//
+// Failures follow the engine's error rule: a shard's panic is recovered
+// into an error instead of crashing, the first failing shard cancels its
+// siblings, and the error reported is the lowest-index shard error that
+// is not a sibling's cancellation. Which shard fails first can depend on
+// scheduling when -shot-workers > 1, so the shot named in the error of a
+// program that fails in several shards can vary with -shot-workers; the
+// exit status cannot.
 //
 // Usage:
 //
@@ -45,9 +55,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-
-	"sync"
-	"sync/atomic"
 
 	"quma/internal/asm"
 	"quma/internal/core"
@@ -113,11 +120,6 @@ func main() {
 	cfg.AmplitudeError = *amperr
 	cfg.TraceEvents = *trace
 
-	m, err := core.New(cfg)
-	if err != nil {
-		fail(err)
-	}
-
 	var prog *isa.Program
 	if *binary {
 		var words []uint32
@@ -140,67 +142,67 @@ func main() {
 		fail(err)
 	}
 
-	machines := []*core.Machine{m}
-	plan := expt.ShotShardPlan(*shots)
-	switch {
-	case *shots == 1:
+	var reports []shardReport
+	if *shots == 1 {
+		m, err := core.New(cfg)
+		if err != nil {
+			fail(err)
+		}
 		if err := m.RunProgram(prog); err != nil {
 			fail(err)
 		}
-	case plan == nil:
-		stats, err := replay.Run(context.Background(), m, prog, replay.Options{Shots: *shots, Mode: mode})
+		reports = []shardReport{reportOf(m, true)}
+	} else {
+		var stats replay.Stats
+		stats, reports, err = runShots(cfg, prog, *shots, *shotWorkers, *lanes, mode)
 		if err != nil {
 			fail(err)
 		}
-		printEngine(stats)
-	default:
-		stats, shardMachines, err := runSharded(cfg, prog, plan, *shotWorkers, *lanes, mode)
-		if err != nil {
-			fail(err)
+		if len(reports) > 1 {
+			// Lead/Overhead come from the merged engine stats: overhead
+			// is the recording cost sharding added over an unsharded run
+			// (zero at or below the shard threshold, where this line
+			// never prints).
+			fmt.Printf("shot-shard plan: %d shards of ≤%d shots (%d lead/detect shots, %d sharding overhead)\n",
+				len(reports), expt.ShotShardSize, stats.Lead, stats.Overhead)
 		}
-		machines = shardMachines
-		m = machines[len(machines)-1]
-		// Lead/Overhead come from the merged engine stats: overhead is
-		// the recording cost sharding added over an unsharded run (zero
-		// at or below the shard threshold, where this line never prints).
-		fmt.Printf("shot-shard plan: %d shards of ≤%d shots (%d lead/detect shots, %d sharding overhead)\n",
-			len(plan), expt.ShotShardSize, stats.Lead, stats.Overhead)
 		printEngine(stats)
 	}
 
+	last := reports[len(reports)-1]
 	var steps, pulses, measurements uint64
-	for _, sm := range machines {
-		steps += sm.Controller.Steps
-		pulses += sm.PulsesPlayed
-		measurements += sm.Measurements
+	for _, r := range reports {
+		steps += r.steps
+		pulses += r.pulses
+		measurements += r.measurements
 	}
 	fmt.Printf("program completed: %d instructions executed\n", steps)
 	fmt.Printf("pulses played: %d, measurements: %d\n", pulses, measurements)
-	fmt.Printf("CTPG memory footprint: %d bytes (12-bit samples)\n", m.MemoryFootprintBytes())
+	fmt.Printf("CTPG memory footprint: %d bytes (12-bit samples)\n", last.footprint)
 	fmt.Println("registers:")
-	for r, v := range m.Controller.Regs {
+	for r, v := range last.regs {
 		if v != 0 {
 			fmt.Printf("  r%-2d = %d\n", r, v)
 		}
 	}
-	for q := 0; q < *qubits; q++ {
-		fmt.Printf("qubit %d final P(|1>) = %.4f\n", q, m.State.ProbExcited(q))
+	for q, p := range last.p1 {
+		fmt.Printf("qubit %d final P(|1>) = %.4f\n", q, p)
 	}
-	if m.Collector != nil {
+	if cfg.CollectK > 0 {
 		// Merge the shard collectors exactly: sums and counts added in
 		// shard order, divided once (identical to a single collector when
-		// there is one machine).
-		sums := make([]float64, m.Collector.K)
-		counts := make([]int, m.Collector.K)
+		// there is one shard).
+		sums := make([]float64, cfg.CollectK)
+		counts := make([]int, cfg.CollectK)
 		rounds := 0
-		for _, sm := range machines {
-			for i, s := range sm.Collector.Sums() {
+		for _, r := range reports {
+			for i, s := range r.sums {
 				sums[i] += s
 			}
-			for i, c := range sm.Collector.Counts() {
+			for i, c := range r.counts {
 				counts[i] += c
 			}
-			rounds += sm.Collector.Rounds()
+			rounds += r.rounds
 		}
 		fmt.Printf("data collection unit: %d complete rounds, averages:\n", rounds)
 		for i := range sums {
@@ -213,7 +215,7 @@ func main() {
 	}
 	if *trace {
 		fmt.Println("deterministic-domain timeline:")
-		for _, e := range m.Trace() {
+		for _, e := range last.trace {
 			fmt.Println("  " + e.String())
 		}
 	}
@@ -240,76 +242,53 @@ func printEngine(stats replay.Stats) {
 	fmt.Printf("shot-replay engine: full simulation (%s)\n", stats.Reason)
 }
 
-// runSharded executes the shot-shard plan: shard k runs plan[k] shots on
-// a fresh machine seeded expt.DeriveSeed(cfg.Seed, k) with its global
-// shot offset as replay.Options.BaseShot. The shards are partitioned
-// into lockstep batch groups by the sweep engine's policy
-// (expt.ShardLaneGroups) and each group runs as one replay.RunBatch
-// call — one lane per shard, same seeds, same streams, so the grouping
-// can never change a result byte. Up to `workers` groups run
-// concurrently (0 = one per CPU). Stats merge in shard order; the
-// machines return in shard order too, so the caller's "last machine"
-// state is deterministic.
-func runSharded(cfg core.Config, prog *isa.Program, plan []int, workers, lanes int, mode replay.Mode) (replay.Stats, []*core.Machine, error) {
-	groups := expt.ShardLaneGroups(plan, lanes, workers, cfg, mode)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// shardReport is what quma-run prints from one shard's machine: the
+// counters and collector sums/counts/rounds, which merge across shards,
+// and — from the last shard only — registers, P(|1⟩) per qubit, CTPG
+// footprint and the timeline.
+type shardReport struct {
+	steps, pulses, measurements uint64
+	sums                        []float64
+	counts                      []int
+	rounds                      int
+	footprint                   int
+	regs                        [isa.NumRegs]int64
+	p1                          []float64
+	trace                       []core.TraceEntry
+}
+
+// reportOf copies a machine's report out of it; last adds the fields
+// printed from the last shard alone.
+func reportOf(m *core.Machine, last bool) shardReport {
+	r := shardReport{steps: m.Controller.Steps, pulses: m.PulsesPlayed, measurements: m.Measurements}
+	if c := m.Collector; c != nil {
+		r.sums, r.counts, r.rounds = c.Sums(), c.Counts(), c.Rounds()
 	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	starts := make([]int, len(plan))
-	for k := 1; k < len(plan); k++ {
-		starts[k] = starts[k-1] + plan[k-1]
-	}
-	machines := make([]*core.Machine, len(plan))
-	statsv := make([]replay.Stats, len(plan))
-	errs := make([]error, len(groups))
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				gi := int(next.Add(1))
-				if gi >= len(groups) {
-					return
-				}
-				g0, g1 := groups[gi][0], groups[gi][1]
-				bl := make([]replay.BatchLane, 0, g1-g0)
-				for k := g0; k < g1; k++ {
-					scfg := cfg
-					scfg.Seed = expt.DeriveSeed(cfg.Seed, k)
-					sm, err := core.New(scfg)
-					if err != nil {
-						errs[gi] = err
-						break
-					}
-					machines[k] = sm
-					bl = append(bl, replay.BatchLane{M: sm, BaseShot: starts[k], Shots: plan[k]})
-				}
-				if errs[gi] != nil {
-					continue
-				}
-				sts, err := replay.RunBatch(context.Background(), prog, bl, 0, mode)
-				copy(statsv[g0:g1], sts)
-				errs[gi] = err
-			}
-		}()
-	}
-	wg.Wait()
-	for gi := range groups {
-		if errs[gi] != nil {
-			return replay.Stats{}, nil, errs[gi]
+	if last {
+		r.footprint = m.MemoryFootprintBytes()
+		r.regs = m.Controller.Regs
+		r.trace = append([]core.TraceEntry(nil), m.Trace()...)
+		for q := 0; q < m.Cfg.NumQubits; q++ {
+			r.p1 = append(r.p1, m.State.ProbExcited(q))
 		}
 	}
-	var merged replay.Stats
-	for k := range plan {
-		merged.Merge(statsv[k])
-	}
-	return merged, machines, nil
+	return r
+}
+
+// runShots runs the program through the sweep engine's shot-shard
+// runner (expt.RunShots) and returns the merged engine stats and one
+// report per shard, in shard order. The runner pools its machines and
+// reuses them for later shards, so each report is copied inside
+// finishShard while the shard's machine is still in hand.
+func runShots(cfg core.Config, prog *isa.Program, shots, workers, lanes int, mode replay.Mode) (replay.Stats, []shardReport, error) {
+	n := expt.ShotShardCount(shots)
+	reports := make([]shardReport, n)
+	stats, err := expt.RunShots(context.Background(), cfg, prog, shots, workers, lanes, mode,
+		func(k int, m *core.Machine, _ replay.Stats) error {
+			reports[k] = reportOf(m, k == n-1)
+			return nil
+		})
+	return stats, reports, err
 }
 
 // validateFlags rejects unknown -backend/-replay values, non-positive

@@ -1,7 +1,8 @@
 package main
 
 import (
-	"fmt"
+	"context"
+	"reflect"
 	"testing"
 
 	"quma/internal/asm"
@@ -55,62 +56,107 @@ func TestInterpAliasRunsCompiled(t *testing.T) {
 	cfg.Backend = core.BackendTrajectory
 	cfg.CollectK = 1
 	prog := asm.MustAssemble("mov r15, 40000\nQNopReg r15\nPulse {q0}, X90\nWait 4\nMPG {q0}, 300\nMD {q0}, r7\nhalt\n")
-	plan := expt.ShotShardPlan(600)
-	run := func(mode replay.Mode) (replay.Stats, []float64, []int) {
-		st, ms, err := runSharded(cfg, prog, plan, 2, 2, mode)
+	run := func(mode replay.Mode) (replay.Stats, []shardReport) {
+		st, reports, err := runShots(cfg, prog, 600, 2, 2, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sums []float64
-		var counts []int
-		for _, m := range ms {
-			sums = append(sums, m.Collector.Sums()...)
-			counts = append(counts, m.Collector.Counts()...)
-		}
-		return st, sums, counts
+		return st, reports
 	}
-	_, wantSums, wantCounts := run(replay.ModeOff)
-	st, sums, counts := run(replay.ModeInterp)
+	_, want := run(replay.ModeOff)
+	st, got := run(replay.ModeInterp)
 	if !st.Safe || !st.Compiled {
 		t.Fatalf("interp stats = %+v, want compiled replay", st)
 	}
-	for i := range wantSums {
-		if sums[i] != wantSums[i] || counts[i] != wantCounts[i] {
-			t.Fatalf("shard collector %d: interp (%v, %d), off (%v, %d)", i, sums[i], counts[i], wantSums[i], wantCounts[i])
+	for k := range want {
+		if !reflect.DeepEqual(got[k].sums, want[k].sums) || !reflect.DeepEqual(got[k].counts, want[k].counts) {
+			t.Fatalf("shard %d collector: interp (%v, %v), off (%v, %v)", k, got[k].sums, got[k].counts, want[k].sums, want[k].counts)
 		}
 	}
 }
 
-// TestRunShardedLaneGroupingIsNeutral drives runSharded through the
-// shared grouping policy — automatic lanes (0), scalar shards (1) and
-// an explicit cap over the short remainder shard — and demands every
-// shard machine end with the same collector sums and quantum state.
+// TestRunShardedLaneGroupingIsNeutral drives expt.RunShots through the
+// shared grouping policy — automatic lanes (0), scalar shards (1) and a
+// cap (8) over the short remainder shard, at one, two and one-per-CPU
+// shot workers — and demands identical merged stats and, shard by
+// shard, an identical full report (counters, registers, P(|1⟩),
+// collector, timeline) and reduced qubit state. The program ends on a
+// Y90 pulse, so the state's coherences are nonzero and a phase error of
+// the lane kernel or the lockstep path shows. The sharded count is
+// pinned to its scalar run; the unsharded count to one replay.Run on
+// core.New(cfg), the engine run the runner must reduce to. runShots,
+// whose reports quma-run prints, must return each shard's report with
+// the last-shard fields on the last shard only.
 func TestRunShardedLaneGroupingIsNeutral(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Backend = core.BackendTrajectory
 	cfg.CollectK = 1
+	cfg.TraceEvents = true
 	prog := asm.MustAssemble("mov r15, 400\nQNopReg r15\nPulse {q0}, X90\nWait 4\nMPG {q0}, 300\nMD {q0}, r7\nWait 340\nPulse {q0}, Y90\nWait 4\nhalt\n")
-	plan := expt.ShotShardPlan(600)
-	run := func(workers, lanes int) []string {
-		st, ms, err := runSharded(cfg, prog, plan, workers, lanes, replay.ModeAuto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !st.Compiled || st.Shots != 600 {
-			t.Fatalf("workers=%d lanes=%d: stats %+v, want 600 compiled shots", workers, lanes, st)
-		}
-		var out []string
-		for _, m := range ms {
-			out = append(out, fmt.Sprint(m.Collector.Sums(), m.Collector.Counts(), m.State.ReducedQubit(0).Data))
-		}
-		return out
+	// shard is what one shard's machine ends with: the full report, the
+	// report runShots keeps of it, and the reduced state of qubit 0.
+	type shard struct {
+		full, printed shardReport
+		rho           []complex128
 	}
-	want := run(1, 1)
-	for _, c := range []struct{ workers, lanes int }{{1, 0}, {2, 0}, {0, 0}, {1, 8}, {2, 2}} {
-		got := run(c.workers, c.lanes)
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("workers=%d lanes=%d shard %d: %s, scalar %s", c.workers, c.lanes, k, got[k], want[k])
+	for _, shots := range []int{100, 600} {
+		n := expt.ShotShardCount(shots)
+		capture := func(k int, m *core.Machine) shard {
+			return shard{reportOf(m, true), reportOf(m, k == n-1), m.State.ReducedQubit(0).Data}
+		}
+		run := func(workers, lanes int) (replay.Stats, []shard) {
+			got := make([]shard, n)
+			st, err := expt.RunShots(context.Background(), cfg, prog, shots, workers, lanes, replay.ModeAuto,
+				func(k int, m *core.Machine, _ replay.Stats) error {
+					got[k] = capture(k, m)
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st, got
+		}
+		var wantStats replay.Stats
+		var want []shard
+		if shots <= expt.ShotShardSize {
+			m, err := core.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantStats, err = replay.Run(context.Background(), m, prog, replay.Options{Shots: shots, Mode: replay.ModeAuto}); err != nil {
+				t.Fatal(err)
+			}
+			want = []shard{capture(0, m)}
+		} else {
+			wantStats, want = run(1, 1)
+		}
+		if !wantStats.Compiled || wantStats.Shots != shots {
+			t.Fatalf("shots=%d reference: stats %+v, want compiled shots", shots, wantStats)
+		}
+		if last := want[n-1]; len(last.full.trace) == 0 || last.full.rounds == 0 || last.full.pulses == 0 || last.rho[1] == 0 {
+			t.Fatalf("shots=%d reference: last shard %+v carries no timeline, collector rounds, pulses or coherence", shots, last)
+		}
+		for _, workers := range []int{1, 2, 0} {
+			for _, lanes := range []int{0, 1, 8} {
+				st, got := run(workers, lanes)
+				if st != wantStats {
+					t.Fatalf("shots=%d workers=%d lanes=%d: stats %+v, reference %+v", shots, workers, lanes, st, wantStats)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("shots=%d workers=%d lanes=%d: shards\n%+v\nreference\n%+v", shots, workers, lanes, got, want)
+				}
+				st, reports, err := runShots(cfg, prog, shots, workers, lanes, replay.ModeAuto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st != wantStats || len(reports) != n {
+					t.Fatalf("shots=%d workers=%d lanes=%d: runShots stats %+v over %d reports, reference %+v over %d", shots, workers, lanes, st, len(reports), wantStats, n)
+				}
+				for k := range reports {
+					if !reflect.DeepEqual(reports[k], want[k].printed) {
+						t.Fatalf("shots=%d workers=%d lanes=%d: runShots shard %d report\n%+v\nreference\n%+v", shots, workers, lanes, k, reports[k], want[k].printed)
+					}
+				}
 			}
 		}
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -55,6 +56,10 @@ var (
 	rounds   = flag.Int("rounds", 400, "averaging rounds for fig9 (paper: 25600)")
 	seed     = flag.Int64("seed", 1, "PRNG seed")
 )
+
+// env is the experiment environment every artifact shares: one assembly
+// cache and one set of machine pools for the whole run.
+var env = expt.NewEnv()
 
 func main() {
 	flag.Parse()
@@ -356,7 +361,7 @@ func printFig9() error {
 	cfg.Seed = *seed
 	p := expt.DefaultAllXYParams()
 	p.Rounds = *rounds
-	res, err := expt.RunAllXY(cfg, p)
+	res, err := env.RunAllXY(context.Background(), cfg, p)
 	if err != nil {
 		return err
 	}
@@ -368,7 +373,7 @@ func printFig9() error {
 func printT1() error {
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
-	res, err := expt.RunT1(cfg, expt.DefaultSweepParams())
+	res, err := env.RunT1(context.Background(), cfg, expt.DefaultSweepParams())
 	if err != nil {
 		return err
 	}
@@ -391,7 +396,7 @@ func printRamsey() error {
 	for i := 0; i < 40; i++ {
 		p.DelaysCycles = append(p.DelaysCycles, i*200)
 	}
-	res, err := expt.RunRamsey(cfg, p)
+	res, err := env.RunRamsey(context.Background(), cfg, p)
 	if err != nil {
 		return err
 	}
@@ -410,7 +415,7 @@ func printEcho() error {
 	qp := qphys.DefaultQubitParams()
 	qp.FreqDetuningHz = 100e3
 	cfg.Qubit = []qphys.QubitParams{qp}
-	res, err := expt.RunEcho(cfg, expt.DefaultSweepParams())
+	res, err := env.RunEcho(context.Background(), cfg, expt.DefaultSweepParams())
 	if err != nil {
 		return err
 	}
@@ -425,7 +430,7 @@ func printEcho() error {
 func printRB() error {
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
-	res, err := expt.RunRB(cfg, expt.DefaultRBParams())
+	res, err := env.RunRB(context.Background(), cfg, expt.DefaultRBParams())
 	if err != nil {
 		return err
 	}
@@ -491,7 +496,7 @@ halt
 func printRabi() error {
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
-	res, err := expt.RunRabi(cfg, expt.DefaultRabiParams())
+	res, err := env.RunRabi(context.Background(), cfg, expt.DefaultRabiParams())
 	if err != nil {
 		return err
 	}
@@ -502,7 +507,7 @@ func printRabi() error {
 func printRepCode() error {
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
-	res, err := expt.RunRepCode(cfg, expt.DefaultRepCodeParams())
+	res, err := env.RunRepCode(context.Background(), cfg, expt.DefaultRepCodeParams())
 	if err != nil {
 		return err
 	}
@@ -518,7 +523,7 @@ func printPhaseCode() error {
 	}
 	p := expt.DefaultRepCodeParams()
 	p.WaitCycles = 800
-	res, err := expt.RunPhaseCode(cfg, p)
+	res, err := env.RunPhaseCode(context.Background(), cfg, p)
 	if err != nil {
 		return err
 	}

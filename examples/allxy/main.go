@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -40,7 +41,7 @@ func main() {
 	params := expt.DefaultAllXYParams()
 	params.Rounds = *rounds
 
-	res, err := expt.RunAllXY(cfg, params)
+	res, err := expt.NewEnv().RunAllXY(context.Background(), cfg, params)
 	if err != nil {
 		log.Fatal(err)
 	}

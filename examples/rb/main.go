@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -32,7 +33,7 @@ func main() {
 	p.Rounds = *rounds
 	p.Seed = *seed
 
-	res, err := expt.RunRB(cfg, p)
+	res, err := expt.NewEnv().RunRB(context.Background(), cfg, p)
 	if err != nil {
 		log.Fatal(err)
 	}

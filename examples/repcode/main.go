@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -27,6 +28,8 @@ func main() {
 		backend = flag.String("backend", "density", "state backend for the memory sweep (density or trajectory)")
 	)
 	flag.Parse()
+	env := expt.NewEnv()
+	ctx := context.Background()
 
 	// First: the deterministic syndrome table (noiseless injected errors).
 	fmt.Println("syndrome decoding table (injected X errors, noiseless):")
@@ -53,7 +56,7 @@ func main() {
 		p := expt.DefaultRepCodeParams()
 		p.Rounds = *rounds
 		p.WaitCycles = waitCycles
-		res, err := expt.RunRepCode(cfg, p)
+		res, err := env.RunRepCode(ctx, cfg, p)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,7 +75,7 @@ func main() {
 	p.DataQubits = 5
 	p.Rounds = *rounds
 	p.WaitCycles = 800
-	res, err := expt.RunRepCode(cfg, p)
+	res, err := env.RunRepCode(ctx, cfg, p)
 	if err != nil {
 		log.Fatal(err)
 	}

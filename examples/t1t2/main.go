@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -22,6 +23,8 @@ func main() {
 		seed     = flag.Int64("seed", 1, "PRNG seed")
 	)
 	flag.Parse()
+	env := expt.NewEnv()
+	ctx := context.Background()
 
 	qp := qphys.DefaultQubitParams()
 	fmt.Printf("simulated qubit: T1 = %.0f µs, T2 = %.0f µs\n\n", qp.T1*1e6, qp.T2*1e6)
@@ -31,7 +34,7 @@ func main() {
 	cfg.Seed = *seed
 	p := expt.DefaultSweepParams()
 	p.Rounds = *rounds
-	t1, err := expt.RunT1(cfg, p)
+	t1, err := env.RunT1(ctx, cfg, p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func main() {
 	for i := 0; i < 40; i++ {
 		pr.DelaysCycles = append(pr.DelaysCycles, i*200) // 1 µs steps
 	}
-	ram, err := expt.RunRamsey(cfg, pr)
+	ram, err := env.RunRamsey(ctx, cfg, pr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +67,7 @@ func main() {
 	cfg.Qubit = []qphys.QubitParams{qpd}
 	pe := expt.DefaultSweepParams()
 	pe.Rounds = *rounds
-	echo, err := expt.RunEcho(cfg, pe)
+	echo, err := env.RunEcho(ctx, cfg, pe)
 	if err != nil {
 		log.Fatal(err)
 	}

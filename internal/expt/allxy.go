@@ -190,11 +190,6 @@ type AllXYResult struct {
 // DeriveSeed(cfg.Seed, pair), with the Rounds averaging loop hoisted into
 // the shot-replay engine. cfg.CollectK and cfg.NumQubits are set as
 // needed.
-func RunAllXY(cfg core.Config, p AllXYParams) (*AllXYResult, error) {
-	return NewEnv().RunAllXY(context.Background(), cfg, p)
-}
-
-// RunAllXY runs the AllXY experiment on the environment's shared pools.
 func (e *Env) RunAllXY(ctx context.Context, cfg core.Config, p AllXYParams) (*AllXYResult, error) {
 	if p.Rounds <= 0 {
 		return nil, fmt.Errorf("expt: Rounds must be positive")
@@ -227,10 +222,9 @@ func (e *Env) RunAllXY(ctx context.Context, cfg core.Config, p AllXYParams) (*Al
 		counts := make([][]int, nshards)
 		shardPulses := make([]uint64, nshards)
 		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, plan, p.ShotWorkers, p.BatchLanes, p.Replay, nil, nil,
-			func(k int, m *core.Machine, _ replay.Stats) error {
-				want := shardShots(plan, k, p.Rounds)
-				if got := m.Collector.Rounds(); got != want {
-					return fmt.Errorf("expt: pair %s shard %d collected %d rounds, want %d", pairs[i].Label, k, got, want)
+			func(k int, m *core.Machine, st replay.Stats) error {
+				if got := m.Collector.Rounds(); got != st.Shots {
+					return fmt.Errorf("expt: pair %s shard %d collected %d rounds, want %d", pairs[i].Label, k, got, st.Shots)
 				}
 				sums[k] = m.Collector.Sums()
 				counts[k] = m.Collector.Counts()

@@ -1,11 +1,14 @@
 package expt
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"quma/internal/asm"
 	"quma/internal/core"
 	"quma/internal/qphys"
+	"quma/internal/replay"
 )
 
 // Cross-backend agreement: the trajectory backend samples one Kraus
@@ -22,7 +25,7 @@ func TestT1BackendsAgree(t *testing.T) {
 		t.Helper()
 		cfg := core.DefaultConfig()
 		cfg.Backend = b
-		res, err := RunT1(cfg, p)
+		res, err := NewEnv().RunT1(context.Background(), cfg, p)
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
@@ -59,7 +62,7 @@ func TestRamseyBackendsAgree(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.Backend = b
 		cfg.Qubit = []qphys.QubitParams{qp}
-		res, err := RunRamsey(cfg, p)
+		res, err := NewEnv().RunRamsey(context.Background(), cfg, p)
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
@@ -85,7 +88,7 @@ func TestAllXYBackendsAgree(t *testing.T) {
 		t.Helper()
 		cfg := core.DefaultConfig()
 		cfg.Backend = b
-		res, err := RunAllXY(cfg, p)
+		res, err := NewEnv().RunAllXY(context.Background(), cfg, p)
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
@@ -112,7 +115,7 @@ func TestRabiTrajectoryBackendCalibrates(t *testing.T) {
 	cfg.Backend = core.BackendTrajectory
 	p := DefaultRabiParams()
 	p.Rounds = 120
-	res, err := RunRabi(cfg, p)
+	res, err := NewEnv().RunRabi(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +137,7 @@ func TestTrajectoryExperimentsDeterministicAcrossWorkers(t *testing.T) {
 			cfg.Backend = core.BackendTrajectory
 			q := p
 			q.Workers = workers
-			res, err := RunT1(cfg, q)
+			res, err := NewEnv().RunT1(context.Background(), cfg, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +161,7 @@ func TestTrajectoryExperimentsDeterministicAcrossWorkers(t *testing.T) {
 			cfg.Backend = core.BackendTrajectory
 			q := p
 			q.Workers = workers
-			res, err := RunRepCode(cfg, q)
+			res, err := NewEnv().RunRepCode(context.Background(), cfg, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,12 +185,12 @@ func TestRepCodeNineQubitsRunsOnTrajectoryOnly(t *testing.T) {
 	p.WaitCycles = 800
 
 	cfg := core.DefaultConfig()
-	if _, err := RunRepCode(cfg, p); err == nil {
+	if _, err := NewEnv().RunRepCode(context.Background(), cfg, p); err == nil {
 		t.Fatal("9-qubit repetition code must fail on the density backend")
 	}
 
 	cfg.Backend = core.BackendTrajectory
-	res, err := RunRepCode(cfg, p)
+	res, err := NewEnv().RunRepCode(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +215,10 @@ func TestRepCodeNineQubitsRunsOnTrajectoryOnly(t *testing.T) {
 func TestRepCodeDistanceFiveSyndromeDecode(t *testing.T) {
 	// Deterministic check of the generic decoder: on a noiseless
 	// 9-qubit machine each injected single-qubit X error must be
-	// corrected by its matched syndrome pattern.
+	// corrected by its matched syndrome pattern. One full-pipeline shot
+	// of the corrected program; the shot's five data readouts are the
+	// last entries of its measurement stream (after the four syndrome
+	// readouts).
 	for _, inject := range []string{"", "q0", "q1", "q2", "q3", "q4"} {
 		cfg := core.DefaultConfig()
 		cfg.Backend = core.BackendTrajectory
@@ -224,12 +230,31 @@ func TestRepCodeDistanceFiveSyndromeDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := RepCodeParams{DataQubits: 5, Rounds: 1, WaitCycles: 8, InitCycles: 40, MeasureCycles: 300}
-		if err := m.RunAssembly(repCodeProgram(p, inject, true)); err != nil {
+		prog, err := asm.Assemble(repCodeShotProgram(p, inject, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stream []replay.MD
+		_, err = replay.Run(context.Background(), m, prog, replay.Options{Shots: 1, Mode: replay.ModeOff, OnShot: func(_ int, md []replay.MD) {
+			stream = append(stream, md...)
+		}})
+		if err != nil {
 			t.Fatalf("inject %q: %v", inject, err)
 		}
-		// r13 counts logical errors: the correction must leave |1⟩_L.
-		if errs := m.Controller.Regs[13]; errs != 0 {
-			t.Errorf("inject %q: logical error after correction", inject)
+		if len(stream) != 9 {
+			t.Fatalf("inject %q: %d readouts, want 4 syndromes + 5 data", inject, len(stream))
+		}
+		ones := 0
+		for _, r := range stream[4:] {
+			ones += r.Result
+		}
+		// The correction must leave |1⟩_L (a majority of ones) — and,
+		// with a single error on a noiseless machine, restore every data
+		// qubit: a majority alone would survive a missed correction.
+		if ones < 3 {
+			t.Errorf("inject %q: logical error after correction (data %v)", inject, stream[4:])
+		} else if ones < 5 {
+			t.Errorf("inject %q: error left uncorrected (data %v)", inject, stream[4:])
 		}
 	}
 }
@@ -237,7 +262,7 @@ func TestRepCodeDistanceFiveSyndromeDecode(t *testing.T) {
 func TestRepCodeRejectsEvenDistance(t *testing.T) {
 	p := DefaultRepCodeParams()
 	p.DataQubits = 4
-	if _, err := RunRepCode(core.DefaultConfig(), p); err == nil {
+	if _, err := NewEnv().RunRepCode(context.Background(), core.DefaultConfig(), p); err == nil {
 		t.Error("even DataQubits must fail (majority vote needs odd)")
 	}
 }

@@ -56,7 +56,7 @@ func TestPreCanceledContextRunsNothing(t *testing.T) {
 // a run the cancel misses entirely must be bit-identical to baseline.
 func TestRandomizedMidSweepCancelNeverLeaksPartialResults(t *testing.T) {
 	cfg := core.DefaultConfig()
-	baseline, err := RunT1(cfg, cancelParams(1))
+	baseline, err := NewEnv().RunT1(context.Background(), cfg, cancelParams(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRandomizedMidSweepCancelNeverLeaksPartialResults(t *testing.T) {
 // bit-identity with a fresh-Env baseline (the ResetState guarantee).
 func TestPoolStaysSoundAfterCancel(t *testing.T) {
 	cfg := core.DefaultConfig()
-	baseline, err := RunT1(cfg, cancelParams(2))
+	baseline, err := NewEnv().RunT1(context.Background(), cfg, cancelParams(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func shardedCancelParams(workers, shotWorkers int) SweepParams {
 // deadline misses must be bit-identical to baseline.
 func TestShardedMidSweepCancelNeverLeaksPartialResults(t *testing.T) {
 	cfg := core.DefaultConfig()
-	baseline, err := RunT1(cfg, shardedCancelParams(1, 1))
+	baseline, err := NewEnv().RunT1(context.Background(), cfg, shardedCancelParams(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestShardedMidSweepCancelNeverLeaksPartialResults(t *testing.T) {
 // fresh-Env baseline.
 func TestPoolStaysSoundAfterShardedCancel(t *testing.T) {
 	cfg := core.DefaultConfig()
-	baseline, err := RunT1(cfg, shardedCancelParams(2, 2))
+	baseline, err := NewEnv().RunT1(context.Background(), cfg, shardedCancelParams(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestPoolStaysSoundAfterShardedCancel(t *testing.T) {
 // neighbor sharing pools and programs must not perturb anyone else.
 func TestConcurrentDuplicateSurvivesCancelOfTwin(t *testing.T) {
 	cfg := core.DefaultConfig()
-	baseline, err := RunT1(cfg, cancelParams(2))
+	baseline, err := NewEnv().RunT1(context.Background(), cfg, cancelParams(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,8 +86,8 @@ func shotProgram(p SweepParams, delayCycles int, body func(b *strings.Builder, d
 // integration results to populations via the MDU's two calibration
 // levels. The calibration means depend only on the shared config, so they
 // are computed once, outside the worker closures. Machines and assembled
-// programs come from env, whose lifetime the caller controls (per call
-// for the plain RunX functions, service lifetime for internal/service).
+// programs come from env, whose lifetime the caller controls (one run
+// for a command or example, service lifetime for internal/service).
 func runSweep(ctx context.Context, env *Env, cfg core.Config, p SweepParams, body func(b *strings.Builder, delayCycles int)) (*SweepResult, error) {
 	if len(p.DelaysCycles) == 0 || p.Rounds <= 0 {
 		return nil, fmt.Errorf("expt: empty sweep")
@@ -164,11 +164,6 @@ type T1Result struct {
 
 // RunT1 measures energy relaxation: X180, wait τ, measure; P(1) decays as
 // e^{-τ/T1}.
-func RunT1(cfg core.Config, p SweepParams) (*T1Result, error) {
-	return NewEnv().RunT1(context.Background(), cfg, p)
-}
-
-// RunT1 runs the T1 experiment on the environment's shared pools.
 func (e *Env) RunT1(ctx context.Context, cfg core.Config, p SweepParams) (*T1Result, error) {
 	sr, err := runSweep(ctx, e, cfg, p, func(b *strings.Builder, d int) {
 		fmt.Fprintf(b, "Pulse {q%d}, X180\nWait 4\n", p.Qubit)
@@ -195,11 +190,6 @@ type RamseyResult struct {
 // RunRamsey measures dephasing: X90, wait τ, X90, measure. With a drive
 // detuning Δ (set via cfg.Qubit[q].FreqDetuningHz) the population
 // oscillates at Δ under an e^{-τ/T2*} envelope.
-func RunRamsey(cfg core.Config, p SweepParams) (*RamseyResult, error) {
-	return NewEnv().RunRamsey(context.Background(), cfg, p)
-}
-
-// RunRamsey runs the Ramsey experiment on the environment's shared pools.
 func (e *Env) RunRamsey(ctx context.Context, cfg core.Config, p SweepParams) (*RamseyResult, error) {
 	sr, err := runSweep(ctx, e, cfg, p, func(b *strings.Builder, d int) {
 		fmt.Fprintf(b, "Pulse {q%d}, X90\nWait 4\n", p.Qubit)
@@ -227,11 +217,6 @@ type EchoResult struct {
 // RunEcho measures echo coherence: X90, wait τ/2, X180, wait τ/2, X90.
 // The π pulse refocuses static detuning, so the envelope decays with the
 // echo time constant instead of oscillating.
-func RunEcho(cfg core.Config, p SweepParams) (*EchoResult, error) {
-	return NewEnv().RunEcho(context.Background(), cfg, p)
-}
-
-// RunEcho runs the echo experiment on the environment's shared pools.
 func (e *Env) RunEcho(ctx context.Context, cfg core.Config, p SweepParams) (*EchoResult, error) {
 	sr, err := runSweep(ctx, e, cfg, p, func(b *strings.Builder, d int) {
 		half := d / 2

@@ -1,10 +1,10 @@
 package expt
 
 // env.go promotes the sweep engine's per-call caches to caller-controlled
-// lifetime. Every experiment entry point is a method on Env; the plain
-// RunX functions construct a fresh Env per call (the historical per-sweep
-// behaviour), while a long-lived caller — the batch experiment service in
-// internal/service — holds one Env for its whole life so that:
+// lifetime. Every experiment entry point is a method on Env; a one-shot
+// caller (a command, an example) holds one Env for its run, while a
+// long-lived caller — the batch experiment service in internal/service —
+// holds one Env for its whole life so that:
 //
 //   - each distinct program text assembles exactly once per Env, not once
 //     per request (programCache), and the resulting *isa.Program pointer
@@ -230,11 +230,4 @@ func (e *Env) RunProgram(ctx context.Context, cfg core.Config, p ProgramParams) 
 	res.Compiled = stats.Compiled
 	res.StreamHash = h.Sum64()
 	return res, nil
-}
-
-// RunProgram runs a raw-assembly shot program on a fresh environment
-// with no cancellation (context.Background()), preserving the
-// historical entry-point shape.
-func RunProgram(cfg core.Config, p ProgramParams) (*ProgramResult, error) {
-	return NewEnv().RunProgram(context.Background(), cfg, p)
 }

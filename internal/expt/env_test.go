@@ -34,11 +34,11 @@ func TestSharedEnvMatchesFreshEnv(t *testing.T) {
 	pp := ProgramParams{Source: envTestProgram, Shots: 60}
 
 	// Reference results from fresh per-call environments.
-	wantT1, err := RunT1(cfg, sp)
+	wantT1, err := NewEnv().RunT1(context.Background(), cfg, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantProg, err := RunProgram(cfg, pp)
+	wantProg, err := NewEnv().RunProgram(context.Background(), cfg, pp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSharedEnvConcurrentRequestsAreBitIdentical(t *testing.T) {
 	cfg.Backend = core.BackendTrajectory
 	cfg.Seed = 23
 	pp := ProgramParams{Source: envTestProgram, Shots: 50}
-	want, err := RunProgram(cfg, pp)
+	want, err := NewEnv().RunProgram(context.Background(), cfg, pp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -56,7 +57,7 @@ func TestAllXYCalibratedStaircase(t *testing.T) {
 	cfg := core.DefaultConfig()
 	p := DefaultAllXYParams()
 	p.Rounds = 120
-	res, err := RunAllXY(cfg, p)
+	res, err := NewEnv().RunAllXY(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestAllXYAmplitudeErrorSignature(t *testing.T) {
 	cfg.AmplitudeError = -0.10
 	p := DefaultAllXYParams()
 	p.Rounds = 120
-	res, err := RunAllXY(cfg, p)
+	res, err := NewEnv().RunAllXY(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestAllXYDetuningSignature(t *testing.T) {
 	cfg.Qubit = []qphys.QubitParams{qp}
 	p := DefaultAllXYParams()
 	p.Rounds = 120
-	res, err := RunAllXY(cfg, p)
+	res, err := NewEnv().RunAllXY(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestAllXYUndoubled(t *testing.T) {
 	p := DefaultAllXYParams()
 	p.Doubled = false
 	p.Rounds = 60
-	res, err := RunAllXY(cfg, p)
+	res, err := NewEnv().RunAllXY(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestAllXYUndoubled(t *testing.T) {
 }
 
 func TestAllXYRejectsBadParams(t *testing.T) {
-	if _, err := RunAllXY(core.DefaultConfig(), AllXYParams{Rounds: 0}); err == nil {
+	if _, err := NewEnv().RunAllXY(context.Background(), core.DefaultConfig(), AllXYParams{Rounds: 0}); err == nil {
 		t.Error("Rounds=0 must fail")
 	}
 }
@@ -233,7 +234,7 @@ func TestT1Experiment(t *testing.T) {
 	cfg.Qubit = []qphys.QubitParams{qp}
 	p := DefaultSweepParams()
 	p.Rounds = 600 // cheap now that shots replay; keeps the fit well inside ±15%
-	res, err := RunT1(cfg, p)
+	res, err := NewEnv().RunT1(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestRamseyExperiment(t *testing.T) {
 		p.DelaysCycles = append(p.DelaysCycles, i*200)
 	}
 	p.Rounds = 150
-	res, err := RunRamsey(cfg, p)
+	res, err := NewEnv().RunRamsey(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,7 @@ func TestEchoExperiment(t *testing.T) {
 	cfg.Qubit = []qphys.QubitParams{qp}
 	p := DefaultSweepParams()
 	p.Rounds = 150
-	res, err := RunEcho(cfg, p)
+	res, err := NewEnv().RunEcho(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestEchoExperiment(t *testing.T) {
 func TestRBDecayAndErrorRate(t *testing.T) {
 	cfg := core.DefaultConfig()
 	p := DefaultRBParams()
-	res, err := RunRB(cfg, p)
+	res, err := NewEnv().RunRB(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,13 +325,13 @@ func TestRBWorseWithMiscalibration(t *testing.T) {
 	p.Trials = 3
 	p.Rounds = 50
 
-	good, err := RunRB(core.DefaultConfig(), p)
+	good, err := NewEnv().RunRB(context.Background(), core.DefaultConfig(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := core.DefaultConfig()
 	bad.AmplitudeError = -0.05
-	worse, err := RunRB(bad, p)
+	worse, err := NewEnv().RunRB(context.Background(), bad, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +342,7 @@ func TestRBWorseWithMiscalibration(t *testing.T) {
 }
 
 func TestRBRejectsBadParams(t *testing.T) {
-	if _, err := RunRB(core.DefaultConfig(), RBParams{Lengths: []int{1}}); err == nil {
+	if _, err := NewEnv().RunRB(context.Background(), core.DefaultConfig(), RBParams{Lengths: []int{1}}); err == nil {
 		t.Error("too few lengths must fail")
 	}
 }

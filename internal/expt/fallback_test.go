@@ -122,7 +122,7 @@ func TestPhaseCodeActiveResetAcrossAllModes(t *testing.T) {
 		}
 		q := p
 		q.Replay = mode
-		res, err := RunPhaseCode(cfg, q)
+		res, err := NewEnv().RunPhaseCode(context.Background(), cfg, q)
 		if err != nil {
 			t.Fatal(err)
 		}

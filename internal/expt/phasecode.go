@@ -144,12 +144,6 @@ func DephasingQubit(t2 float64) qphys.QubitParams {
 
 // RunPhaseCode compares a bare superposition against the feedback-
 // corrected phase-flip code on dephasing-dominated qubits.
-func RunPhaseCode(cfg core.Config, p RepCodeParams) (*PhaseCodeResult, error) {
-	return NewEnv().RunPhaseCode(context.Background(), cfg, p)
-}
-
-// RunPhaseCode runs the phase-code memory experiment on the
-// environment's shared pools.
 func (e *Env) RunPhaseCode(ctx context.Context, cfg core.Config, p RepCodeParams) (*PhaseCodeResult, error) {
 	if p.Rounds <= 0 {
 		return nil, fmt.Errorf("expt: Rounds must be positive")

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestPhaseCodeProtectsAgainstDephasing(t *testing.T) {
 	p := DefaultRepCodeParams()
 	p.Rounds = 200
 	p.WaitCycles = 800 // 4 µs: p_phase ≈ 0.16
-	res, err := RunPhaseCode(cfg, p)
+	res, err := NewEnv().RunPhaseCode(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestPhaseCodeUselessAgainstPureT1(t *testing.T) {
 	p := DefaultRepCodeParams()
 	p.Rounds = 150
 	p.WaitCycles = 1600 // 8 µs ≈ 0.8·T1
-	res, err := RunPhaseCode(cfg, p)
+	res, err := NewEnv().RunPhaseCode(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestPhaseCodeUselessAgainstPureT1(t *testing.T) {
 }
 
 func TestPhaseCodeRejectsBadParams(t *testing.T) {
-	if _, err := RunPhaseCode(core.DefaultConfig(), RepCodeParams{}); err == nil {
+	if _, err := NewEnv().RunPhaseCode(context.Background(), core.DefaultConfig(), RepCodeParams{}); err == nil {
 		t.Error("Rounds=0 must fail")
 	}
 }

@@ -88,12 +88,8 @@ type RabiResult struct {
 // the fitted PiScale times the nominal amplitude is the corrected
 // calibration. The fixed-phase fit (fit.FitRabi) keeps the extraction
 // robust to the per-point shot noise that independent seeding introduces.
-func RunRabi(cfg core.Config, p RabiParams) (*RabiResult, error) {
-	return NewEnv().RunRabi(context.Background(), cfg, p)
-}
-
-// RunRabi runs the Rabi calibration sweep on the environment's shared
-// pools. The swept pulse is re-uploaded unconditionally on every point
+//
+// The swept pulse is re-uploaded unconditionally on every point
 // (the pooled-machine contract for custom LUT content), so sharing
 // machines with other experiments is safe in both directions.
 func (e *Env) RunRabi(ctx context.Context, cfg core.Config, p RabiParams) (*RabiResult, error) {

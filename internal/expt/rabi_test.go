@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ func TestRabiCalibratedPiScale(t *testing.T) {
 	cfg := core.DefaultConfig()
 	p := DefaultRabiParams()
 	p.Rounds = 120
-	res, err := RunRabi(cfg, p)
+	res, err := NewEnv().RunRabi(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestRabiDetectsMiscalibration(t *testing.T) {
 	cfg.AmplitudeError = -0.10
 	p := DefaultRabiParams()
 	p.Rounds = 120
-	res, err := RunRabi(cfg, p)
+	res, err := NewEnv().RunRabi(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestRabiSweepWithinDACRange(t *testing.T) {
 }
 
 func TestRabiRejectsBadParams(t *testing.T) {
-	if _, err := RunRabi(core.DefaultConfig(), RabiParams{Scales: []float64{1}, Rounds: 10}); err == nil {
+	if _, err := NewEnv().RunRabi(context.Background(), core.DefaultConfig(), RabiParams{Scales: []float64{1}, Rounds: 10}); err == nil {
 		t.Error("too few scales must fail")
 	}
 }
@@ -69,7 +70,7 @@ func TestRabiTableRenders(t *testing.T) {
 	cfg := core.DefaultConfig()
 	p := DefaultRabiParams()
 	p.Rounds = 40
-	res, err := RunRabi(cfg, p)
+	res, err := NewEnv().RunRabi(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,11 +99,6 @@ func RBShotProgram(p RBParams, pulses []string) string {
 // shot loop in the replay engine (RB sequences are feedback-free, so
 // shots past the detection prefix replay the recorded schedule) — and
 // fits the exponential decay of the ground-state survival probability.
-func RunRB(cfg core.Config, p RBParams) (*RBResult, error) {
-	return NewEnv().RunRB(context.Background(), cfg, p)
-}
-
-// RunRB runs randomized benchmarking on the environment's shared pools.
 func (e *Env) RunRB(ctx context.Context, cfg core.Config, p RBParams) (*RBResult, error) {
 	if len(p.Lengths) < 3 || p.Trials < 1 || p.Rounds < 1 {
 		return nil, fmt.Errorf("expt: RB needs ≥3 lengths and ≥1 trial/round")

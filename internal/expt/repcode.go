@@ -88,17 +88,30 @@ func DefaultRepCodeParams() RepCodeParams {
 	return RepCodeParams{Rounds: 300, WaitCycles: 1600, InitCycles: 40000, MeasureCycles: 300}
 }
 
-// emitRepCodeRound writes one round of the protected-memory sequence —
-// encode, optional injected error, memory time, syndrome extraction,
-// optional feedback correction, data readout. Shared by the legacy
-// self-counting program (injection tests) and the per-shot engine
-// programs so the two cannot drift apart. tally controls whether the
-// wide-code sequential readout accumulates into r12 (the legacy majority
-// vote); the engine programs pass false so the shot body never consumes a
-// measurement register.
-func emitRepCodeRound(w func(format string, args ...any), p RepCodeParams, inject string, correct, tally bool) {
+// RepCodeShotProgram returns the per-shot protected-memory program for
+// the engine path: exactly one round — encode, memory time, syndrome
+// extraction, optional feedback correction, data readout — with no
+// classical bookkeeping: the majority vote over the shot's data readouts
+// happens in Go from the engine's measurement stream. With correct=false
+// the program never consumes a measurement result, making it
+// replay-safe; with correct=true the feedback branches keep it on the
+// full pipeline.
+func RepCodeShotProgram(p RepCodeParams, correct bool) string {
+	return repCodeShotProgram(p, "", correct)
+}
+
+// repCodeShotProgram is RepCodeShotProgram with an optional injected X
+// error ("", "q0", …) applied after encoding — the form the
+// deterministic injection tests run once on the full pipeline.
+func repCodeShotProgram(p RepCodeParams, inject string, correct bool) string {
 	d := p.dataQubits()
 	syn := repSyndromeRegs[:d-1]
+	var b strings.Builder
+	w := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
+	w("mov r15, %d", p.InitCycles)
+	if correct {
+		w("mov r6, 0       # constant 0")
+	}
 	w("QNopReg r15")
 	// Encode |1⟩_L.
 	w("Pulse {q0}, X180")
@@ -151,8 +164,7 @@ func emitRepCodeRound(w func(format string, args ...any), p RepCodeParams, injec
 		}
 		w("Readout:")
 	}
-	// Data readout; the majority vote over these results happens in the
-	// caller (assembly for the legacy program, Go for the engine path).
+	// Data readout; the majority vote over these results happens in Go.
 	if d == 3 {
 		// Keep the historical dedicated registers so the injection test
 		// can inspect each data qubit.
@@ -164,69 +176,11 @@ func emitRepCodeRound(w func(format string, args ...any), p RepCodeParams, injec
 		// Wider codes read the data qubits sequentially through one
 		// register; the Wait covers integration + discrimination latency
 		// so each readout retires before the next opens a time point.
-		if tally {
-			w("mov r12, 0")
-		}
 		for i := 0; i < d; i++ {
 			w("Measure q%d, r9", i)
 			w("Wait 340")
-			if tally {
-				w("add r12, r12, r9")
-			}
 		}
 	}
-}
-
-// repCodeProgram builds the self-contained protected-memory program for d
-// data qubits, with the round loop and majority vote in assembly — the
-// form used by the deterministic injection tests, which inspect the
-// syndrome/data registers and the r13 error counter. inject names an
-// explicit error location ("", "q0", …) applied after encoding.
-// correct=false skips the feedback pulses (syndromes are still measured),
-// isolating the value of correction.
-func repCodeProgram(p RepCodeParams, inject string, correct bool) string {
-	d := p.dataQubits()
-	var b strings.Builder
-	w := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
-	w("mov r15, %d", p.InitCycles)
-	w("mov r1, 0")
-	w("mov r2, %d", p.Rounds)
-	w("mov r6, 0       # constant 0")
-	w("mov r5, %d      # majority threshold", (d+1)/2)
-	w("mov r13, 0      # logical error counter")
-	w("Round_Loop:")
-	emitRepCodeRound(w, p, inject, correct, true)
-	// Majority vote: logical 1 iff a majority reads 1 (the wide form
-	// already accumulated r12 during readout).
-	if d == 3 {
-		w("add r12, r9, r10")
-		w("add r12, r12, r11")
-	}
-	w("blt r12, r5, Logical_Flip   # below majority: logical error")
-	w("jmp Next_Round")
-	w("Logical_Flip:")
-	w("addi r13, r13, 1")
-	w("Next_Round:")
-	w("addi r1, r1, 1")
-	w("bne r1, r2, Round_Loop")
-	w("halt")
-	return b.String()
-}
-
-// RepCodeShotProgram returns the per-shot protected-memory program for
-// the engine path: exactly one round, no classical bookkeeping — the
-// majority vote over the shot's data readouts happens in Go from the
-// engine's measurement stream. With correct=false the program never
-// consumes a measurement result, making it replay-safe; with correct=true
-// the feedback branches keep it on the full pipeline.
-func RepCodeShotProgram(p RepCodeParams, correct bool) string {
-	var b strings.Builder
-	w := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
-	w("mov r15, %d", p.InitCycles)
-	if correct {
-		w("mov r6, 0       # constant 0")
-	}
-	emitRepCodeRound(w, p, "", correct, false)
 	w("halt")
 	return b.String()
 }
@@ -258,8 +212,9 @@ type SyndromeOutcome struct {
 }
 
 // RunRepCodeInjection runs one noiseless round with an explicit injected
-// X error and returns the measured syndrome and corrected data readout.
-// It verifies the textbook decoding table end to end.
+// X error — the feedback-corrected shot program, once on the full
+// pipeline — and returns the measured syndrome and corrected data
+// readout. It verifies the textbook decoding table end to end.
 func RunRepCodeInjection(inject string) (*SyndromeOutcome, error) {
 	cfg := core.DefaultConfig()
 	cfg.NumQubits = 5
@@ -270,7 +225,7 @@ func RunRepCodeInjection(inject string) (*SyndromeOutcome, error) {
 		return nil, err
 	}
 	p := RepCodeParams{Rounds: 1, WaitCycles: 8, InitCycles: 40, MeasureCycles: 300}
-	if err := m.RunAssembly(repCodeProgram(p, inject, true)); err != nil {
+	if err := m.RunAssembly(repCodeShotProgram(p, inject, true)); err != nil {
 		return nil, err
 	}
 	out := &SyndromeOutcome{
@@ -304,12 +259,6 @@ type RepCodeResult struct {
 // DeriveSeed2(cfg.Seed, variant, chunk). cfg.Backend selects the state
 // substrate;
 // p.DataQubits ≥ 5 (9+ total qubits) requires core.BackendTrajectory.
-func RunRepCode(cfg core.Config, p RepCodeParams) (*RepCodeResult, error) {
-	return NewEnv().RunRepCode(context.Background(), cfg, p)
-}
-
-// RunRepCode runs the repetition-code memory experiment on the
-// environment's shared pools.
 func (e *Env) RunRepCode(ctx context.Context, cfg core.Config, p RepCodeParams) (*RepCodeResult, error) {
 	if p.Rounds <= 0 {
 		return nil, fmt.Errorf("expt: Rounds must be positive")

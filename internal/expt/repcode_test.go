@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"testing"
 
 	"quma/internal/core"
@@ -39,7 +40,7 @@ func TestRepCodeProtectsMemory(t *testing.T) {
 	cfg := core.DefaultConfig()
 	p := DefaultRepCodeParams()
 	p.Rounds = 200
-	res, err := RunRepCode(cfg, p)
+	res, err := NewEnv().RunRepCode(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestRepCodeProtectsMemory(t *testing.T) {
 }
 
 func TestRepCodeRejectsBadParams(t *testing.T) {
-	if _, err := RunRepCode(core.DefaultConfig(), RepCodeParams{}); err == nil {
+	if _, err := NewEnv().RunRepCode(context.Background(), core.DefaultConfig(), RepCodeParams{}); err == nil {
 		t.Error("Rounds=0 must fail")
 	}
 }

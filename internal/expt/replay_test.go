@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestT1ReplayMatchesFullSimulation(t *testing.T) {
 			cfg.Backend = backend
 			q := p
 			q.Replay = mode
-			res, err := RunT1(cfg, q)
+			res, err := NewEnv().RunT1(context.Background(), cfg, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +77,7 @@ func TestRamseyReplayMatchesFullSimulation(t *testing.T) {
 			cfg.Qubit = []qphys.QubitParams{qp}
 			q := p
 			q.Replay = mode
-			res, err := RunRamsey(cfg, q)
+			res, err := NewEnv().RunRamsey(context.Background(), cfg, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +105,7 @@ func TestAllXYReplayMatchesFullSimulation(t *testing.T) {
 			cfg.Backend = backend
 			q := p
 			q.Replay = mode
-			res, err := RunAllXY(cfg, q)
+			res, err := NewEnv().RunAllXY(context.Background(), cfg, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +138,7 @@ func TestRBReplayMatchesFullSimulation(t *testing.T) {
 			cfg.Backend = backend
 			q := p
 			q.Replay = mode
-			res, err := RunRB(cfg, q)
+			res, err := NewEnv().RunRB(context.Background(), cfg, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +166,7 @@ func TestRepCodeReplayMatchesFullSimulation(t *testing.T) {
 			cfg.Backend = backend
 			q := p
 			q.Replay = mode
-			res, err := RunRepCode(cfg, q)
+			res, err := NewEnv().RunRepCode(context.Background(), cfg, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +195,7 @@ func TestPhaseCodeReplayMatchesFullSimulation(t *testing.T) {
 		}
 		q := p
 		q.Replay = mode
-		res, err := RunPhaseCode(cfg, q)
+		res, err := NewEnv().RunPhaseCode(context.Background(), cfg, q)
 		if err != nil {
 			t.Fatal(err)
 		}

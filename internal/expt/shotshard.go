@@ -5,10 +5,10 @@ package expt
 // fixed shard plan — a pure function of the shot count, never of the
 // worker count, exactly like chunkRounds one level up — and every shard
 // runs on its own pooled machine, seeded with DeriveSeed(pointSeed,
-// shardIndex), through its own replay.Run invocation (lead/detect shots
-// plus its slice of the replay loop). Results merge in shard order, so
-// the outcome is bit-identical for any ShotWorkers value given the same
-// plan. The contract, extending the sweep determinism contract:
+// shardIndex), as one lane of a replay.RunBatch invocation (lead/detect
+// shots plus its slice of the replay loop). Results merge in shard
+// order, so the outcome is bit-identical for any ShotWorkers value given
+// the same plan. The contract, extending the sweep determinism contract:
 //
 //   - The shard plan depends only on the total shot count (auto
 //     experiments: ShotShardPlan) or on the experiment's own fixed
@@ -24,13 +24,15 @@ package expt
 //   - Per-shot callbacks are buffered per shard and delivered after the
 //     last shard completes, in shard order, with global shot indices
 //     (the engine numbers each shard's shots from its global offset via
-//     replay.Options.BaseShot) — so order-sensitive consumers (the
+//     replay.BatchLane.BaseShot) — so order-sensitive consumers (the
 //     RunProgram stream hash) observe one deterministic merged stream.
+//     A plan of one shard (the legacy stream included) delivers live:
+//     its order is already global.
 //   - Cancellation and failure: the first failing shard cancels its
 //     siblings' context (they abort within the engine's bounded-
 //     staleness window); a shard panic is recovered into *PanicError at
-//     the shard boundary (its machine is discarded, not pooled — the
-//     runShotJob unwind rule). The job's error is the outer ctx error
+//     the group boundary (its machines are discarded, not pooled — the
+//     group runner's unwind rule). The job's error is the outer ctx error
 //     if the caller was preempted, else the lowest-index non-ctx shard
 //     error — so a panic is never masked by the sibling aborts it
 //     caused, and the service taxonomy (internal vs canceled) is stable
@@ -87,15 +89,6 @@ func ShotShardPlan(shots int) []int {
 	return chunkRounds(shots, ShotShardSize)
 }
 
-// shardShots returns the shot count of shard k of a plan, treating a
-// nil plan as one shard holding the whole range.
-func shardShots(plan []int, k, total int) int {
-	if plan == nil {
-		return total
-	}
-	return plan[k]
-}
-
 // shardCount returns the number of shards of a plan (1 for nil: the
 // legacy single stream).
 func shardCount(plan []int) int {
@@ -103,6 +96,13 @@ func shardCount(plan []int) int {
 		return 1
 	}
 	return len(plan)
+}
+
+// ShotShardCount returns the number of shards RunShots runs for a shot
+// count: the length of ShotShardPlan(shots), or 1 at or below
+// ShotShardSize.
+func ShotShardCount(shots int) int {
+	return shardCount(ShotShardPlan(shots))
 }
 
 // shardStream buffers one shard's per-shot measurement streams: the
@@ -181,53 +181,57 @@ func ShardLaneGroups(plan []int, batchLanes, shotWorkers int, cfg core.Config, m
 	return LaneGroups(plan, lanes)
 }
 
+// RunShots runs prog shots times on machines built from cfg, through
+// the same shot-shard runner as every experiment: the automatic plan
+// ShotShardPlan(shots) with shard k seeded DeriveSeed(cfg.Seed, k) (at
+// or below ShotShardSize, one shard seeded cfg.Seed itself), up to
+// shotWorkers lane groups (ShardLaneGroups of batchLanes) in flight,
+// panic isolation, sibling cancellation and the runner's error rule.
+// finishShard runs once per shard (ShotShardCount(shots) in all),
+// possibly concurrently, with that shard's machine; the runner pools
+// machines and reuses them for later shards, so finishShard must copy
+// what it keeps and write only shard-indexed slots. The returned stats
+// are the shard-order merge.
+func RunShots(ctx context.Context, cfg core.Config, prog *isa.Program, shots, shotWorkers, batchLanes int, mode replay.Mode,
+	finishShard func(shard int, m *core.Machine, stats replay.Stats) error) (replay.Stats, error) {
+	return runShotJobSharded(ctx, newMachinePool(cfg), cfg.Seed, prog, shots, ShotShardPlan(shots), shotWorkers, batchLanes, mode, nil, nil, finishShard)
+}
+
 // runShotJobSharded executes one sweep point with its shot range split
 // across the shard plan: shard k runs plan[k] shots on its own pooled
-// machine seeded DeriveSeed(pointSeed, k), up to shotWorkers shards
-// concurrently (0 = one per CPU), and the per-shot streams, engine
-// stats, and finishShard extractions merge in shard order. A nil plan
-// is the legacy unsharded path: one machine seeded pointSeed, live
-// callback delivery, bit-identical to the pre-sharding engine.
+// machine seeded DeriveSeed(pointSeed, k), and the per-shot streams,
+// engine stats, and finishShard extractions merge in shard order. A nil
+// plan is the legacy unsharded stream: one shard of all the shots on a
+// machine seeded pointSeed, bit-identical to the pre-sharding engine.
 //
-// Shards run in lockstep batch groups (ShardLaneGroups of batchLanes:
-// 0 = auto, 1 = scalar): each group runs as one replay.RunBatch
-// invocation — per-lane machines, seeds, shot counts, and streams
-// unchanged — with up to shotWorkers groups in flight instead of
-// shards. ModeOff has no batched executor and ignores the knob. Result
-// bytes are identical for every batchLanes value by the per-lane
-// bit-identity contract.
+// Every shard runs through one group runner. The shards are partitioned
+// into lockstep groups (ShardLaneGroups of batchLanes: 0 = auto, 1 =
+// scalar; ModeOff and single shards always get singletons), and each
+// group is one replay.RunBatch call — per-lane machines, seeds, shot
+// counts and streams, exactly a scalar shard's wiring — with up to
+// shotWorkers groups in flight (0 = one per CPU). Result bytes are
+// identical for every batchLanes value by the per-lane bit-identity
+// contract.
 //
 // setup runs on every shard's machine (the pooled-machine rule for
 // machine customization). onShot, when non-nil, receives every shot in
-// global order after the run completes; the fault-injection Shot hook,
-// by contrast, fires live inside each shard's loop (runShotJob wraps
-// the per-shard callback), so injected panics and slowness land
-// mid-shard. finishShard runs per shard, with that shard's machine
-// still in hand, as the shard completes — callers must write only
-// shard-indexed slots from it. The returned stats are the shard-order
-// merge (replay.Stats.Merge).
+// global order: live when the plan has one shard, whose order is already
+// global, and otherwise after the last shard completes — lockstep lanes
+// interleave their shots, so even a single multi-lane group buffers. The
+// fault-injection Shot hook, by contrast, fires live inside each shard's
+// loop, so injected panics and slowness land mid-shard. finishShard runs
+// per shard, with that shard's machine still in hand, as its group
+// completes — callers must write only shard-indexed slots from it. The
+// returned stats are the shard-order merge (replay.Stats.Merge).
 func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, prog *isa.Program, shots int, plan []int, shotWorkers, batchLanes int, mode replay.Mode,
 	setup func(*core.Machine) error,
 	onShot func(int, []replay.MD),
 	finishShard func(shard int, m *core.Machine, stats replay.Stats) error) (replay.Stats, error) {
 	var merged replay.Stats
-	if plan == nil || len(plan) == 1 {
-		// Single stream: nil plan keeps the legacy seed (pointSeed);
-		// a one-shard plan uses the sharded seed rule. Either way the
-		// callback is live — order is already global.
-		seed := pointSeed
-		if plan != nil {
-			seed = DeriveSeed(pointSeed, 0)
-		}
-		err := runShotJob(ctx, mp, seed, prog, shots, 0, mode, setup, onShot,
-			func(m *core.Machine, st replay.Stats) error {
-				merged = st
-				if finishShard != nil {
-					return finishShard(0, m, st)
-				}
-				return nil
-			})
-		return merged, err
+	seed := func(k int) int64 { return DeriveSeed(pointSeed, k) }
+	if plan == nil {
+		plan = []int{shots}
+		seed = func(int) int64 { return pointSeed }
 	}
 	if total := sum(plan); total != shots {
 		return merged, fmt.Errorf("expt: shard plan covers %d shots, job has %d", total, shots)
@@ -236,120 +240,88 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 	for k := 1; k < len(plan); k++ {
 		starts[k] = starts[k-1] + plan[k-1]
 	}
-	// The first failing shard cancels its siblings: they abort at the
-	// engine's next bounded-staleness check instead of finishing work
-	// whose job already failed.
-	sctx, cancelShards := context.WithCancel(ctx)
-	defer cancelShards()
-	groups := ShardLaneGroups(plan, batchLanes, shotWorkers, mp.cfg, mode)
-	bufs := make([]shardStream, len(plan))
-	statsv := make([]replay.Stats, len(plan))
-	errs := make([]error, len(plan))
-	runShard := func(k int) error {
-		var s shardStream
-		var cb func(int, []replay.MD)
-		if onShot != nil {
+	var bufs []shardStream
+	if onShot != nil && len(plan) > 1 {
+		bufs = make([]shardStream, len(plan))
+	}
+	// laneCallback is shard k's engine callback: the caller's onShot
+	// (live) or the shard's buffer slot, then the fault hook.
+	laneCallback := func(k int) func(int, []replay.MD) {
+		cb := onShot
+		if bufs != nil {
+			s := &bufs[k]
 			s.lens = make([]int, 0, plan[k])
 			cb = func(_ int, md []replay.MD) {
 				s.md = append(s.md, md...)
 				s.lens = append(s.lens, len(md))
 			}
 		}
-		err := runShotJob(sctx, mp, DeriveSeed(pointSeed, k), prog, plan[k], starts[k], mode, setup, cb,
-			func(m *core.Machine, st replay.Stats) error {
-				statsv[k] = st
-				if finishShard != nil {
-					return finishShard(k, m, st)
+		if h := mp.faults; h != nil && h.Shot != nil {
+			inner := cb
+			cb = func(shot int, md []replay.MD) {
+				if inner != nil {
+					inner(shot, md)
 				}
-				return nil
-			})
+				h.Shot(shot)
+			}
+		}
+		return cb
+	}
+	// The first failing shard cancels its siblings: they abort at the
+	// engine's next bounded-staleness check instead of finishing work
+	// whose job already failed.
+	sctx, cancelShards := context.WithCancel(ctx)
+	defer cancelShards()
+	statsv := make([]replay.Stats, len(plan))
+	// runGroup runs shards [g0, g1) as one replay.RunBatch call: lane j
+	// is shard g0+j, with its seed, global BaseShot, stream slot, and
+	// live fault hook, and finishShard sees each lane's machine before
+	// the machines return to the pool. The returns are deliberately not
+	// deferred (the group runner's unwind rule): a panic anywhere in the
+	// group — engine, callbacks, injected fault — unwinds past them, so
+	// every machine of the group, in an unknowable post-panic state, is
+	// discarded rather than pooled. Every non-panic exit returns the
+	// machines, a canceled run included, because ResetState restores a
+	// preempted machine to a state bit-identical to fresh construction
+	// (the cancellation tests reuse a pool across a cancel and assert
+	// bit-identity).
+	runGroup := func(g0, g1 int) error {
+		var err error
+		lanes := make([]replay.BatchLane, 0, g1-g0)
+		for k := g0; k < g1; k++ {
+			var m *core.Machine
+			if m, err = mp.get(seed(k)); err != nil {
+				break
+			}
+			lanes = append(lanes, replay.BatchLane{M: m, BaseShot: starts[k], Shots: plan[k], OnShot: laneCallback(k)})
+			if setup != nil {
+				if err = setup(m); err != nil {
+					break
+				}
+			}
+		}
 		if err == nil {
-			bufs[k] = s
+			var sts []replay.Stats
+			sts, err = replay.RunBatch(sctx, prog, lanes, 0, mode)
+			copy(statsv[g0:g1], sts)
+			for j := 0; err == nil && finishShard != nil && j < len(lanes); j++ {
+				err = finishShard(g0+j, lanes[j].M, sts[j])
+			}
+		}
+		for _, ln := range lanes {
+			mp.put(ln.M)
 		}
 		return err
 	}
-	// runBatchGroup runs shards [g0, g1) as one lockstep batch: lane j is
-	// shard g0+j, with its sharded seed, global BaseShot, buffered stream
-	// slot, and live fault hook — exactly the scalar shard's wiring. The
-	// machine returns are deliberately not deferred (the runShotJob
-	// unwind rule): a panic anywhere in the batch discards every machine
-	// of the group.
-	runBatchGroup := func(g0, g1 int) error {
-		n := g1 - g0
-		ms := make([]*core.Machine, 0, n)
-		bl := make([]replay.BatchLane, 0, n)
-		ss := make([]shardStream, n)
-		for k := g0; k < g1; k++ {
-			m, err := mp.get(DeriveSeed(pointSeed, k))
-			if err != nil {
-				for _, pm := range ms {
-					mp.put(pm)
-				}
-				return err
-			}
-			ms = append(ms, m)
-			if setup != nil {
-				if err := setup(m); err != nil {
-					for _, pm := range ms {
-						mp.put(pm)
-					}
-					return err
-				}
-			}
-			var cb func(int, []replay.MD)
-			if onShot != nil {
-				s := &ss[k-g0]
-				s.lens = make([]int, 0, plan[k])
-				cb = func(_ int, md []replay.MD) {
-					s.md = append(s.md, md...)
-					s.lens = append(s.lens, len(md))
-				}
-			}
-			if h := mp.faults; h != nil && h.Shot != nil {
-				inner := cb
-				cb = func(shot int, md []replay.MD) {
-					if inner != nil {
-						inner(shot, md)
-					}
-					h.Shot(shot)
-				}
-			}
-			bl = append(bl, replay.BatchLane{M: m, BaseShot: starts[k], Shots: plan[k], OnShot: cb})
-		}
-		sts, err := replay.RunBatch(sctx, prog, bl, 0, mode)
-		if err == nil {
-			for j := 0; j < n; j++ {
-				statsv[g0+j] = sts[j]
-				if finishShard != nil {
-					if err = finishShard(g0+j, ms[j], sts[j]); err != nil {
-						break
-					}
-				}
-			}
-		}
-		for _, m := range ms {
-			mp.put(m)
-		}
-		if err != nil {
-			return err
-		}
-		for j := 0; j < n; j++ {
-			bufs[g0+j] = ss[j]
-		}
-		return nil
-	}
+	groups := ShardLaneGroups(plan, batchLanes, shotWorkers, mp.cfg, mode)
+	errs := make([]error, len(plan))
 	poolErr := runPool(sctx, len(groups), shotWorkers, func(gi int) error {
 		g0, g1 := groups[gi][0], groups[gi][1]
 		// Recover panics here, not only in runPool, so the recovery
 		// reaches cancelShards: a panicking shard must abort its
-		// siblings exactly like an erroring one. The machine discard
-		// happens regardless — the panic unwinds past the puts.
-		err := recoverJob(func(int) error {
-			if g1-g0 == 1 {
-				return runShard(g0)
-			}
-			return runBatchGroup(g0, g1)
-		}, gi)
+		// siblings exactly like an erroring one. A group error is
+		// attributed to its first shard for the selection rule below.
+		err := recoverJob(func(int) error { return runGroup(g0, g1) }, gi)
 		if err != nil {
 			errs[g0] = err
 			cancelShards()
@@ -361,7 +333,7 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 	// itself a ctx abort — sibling shards canceled by a panicking or
 	// failing shard must not mask the root cause — then any error.
 	if err := ctx.Err(); err != nil {
-		return merged, fmt.Errorf("expt: sharded shot job preempted: %w", err)
+		return merged, fmt.Errorf("expt: shot job preempted: %w", err)
 	}
 	var firstErr error
 	for _, e := range errs {
@@ -389,13 +361,11 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 	}
 	// Deliver the buffered streams in shard order with global indices:
 	// one deterministic merged stream, independent of shard scheduling.
-	if onShot != nil {
-		for k := range bufs {
-			off := 0
-			for i, n := range bufs[k].lens {
-				onShot(starts[k]+i, bufs[k].md[off:off+n:off+n])
-				off += n
-			}
+	for k := range bufs {
+		off := 0
+		for i, n := range bufs[k].lens {
+			onShot(starts[k]+i, bufs[k].md[off:off+n:off+n])
+			off += n
 		}
 	}
 	return merged, nil

@@ -157,7 +157,7 @@ func TestRepCodeMatchesLegacyChunkFanout(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, sw := range shardWorkerCounts() {
 			p.Workers, p.ShotWorkers = workers, sw
-			res, err := RunRepCode(cfg, p)
+			res, err := NewEnv().RunRepCode(context.Background(), cfg, p)
 			if err != nil {
 				t.Fatalf("Workers=%d ShotWorkers=%d: %v", workers, sw, err)
 			}
@@ -172,8 +172,10 @@ func TestRepCodeMatchesLegacyChunkFanout(t *testing.T) {
 		}
 	}
 
-	// Legacy reconstruction: one runShotJob per (variant, chunk) with the
-	// historical seed DeriveSeed2(cfg.Seed, variant+1, chunk).
+	// Legacy reconstruction: one pooled machine and one replay.Run per
+	// (variant, chunk), with the historical seed DeriveSeed2(cfg.Seed,
+	// variant+1, chunk) — the engine called directly, not through the
+	// shot-shard runner under test.
 	runCfg := cfg
 	runCfg.NumQubits = 5
 	for len(runCfg.Qubit) < 5 {
@@ -205,15 +207,19 @@ func TestRepCodeMatchesLegacyChunkFanout(t *testing.T) {
 		}
 		errs := 0
 		for k, rounds := range chunks {
-			err := runShotJob(context.Background(), pool, DeriveSeed2(runCfg.Seed, v+1, k), prog, rounds, 0, p.Replay, nil,
-				func(_ int, md []replay.MD) {
-					if variant.isError(md) {
-						errs++
-					}
-				}, nil)
+			m, err := pool.get(DeriveSeed2(runCfg.Seed, v+1, k))
 			if err != nil {
 				t.Fatal(err)
 			}
+			_, err = replay.Run(context.Background(), m, prog, replay.Options{Shots: rounds, Mode: p.Replay, OnShot: func(_ int, md []replay.MD) {
+				if variant.isError(md) {
+					errs++
+				}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool.put(m)
 		}
 		if got := float64(errs) / float64(p.Rounds); got != want[v] {
 			t.Errorf("variant %d: legacy chunk fan-out %v, sharded engine %v", v, got, want[v])
@@ -391,7 +397,7 @@ func TestRepCodeBitIdenticalAcrossBatchLanes(t *testing.T) {
 	var baseline *RepCodeResult
 	for _, lanes := range []int{1, 0, 4} {
 		p.BatchLanes = lanes
-		res, err := RunRepCode(cfg, p)
+		res, err := NewEnv().RunRepCode(context.Background(), cfg, p)
 		if err != nil {
 			t.Fatalf("BatchLanes=%d: %v", lanes, err)
 		}

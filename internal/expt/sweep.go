@@ -45,7 +45,6 @@ import (
 	"quma/internal/core"
 	"quma/internal/isa"
 	"quma/internal/qphys"
-	"quma/internal/replay"
 )
 
 // DeriveSeed deterministically derives an independent PRNG seed for sweep
@@ -97,9 +96,10 @@ func (e *PanicError) Error() string {
 }
 
 // recoverJob runs job(i), converting a panic into a *PanicError. A
-// panicking job unwinds past runShotJob's machine-return path, so the
-// machine it was driving — whose state is unknowable mid-panic — is
-// discarded to the garbage collector rather than pooled.
+// panicking job unwinds past the shot-shard group runner's
+// machine-return path (runShotJobSharded), so the machines it was
+// driving — whose state is unknowable mid-panic — are discarded to the
+// garbage collector rather than pooled.
 func recoverJob(job func(i int) error, i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -180,7 +180,7 @@ func runPool(ctx context.Context, n, workers int, job func(i int) error) error {
 }
 
 // programCache assembles each distinct program text once per cache
-// lifetime (per sweep for the plain RunX functions, per service for an
+// lifetime (per Env: one command's run, or the whole service for the
 // Env held by internal/service). Sweep points that share a program
 // (every repetition-code chunk of a variant, every Rabi amplitude point,
 // every shot-hoisted program reused across worker jobs) hit the cache;
@@ -247,7 +247,7 @@ type FaultHooks struct {
 // determinism contract (results independent of worker count and of which
 // machine served which point) is preserved. Two caveats ride along:
 // custom LUT uploads and µop definitions survive the reset, so a
-// runShotJob setup that customizes the machine must do so
+// runShotJobSharded setup that customizes the machine must do so
 // unconditionally on every point (see Machine.ResetState); and a machine
 // whose job panicked is never returned here — its state is unknowable,
 // so it is discarded and the pool rebuilds on the next get.
@@ -277,54 +277,6 @@ func (mp *machinePool) get(seed int64) (*core.Machine, error) {
 }
 
 func (mp *machinePool) put(m *core.Machine) { mp.pool.Put(m) }
-
-// runShotJob executes one sweep point (or one shard of a shot-sharded
-// point — see runShotJobSharded): acquire a pooled machine under the
-// given seed, run optional per-point setup (e.g. a pulse upload), execute
-// the per-shot program `shots` times through the replay engine, and hand
-// the machine to finish for result extraction before returning it to the
-// pool. base is the global index of this job's first shot (0 for an
-// unsharded point): the engine reports shot indices offset by it, so
-// OnShot callbacks and the fault-injection Shot hook observe global shot
-// numbering whichever shard they run on.
-//
-// The machine return is deliberately not deferred: a panic anywhere in
-// the point (engine, callbacks, injected fault) unwinds past the put, so
-// a machine in an unknowable post-panic state is discarded rather than
-// pooled. Every non-panic exit returns the machine — including a
-// canceled run, because ResetState restores a preempted machine to a
-// state bit-identical to fresh construction (the cancellation tests
-// reuse a pool across a cancel and assert bit-identity).
-func runShotJob(ctx context.Context, mp *machinePool, seed int64, prog *isa.Program, shots, base int, mode replay.Mode,
-	setup func(*core.Machine) error,
-	onShot func(int, []replay.MD),
-	finish func(*core.Machine, replay.Stats) error) error {
-	m, err := mp.get(seed)
-	if err != nil {
-		return err
-	}
-	if h := mp.faults; h != nil && h.Shot != nil {
-		inner := onShot
-		onShot = func(shot int, md []replay.MD) {
-			if inner != nil {
-				inner(shot, md)
-			}
-			h.Shot(shot)
-		}
-	}
-	if setup != nil {
-		if err := setup(m); err != nil {
-			mp.put(m)
-			return err
-		}
-	}
-	stats, err := replay.Run(ctx, m, prog, replay.Options{Shots: shots, Mode: mode, OnShot: onShot, BaseShot: base})
-	if err == nil && finish != nil {
-		err = finish(m, stats)
-	}
-	mp.put(m)
-	return err
-}
 
 // chunkRounds partitions `total` rounds into fixed-size chunks. The
 // partition depends only on (total, size), keeping chunked sweeps

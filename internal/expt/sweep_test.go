@@ -73,7 +73,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Helper()
 		q := p
 		q.Workers = workers
-		res, err := RunT1(cfg, q)
+		res, err := NewEnv().RunT1(context.Background(), cfg, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestRBDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Helper()
 		q := p
 		q.Workers = workers
-		res, err := RunRB(cfg, q)
+		res, err := NewEnv().RunRB(context.Background(), cfg, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestRepCodeDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Helper()
 		q := p
 		q.Workers = workers
-		res, err := RunRepCode(cfg, q)
+		res, err := NewEnv().RunRepCode(context.Background(), cfg, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestAllXYDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Helper()
 		q := p
 		q.Workers = workers
-		res, err := RunAllXY(cfg, q)
+		res, err := NewEnv().RunAllXY(context.Background(), cfg, q)
 		if err != nil {
 			t.Fatal(err)
 		}
