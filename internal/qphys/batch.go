@@ -35,7 +35,14 @@ import (
 // coefficients, anti-diagonal jumps run a strided per-lane port of the
 // scalar tail on their own column, and the rare dense/complex
 // selections fall back to the scalar tail on a gathered copy — same
-// code, same inputs, bit-identical by construction.
+// code, same inputs, bit-identical by construction. Populations come
+// from each lane's carry; when any lane lacks a valid one, one
+// whole-block pass recomputes them for every lane.
+//
+// Each rare event (an anti jump, a dense or complex selection, a lane
+// whose carry broke while its siblings' held) has exactly one path, and
+// no step here looks at the host's SIMD support: the span wrappers in
+// batch_span.go pick a kernel body per call.
 type TrajBatch struct {
 	nq int
 	L  int
@@ -65,21 +72,18 @@ type TrajBatch struct {
 	// duplicated per-lane layout of the span primitives: lane l's value
 	// sits at [2l] (and, when a SIMD kernel produced it, equally at
 	// [2l+1]); readers always use slot 2l.
-	rv, p0, p1   []float64    // saved draw + populations for tail lanes
-	pp0, pp1     []float64    // 2L: population-pass results
-	r0, r1       []float64    // 2L: flat-pass scale coefficients
-	np0, np1     []float64    // 2L: fused-pass accumulators
-	c01, c10     []complex128 // anti-diagonal coefficients per lane
-	ckind        []uint8      // per-lane channel classification
-	mk0, mk1     []uint64     // 2L: collapse keep-masks (lo half, hi half)
-	cr01d, ci01d []float64    // 2L: anti-pass coefficient parts, duplicated
-	cr10d, ci10d []float64    // 2L
-	kp           []uint64     // 2L: anti-pass keep-masks
-	lastP        []float64    // L: selected weights, batched reciprocal-root input
-	rinv         []float64    // L: 1/√lastP, one vector call per op
-	chosen       []int        // L: selected operator index per lane
-	anti, slow   []int
-	outc         []int
+	rv, p0, p1 []float64    // saved draw + populations for tail lanes
+	pp0, pp1   []float64    // 2L: population-pass results
+	r0, r1     []float64    // 2L: flat-pass scale coefficients
+	np0, np1   []float64    // 2L: fused-pass accumulators
+	c01, c10   []complex128 // anti-diagonal coefficients per lane
+	ckind      []uint8      // per-lane channel classification
+	mk0, mk1   []uint64     // 2L: collapse keep-masks (lo half, hi half)
+	lastP      []float64    // L: selected weights, batched reciprocal-root input
+	rinv       []float64    // L: 1/√lastP, one vector call per op
+	chosen     []int        // L: selected operator index per lane
+	anti, slow []int
+	outc       []int
 }
 
 // Per-lane channel classification for one batched channel op.
@@ -130,11 +134,6 @@ func NewTrajBatch(lanes []*Trajectory) *TrajBatch {
 		ckind:   make([]uint8, L),
 		mk0:     make([]uint64, 2*L),
 		mk1:     make([]uint64, 2*L),
-		cr01d:   make([]float64, 2*L),
-		ci01d:   make([]float64, 2*L),
-		cr10d:   make([]float64, 2*L),
-		ci10d:   make([]float64, 2*L),
-		kp:      make([]uint64, 2*L),
 		lastP:   make([]float64, L),
 		rinv:    make([]float64, L),
 		chosen:  make([]int, L),
@@ -248,41 +247,18 @@ func (b *TrajBatch) popPass(q, mask int) {
 	spanAccBlocks(b.amp, pp0, pp1, mask*b.L)
 }
 
-// popPassLane recomputes lane l's populations alone, striding over its
-// column — the lazy form of popPass for the lanes whose own history
-// (an anti jump with a cross-qubit carry target, a dense fallback)
-// invalidated their carry while their siblings kept theirs. Identical
-// addition order to the scalar pass.
-func (b *TrajBatch) popPassLane(l, mask int) {
-	L := b.L
-	amp := b.amp
-	mL := mask * L
-	dim := 1 << b.nq
-	var p0, p1 float64
-	for base := 0; base < dim; base += mask << 1 {
-		for i := base; i < base+mask; i++ {
-			p := i*L + l
-			a0, a1 := amp[p], amp[p+mL]
-			p0 += real(a0)*real(a0) + imag(a0)*imag(a0)
-			p1 += real(a1)*real(a1) + imag(a1)*imag(a1)
+// carryMissing reports whether some lane has no valid population carry
+// for qubit q, so the step must run a population pass.
+func (b *TrajBatch) carryMissing(q int) bool {
+	if b.carryQ != q {
+		return true
+	}
+	for l := range b.carry {
+		if !b.carry[l].Valid {
+			return true
 		}
 	}
-	b.pp0[2*l], b.pp1[2*l] = p0, p1
-}
-
-// probExcitedLane is ProbExcited for lane l alone, striding its column.
-func (b *TrajBatch) probExcitedLane(l, mask int) {
-	L := b.L
-	amp := b.amp
-	dim := 1 << b.nq
-	var p float64
-	for base := mask; base < dim; base += mask << 1 {
-		for i := base; i < base+mask; i++ {
-			a := amp[i*L+l]
-			p += real(a)*real(a) + imag(a)*imag(a)
-		}
-	}
-	b.pp1[2*l] = clampProb(p)
+	return false
 }
 
 // probExcitedBatch fills pp1 with each lane's clamped |1⟩ population of
@@ -315,33 +291,13 @@ func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 	mask := 1 << (b.nq - 1 - q)
 	mL := mask * L
 
-	// Populations: a full batched pass when the schedule broke the carry
-	// chain for every lane; when only some lanes' own history (an anti
-	// jump with a cross-qubit carry target, a dense fallback)
-	// invalidated theirs, the cheaper of a lazy per-lane strided pass
-	// and one whole-block SIMD pass that serves every invalid lane at
-	// once. Valid lanes read their carry, not the pass output, so the
-	// full pass recomputing their slots is harmless; invalid lanes see
-	// the same sums either way (independent per-lane accumulators in
-	// the same ascending order), so the choice is pure scheduling.
-	if b.carryQ != q {
+	// Populations: one whole-block pass whenever any lane lacks a valid
+	// carry for q — the schedule broke the chain for every lane, or a
+	// lane's own history (an anti jump with a cross-qubit carry target, a
+	// dense fallback) broke its own. Valid lanes read their carry, not
+	// the pass output, so recomputing their slots is harmless.
+	if b.carryMissing(q) {
 		b.popPass(q, mask)
-	} else {
-		nInv := 0
-		for l := 0; l < L; l++ {
-			if !b.carry[l].Valid {
-				nInv++
-			}
-		}
-		if 2*nInv > L {
-			b.popPass(q, mask)
-		} else if nInv > 0 {
-			for l := 0; l < L; l++ {
-				if !b.carry[l].Valid {
-					b.popPassLane(l, mask)
-				}
-			}
-		}
 	}
 
 	// One pass per lane: draw the variate, source the populations
@@ -475,68 +431,16 @@ func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 		}
 	}
 
-	// Anti lanes: one whole-block SIMD pass when enough lanes jumped at
-	// once to amortize its fixed cost (coefficient fill plus touching
-	// every lane's column), strided per-lane walks otherwise — the walk
-	// touches only the jumping lane's cache lines, so it wins for
-	// sparse jumps. Both produce identical bytes per anti lane.
-	if nAnti > 0 {
-		if useSIMD && L&1 == 0 && 2*nAnti > L {
-			b.antiApplyBatch(q, mask, nextQ)
-		} else {
-			for s := 0; s < nAnti; s++ {
-				b.antiApplyLane(b.anti[s], q, mask, nextQ)
-			}
-		}
+	// Anti lanes: a strided walk of each jumping lane's own column,
+	// touching only that lane's cache lines.
+	for s := 0; s < nAnti; s++ {
+		b.antiApplyLane(b.anti[s], q, mask, nextQ)
 	}
 	for s := 0; s < nTail; s++ {
 		l := b.slow[s]
 		b.gatherLane(l)
 		b.carry[l] = b.scratch.applyChannelSampled(ct, q, mask, b.p0[l], b.p1[l], b.rv[l], nextQ)
 		b.scatterLane(l)
-	}
-}
-
-// antiApplyBatch applies every anti-classified lane's jump operator in
-// one whole-block SIMD pass instead of per-lane strided walks: anti
-// lanes get zero keep-masks and their duplicated coefficient parts,
-// every other lane gets an all-ones keep-mask that passes its
-// amplitude bits through the blend untouched. Per anti lane the pass
-// reproduces antiApplyLane's products and accumulation order exactly
-// (the kernels form the complex products with the compiler's own
-// rounding sequence); np0/np1 slots of non-anti lanes come back
-// unspecified and are not read. Called only when the SIMD kernels are
-// live — the Go reference body would walk L columns to serve one.
-func (b *TrajBatch) antiApplyBatch(q, mask, nextQ int) {
-	L := b.L
-	cr01, ci01, cr10, ci10 := b.cr01d, b.ci01d, b.cr10d, b.ci10d
-	kp := b.kp
-	np0, np1 := b.np0, b.np1
-	ckind := b.ckind
-	for l := 0; l < L; l++ {
-		if ckind[l] == ckAnti {
-			kp[2*l], kp[2*l+1] = 0, 0
-			c01, c10 := b.c01[l], b.c10[l]
-			cr01[2*l], cr01[2*l+1] = real(c01), real(c01)
-			ci01[2*l], ci01[2*l+1] = imag(c01), imag(c01)
-			cr10[2*l], cr10[2*l+1] = real(c10), real(c10)
-			ci10[2*l], ci10[2*l+1] = imag(c10), imag(c10)
-			np0[2*l], np0[2*l+1] = 0, 0
-			np1[2*l], np1[2*l+1] = 0, 0
-		} else {
-			kp[2*l], kp[2*l+1] = ^uint64(0), ^uint64(0)
-		}
-	}
-	spanAntiAccBlocks(b.amp, cr01, ci01, cr10, ci10, kp, np0, np1, mask*L)
-	for l := 0; l < L; l++ {
-		if ckind[l] != ckAnti {
-			continue
-		}
-		if nextQ == q {
-			b.carry[l] = PopCarry{P0: np0[2*l], P1: np1[2*l], Valid: true}
-		} else {
-			b.carry[l] = PopCarry{}
-		}
 	}
 }
 
@@ -750,26 +654,10 @@ func (b *TrajBatch) measureBatch(q int, wantCarry bool, measure func(lane, q, ou
 	mask := 1 << (b.nq - 1 - q)
 	mL := mask * L
 
-	// Population sourcing mirrors channelBatch, including the strided
-	// vs whole-block choice for partially broken carry chains.
-	if b.carryQ != q {
+	// Population sourcing mirrors channelBatch: one whole-block pass
+	// whenever any lane lacks a valid carry for q.
+	if b.carryMissing(q) {
 		b.probExcitedBatch(q, mask)
-	} else {
-		nInv := 0
-		for l := 0; l < L; l++ {
-			if !b.carry[l].Valid {
-				nInv++
-			}
-		}
-		if 2*nInv > L {
-			b.probExcitedBatch(q, mask)
-		} else if nInv > 0 {
-			for l := 0; l < L; l++ {
-				if !b.carry[l].Valid {
-					b.probExcitedLane(l, mask)
-				}
-			}
-		}
 	}
 
 	// Per lane in lane order: source p1, clamp, draw the projection

@@ -29,10 +29,15 @@ package qphys
 // pair pins that stream (its swap becomes a no-op), which covers every
 // mask-nesting sub-case of the scalar kernels with one code path.
 //
-// Each primitive has an AVX2 assembly body (span_amd64.s) selected at
-// package init when the CPU supports it and the lane count is even
-// (odd L takes the Go bodies), and a pure-Go body that is the
-// bit-for-bit reference. The assembly is constrained to be
+// Each primitive has a pure-Go body, the bit-for-bit reference, and
+// SIMD bodies in span_amd64.s: AVX2 for every primitive, AVX-512 for
+// all but negBoth, and 8-lane ZMM specializations of the scale, acc,
+// scale+acc and collapse passes. The host's tiers are resolved once at
+// package init (useSIMD, useSIMD512); per call each wrapper checks its
+// bodies' lane-count preconditions, widest tier first, and otherwise
+// takes the Go body (odd L always does). These wrappers are the only
+// readers of the tier flags — the executor in batch.go never asks
+// which body runs. The assembly is constrained to be
 // bitwise-identical to the Go bodies: every float op is an IEEE-754
 // binary64 mul/add/sub in round-to-nearest with no FMA contraction
 // (VMULPD/VADDPD/VADDSUBPD — the gc compiler never contracts on amd64
@@ -211,54 +216,6 @@ func spanCollapseBlocks(span []complex128, cc []float64, mA, mB []uint64, acc []
 		if left--; left == 0 {
 			mA, mB = mB, mA
 			left = blk
-		}
-	}
-}
-
-// spanAntiAccBlocks applies per-lane anti-diagonal jump operators to a
-// subset of lanes in one whole-block pass: for each pair group of
-// 2·blk elements (blk = mask·L), element j of the lo half and element
-// j of the hi half form lane j mod L's amplitude pair, and lanes whose
-// keep-mask slots are zero receive lo' = c01·hi, hi' = c10·lo (the
-// scalar anti kernel's swap) with |lo'|² and |hi'|² accumulated into
-// their aA/aB slots in ascending pair order; lanes whose keep-mask
-// slots are all-ones keep both halves bit-untouched. The coefficients
-// arrive as duplicated re/im part arrays (cr01/ci01/cr10/ci10, lane l
-// at slots 2l and 2l+1); the complex products are formed exactly as
-// the gc compiler forms a complex128 multiply (re = cr·hre − ci·him,
-// im = cr·him + ci·hre, one rounding each), so an anti lane's bytes
-// equal the strided per-lane kernel's. Keep-mask slots must be
-// all-ones or all-zero; kept lanes' coefficient slots and every kept
-// lane's aA/aB slots are unspecified (the SIMD bodies compute and
-// mask, and accumulate all lanes — callers read only anti-lane
-// accumulator slots).
-func spanAntiAccBlocks(span []complex128, cr01, ci01, cr10, ci10 []float64, kp []uint64, aA, aB []float64, blk int) {
-	if useSIMD512 && len(cr01) == 16 {
-		spanAntiAccBlocksZ8(span, cr01, ci01, cr10, ci10, kp, aA, aB, blk)
-		return
-	}
-	if useSIMD && len(cr01)&3 == 0 {
-		spanAntiAccBlocksASM(span, cr01, ci01, cr10, ci10, kp, aA, aB, blk)
-		return
-	}
-	L2 := len(cr01)
-	for base := 0; base < len(span); base += blk << 1 {
-		lo := span[base : base+blk : base+blk]
-		hi := span[base+blk : base+blk+blk : base+blk+blk]
-		k := 0
-		for j, a0 := range lo {
-			if kp[k] == 0 {
-				a1 := hi[j]
-				v0 := complex(cr01[k], ci01[k]) * a1
-				v1 := complex(cr10[k], ci10[k]) * a0
-				lo[j] = v0
-				hi[j] = v1
-				aA[k] += real(v0)*real(v0) + imag(v0)*imag(v0)
-				aB[k] += real(v1)*real(v1) + imag(v1)*imag(v1)
-			}
-			if k += 2; k == L2 {
-				k = 0
-			}
 		}
 	}
 }

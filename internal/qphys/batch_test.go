@@ -70,22 +70,42 @@ func batchTestSchedule1() []SchedOp {
 	}
 }
 
-// simdModes lists the span-kernel bodies the host can run: the SIMD
-// kernels when present, and always the pure-Go bodies.
-func simdModes() []bool {
-	if useSIMD {
-		return []bool{true, false}
-	}
-	return []bool{false}
+// simdMode names one tier of span-kernel bodies: the pure-Go bodies,
+// the AVX2 bodies alone, or every SIMD body the host has (AVX-512 and
+// the 8-lane specializations included).
+type simdMode int
+
+const (
+	simdOff simdMode = iota
+	simdAVX2
+	simdFull
+)
+
+func (m simdMode) String() string {
+	return [...]string{"off", "avx2", "full"}[m]
 }
 
-// withSIMD runs f with the SIMD span kernels enabled or disabled.
-func withSIMD(on bool, f func()) {
+// simdModes lists every tier the host can run, widest first. An
+// AVX-512 host lists AVX2 separately, because there the wrappers send
+// most lane counts to the AVX-512 bodies and the AVX2 bodies that
+// AVX2-only CPUs run would otherwise go untested.
+func simdModes() []simdMode {
+	switch {
+	case useSIMD512:
+		return []simdMode{simdFull, simdAVX2, simdOff}
+	case useSIMD:
+		return []simdMode{simdAVX2, simdOff}
+	}
+	return []simdMode{simdOff}
+}
+
+// withSIMD runs f with the span kernels limited to tier m. It only
+// narrows: a tier the host lacks stays off.
+func withSIMD(m simdMode, f func()) {
 	simd512, simd := useSIMD512, useSIMD
 	defer func() { useSIMD512, useSIMD = simd512, simd }()
-	if !on {
-		useSIMD512, useSIMD = false, false
-	}
+	useSIMD512 = simd512 && m == simdFull
+	useSIMD = simd && m != simdOff
 	f()
 }
 
@@ -137,7 +157,7 @@ func runLanesLikeReplay(lanes []*Trajectory, counts []int, ops []SchedOp, out []
 
 // TestRunScheduleBatchMatchesScalarPerLane is the tentpole kernel pin:
 // for every lane width, at five qubits (span passes) and one (lane
-// kernel), under the SIMD and the pure-Go span bodies, each lane of the
+// kernel), under every span-kernel tier the host has, each lane of the
 // batch must track its scalar RunSchedule twin bit for bit —
 // amplitudes, outcomes, and PRNG position — across multiple shots with
 // carries threading shot to shot. Odd bases give the lanes unequal
@@ -150,7 +170,7 @@ func TestRunScheduleBatchMatchesScalarPerLane(t *testing.T) {
 	}{{5, batchTestSchedule()}, {1, batchTestSchedule1()}}
 	for _, sc := range schedules {
 		for _, simd := range simdModes() {
-			for _, L := range []int{1, 2, 3, 8} {
+			for _, L := range []int{1, 2, 3, 4, 6, 8} {
 				for base := int64(1); base <= 6; base++ {
 					counts := make([]int, L)
 					refs := make([]*Trajectory, L)
@@ -176,7 +196,7 @@ func TestRunScheduleBatchMatchesScalarPerLane(t *testing.T) {
 					withSIMD(simd, func() { runLanesLikeReplay(lanes, counts, sc.ops, batchOut) })
 
 					for l := 0; l < L; l++ {
-						ctx := fmt.Sprintf("n=%d simd=%v L=%d base=%d lane=%d", sc.n, simd, L, base, l)
+						ctx := fmt.Sprintf("n=%d simd=%s L=%d base=%d lane=%d", sc.n, simd, L, base, l)
 						if len(refOut[l]) != len(batchOut[l]) {
 							t.Fatalf("%s: outcome counts differ: %d vs %d", ctx, len(refOut[l]), len(batchOut[l]))
 						}
@@ -353,72 +373,6 @@ func TestRunScheduleBatchDoesNotAllocate(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("n=%d L=%d: RunScheduleBatch allocates %v times per shot, want 0", sc.n, L, allocs)
-			}
-		}
-	}
-}
-
-// TestSpanAntiAccBlocksKernels locks the SIMD bodies of the batched
-// anti pass to the pure-Go reference: for every even lane count
-// (including the L=8 register-resident ZMM specialization when the
-// host has it) and every qubit-mask period, random amplitudes and a
-// random anti-lane subset must produce identical span bytes and
-// identical accumulator slots for the anti lanes. Kept lanes'
-// accumulator slots are unspecified and not compared.
-func TestSpanAntiAccBlocksKernels(t *testing.T) {
-	if !useSIMD {
-		t.Skip("no SIMD on this host")
-	}
-	rng := rand.New(rand.NewSource(41))
-	for _, L := range []int{2, 4, 8, 16} {
-		for _, nq := range []int{1, 3, 5} {
-			dim := 1 << nq
-			for mask := 1; mask < dim; mask <<= 1 {
-				span := make([]complex128, dim*L)
-				for i := range span {
-					span[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-				}
-				ref := append([]complex128(nil), span...)
-				cr01 := make([]float64, 2*L)
-				ci01 := make([]float64, 2*L)
-				cr10 := make([]float64, 2*L)
-				ci10 := make([]float64, 2*L)
-				kp := make([]uint64, 2*L)
-				aA := make([]float64, 2*L)
-				aB := make([]float64, 2*L)
-				refA := make([]float64, 2*L)
-				refB := make([]float64, 2*L)
-				antiLane := make([]bool, L)
-				for l := 0; l < L; l++ {
-					if rng.Intn(2) == 0 {
-						antiLane[l] = true
-						cr01[2*l], cr01[2*l+1] = rng.NormFloat64(), 0
-						cr01[2*l+1] = cr01[2*l]
-						ci01[2*l], ci01[2*l+1] = rng.NormFloat64(), 0
-						ci01[2*l+1] = ci01[2*l]
-						cr10[2*l], cr10[2*l+1] = rng.NormFloat64(), 0
-						cr10[2*l+1] = cr10[2*l]
-						ci10[2*l], ci10[2*l+1] = rng.NormFloat64(), 0
-						ci10[2*l+1] = ci10[2*l]
-					} else {
-						kp[2*l], kp[2*l+1] = ^uint64(0), ^uint64(0)
-					}
-				}
-				withSIMD(false, func() {
-					spanAntiAccBlocks(ref, cr01, ci01, cr10, ci10, kp, refA, refB, mask*L)
-				})
-				spanAntiAccBlocks(span, cr01, ci01, cr10, ci10, kp, aA, aB, mask*L)
-				for i := range span {
-					if span[i] != ref[i] {
-						t.Fatalf("L=%d nq=%d mask=%d: span[%d] = %v, reference %v", L, nq, mask, i, span[i], ref[i])
-					}
-				}
-				for l := 0; l < L; l++ {
-					if antiLane[l] && (aA[2*l] != refA[2*l] || aB[2*l] != refB[2*l]) {
-						t.Fatalf("L=%d nq=%d mask=%d lane %d: acc (%v,%v), reference (%v,%v)",
-							L, nq, mask, l, aA[2*l], aB[2*l], refA[2*l], refB[2*l])
-					}
-				}
 			}
 		}
 	}

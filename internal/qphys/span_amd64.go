@@ -64,12 +64,6 @@ func spanScaleAccBlocksZ8(span []complex128, cA, cB, aA, aB []float64, blkC, blk
 func spanCollapseBlocksZ8(span []complex128, cc []float64, mA, mB []uint64, acc []float64, blk int)
 
 //go:noescape
-func spanAntiAccBlocksASM(span []complex128, cr01, ci01, cr10, ci10 []float64, kp []uint64, aA, aB []float64, blk int)
-
-//go:noescape
-func spanAntiAccBlocksZ8(span []complex128, cr01, ci01, cr10, ci10 []float64, kp []uint64, aA, aB []float64, blk int)
-
-//go:noescape
 func spanApply1RDBlocksAVX512(span []complex128, maskL int, r00, r11, u01re, u01im, u10re, u10im float64)
 
 //go:noescape

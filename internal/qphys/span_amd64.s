@@ -2,12 +2,16 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the span primitives (batch_span.go). The bit-identity
-// obligations are spelled out there; in short: every arithmetic
-// instruction is an IEEE-754 binary64 operation in the prevailing
-// round-to-nearest mode, matching the gc compiler's scalar lowering
-// one rounding for one rounding (no FMA contraction anywhere), and the
-// only reorderings are commuted additions, which are bitwise-neutral.
+// SIMD bodies of the span primitives (batch_span.go), in three tiers:
+// AVX2 (YMM, the *ASM bodies), AVX-512 (ZMM, the *AVX512 bodies) and
+// 8-lane ZMM specializations (the *Z8 bodies), plus the vector
+// reciprocal root. The wrappers in batch_span.go pick the tier per call
+// and hold each body's preconditions. The bit-identity obligations are
+// spelled out there; in short: every arithmetic instruction is an
+// IEEE-754 binary64 operation in the prevailing round-to-nearest mode,
+// matching the gc compiler's scalar lowering one rounding for one
+// rounding (no FMA contraction anywhere), and the only reorderings are
+// commuted additions, which are bitwise-neutral.
 //
 // Register conventions shared by the block walkers:
 //   SI moving span pointer, BX span end pointer,
@@ -17,10 +21,11 @@
 //   CX/R10 current/other coefficient base (swapped every blkC),
 //   R8/R9 current/other accumulator base (swapped every blkA),
 //   R12/R13 byte countdowns to the next coefficient/accumulator swap.
-// Each iteration handles one YMM register: 2 complex128 amplitudes,
-// congruent with 4 float64 of a duplicated array. The even-L gate in
-// the wrappers guarantees the 32-byte step divides both swap periods
-// and the wrap length, so a vector never straddles a boundary.
+// Each AVX2 iteration handles one YMM register: 2 complex128
+// amplitudes, congruent with 4 float64 of a duplicated array. The
+// even-L gate in the wrappers guarantees the 32-byte step divides both
+// swap periods and the wrap length, so a vector never straddles a
+// boundary.
 
 // func cpuSupportsAVX2() bool
 TEXT ·cpuSupportsAVX2(SB), NOSPLIT, $0-1
@@ -390,8 +395,7 @@ cpdone:
 // VSHUFPD's $0x55 immediate swaps within each 128-bit pair across the
 // full ZMM, so the |a|² self-swap-add trick carries over unchanged.
 // The wrappers gate on a lane count divisible by 4, making 64 bytes
-// divide the duplicated wrap and both swap periods. VADDSUBPD has no
-// EVEX form, so spanApply1RDBlocks stays on the AVX2 body.
+// divide the duplicated wrap and both swap periods.
 
 // func spanScaleBlocksAVX512(span []complex128, cA, cB []float64, blkC int)
 TEXT ·spanScaleBlocksAVX512(SB), NOSPLIT, $0-80
@@ -786,226 +790,9 @@ z8cpdone:
 	VZEROUPPER
 	RET
 
-// func spanAntiAccBlocksASM(span []complex128, cr01, ci01, cr10, ci10 []float64, kp []uint64, aA, aB []float64, blk int)
-//
-// Whole-block batched anti-diagonal pass: within each 2·blk group,
-// lo element j pairs with hi element j. Per 32-byte step (2 lanes):
-// nlo = c01·hi and nhi = c10·lo via the VMULPD/VMULPD/VADDSUBPD
-// complex-multiply sequence (same roundings as the gc compiler), then
-// a bitwise blend against the keep-mask — all-ones slots pass the
-// original amplitude bits through untouched, all-zero slots take the
-// product — and a self-swap-add |·|² accumulation of the blended
-// values into the aA (lo) / aB (hi) slots. The rolling dup cursor R10
-// indexes all per-lane arrays; group boundaries are multiples of the
-// 16L wrap, so the cursor is 0 at every group start. The four
-// coefficient bases share R12/R13, reloaded from the frame per step.
-TEXT ·spanAntiAccBlocksASM(SB), NOSPLIT, $0-200
-	MOVQ span_base+0(FP), SI
-	MOVQ span_len+8(FP), BX
-	SHLQ $4, BX
-	ADDQ SI, BX
-	MOVQ blk+192(FP), R11
-	SHLQ $4, R11
-	MOVQ cr01_len+32(FP), DX
-	SHLQ $3, DX
-	MOVQ kp_base+120(FP), CX
-	MOVQ aA_base+144(FP), R8
-	MOVQ aB_base+168(FP), R9
-	XORQ R10, R10
-
-aaouter:
-	CMPQ SI, BX
-	JGE  aadone
-	LEAQ (SI)(R11*1), DI
-	XORQ AX, AX
-
-aainner:
-	VMOVUPD (SI)(AX*1), Y0            // lo
-	VMOVUPD (DI)(AX*1), Y1            // hi
-	VMOVUPD (CX)(R10*1), Y15          // keep-mask
-
-	// c01·hi
-	MOVQ      cr01_base+24(FP), R12
-	MOVQ      ci01_base+48(FP), R13
-	VSHUFPD   $5, Y1, Y1, Y2          // [hi.im, hi.re]
-	VMULPD    (R12)(R10*1), Y1, Y3    // [cr·re, cr·im]
-	VMULPD    (R13)(R10*1), Y2, Y4    // [ci·im, ci·re]
-	VADDSUBPD Y4, Y3, Y3              // [cr·re − ci·im, cr·im + ci·re]
-
-	// c10·lo
-	MOVQ      cr10_base+72(FP), R12
-	MOVQ      ci10_base+96(FP), R13
-	VSHUFPD   $5, Y0, Y0, Y2
-	VMULPD    (R12)(R10*1), Y0, Y5
-	VMULPD    (R13)(R10*1), Y2, Y6
-	VADDSUBPD Y6, Y5, Y5
-
-	// blend: keep-lanes pass original bits, anti lanes take products
-	VANDPD  Y15, Y0, Y7
-	VANDNPD Y3, Y15, Y3
-	VORPD   Y3, Y7, Y7                // new lo
-	VANDPD  Y15, Y1, Y8
-	VANDNPD Y5, Y15, Y5
-	VORPD   Y5, Y8, Y8                // new hi
-	VMOVUPD Y7, (SI)(AX*1)
-	VMOVUPD Y8, (DI)(AX*1)
-
-	// |new|² into the lane slots (both dup copies identical)
-	VMULPD  Y7, Y7, Y9
-	VSHUFPD $5, Y9, Y9, Y10
-	VADDPD  Y10, Y9, Y9
-	VADDPD  (R8)(R10*1), Y9, Y9
-	VMOVUPD Y9, (R8)(R10*1)
-	VMULPD  Y8, Y8, Y11
-	VSHUFPD $5, Y11, Y11, Y12
-	VADDPD  Y12, Y11, Y11
-	VADDPD  (R9)(R10*1), Y11, Y11
-	VMOVUPD Y11, (R9)(R10*1)
-
-	ADDQ $32, R10
-	CMPQ R10, DX
-	JNE  aanowrap
-	XORQ R10, R10
-
-aanowrap:
-	ADDQ $32, AX
-	CMPQ AX, R11
-	JLT  aainner
-	LEAQ (DI)(R11*1), SI
-	JMP  aaouter
-
-aadone:
-	VZEROUPPER
-	RET
-
 DATA  altsign<>+0(SB)/8, $0x8000000000000000
 DATA  altsign<>+8(SB)/8, $0x0000000000000000
 GLOBL altsign<>(SB), RODATA, $16
-
-// func spanAntiAccBlocksZ8(span []complex128, cr01, ci01, cr10, ci10 []float64, kp []uint64, aA, aB []float64, blk int)
-//
-// L=8 ZMM specialization of the batched anti pass: every per-lane
-// array is exactly two ZMM registers, so coefficients, keep-masks, and
-// both accumulator pairs are loaded once and live in registers for the
-// whole walk; each iteration handles one 128-byte row of each half
-// with no rolling cursor. VADDSUBPD has no EVEX form, so the
-// complex-multiply combine is an explicit even-slot sign flip (VXORPD
-// with the alternating sign constant — exact) followed by VADDPD:
-// x − y ≡ x + (−y) in IEEE-754, bit for bit.
-TEXT ·spanAntiAccBlocksZ8(SB), NOSPLIT, $0-200
-	MOVQ span_base+0(FP), SI
-	MOVQ span_len+8(FP), BX
-	SHLQ $4, BX
-	ADDQ SI, BX
-	MOVQ blk+192(FP), R11
-	SHLQ $4, R11
-	MOVQ cr01_base+24(FP), R12
-	VMOVUPD (R12), Z20
-	VMOVUPD 64(R12), Z21
-	MOVQ ci01_base+48(FP), R12
-	VMOVUPD (R12), Z22
-	VMOVUPD 64(R12), Z23
-	MOVQ cr10_base+72(FP), R12
-	VMOVUPD (R12), Z24
-	VMOVUPD 64(R12), Z25
-	MOVQ ci10_base+96(FP), R12
-	VMOVUPD (R12), Z26
-	VMOVUPD 64(R12), Z27
-	MOVQ kp_base+120(FP), R12
-	VMOVUPD (R12), Z28
-	VMOVUPD 64(R12), Z29
-	MOVQ aA_base+144(FP), R8
-	VMOVUPD (R8), Z16
-	VMOVUPD 64(R8), Z17
-	MOVQ aB_base+168(FP), R9
-	VMOVUPD (R9), Z18
-	VMOVUPD 64(R9), Z19
-	VBROADCASTF64X2 altsign<>(SB), Z30
-
-z8aaouter:
-	CMPQ SI, BX
-	JGE  z8aadone
-	LEAQ (SI)(R11*1), DI
-	XORQ AX, AX
-
-z8aainner:
-	VMOVUPD (SI)(AX*1), Z0            // lo, lanes 0–3
-	VMOVUPD 64(SI)(AX*1), Z1          // lo, lanes 4–7
-	VMOVUPD (DI)(AX*1), Z2            // hi, lanes 0–3
-	VMOVUPD 64(DI)(AX*1), Z3          // hi, lanes 4–7
-
-	// new lo = blend(lo, c01·hi)
-	VSHUFPD $0x55, Z2, Z2, Z8
-	VMULPD  Z2, Z20, Z9
-	VMULPD  Z8, Z22, Z8
-	VXORPD  Z30, Z8, Z8
-	VADDPD  Z8, Z9, Z9
-	VANDPD  Z0, Z28, Z10
-	VANDNPD Z9, Z28, Z9
-	VORPD   Z9, Z10, Z10
-	VSHUFPD $0x55, Z3, Z3, Z8
-	VMULPD  Z3, Z21, Z11
-	VMULPD  Z8, Z23, Z8
-	VXORPD  Z30, Z8, Z8
-	VADDPD  Z8, Z11, Z11
-	VANDPD  Z1, Z29, Z12
-	VANDNPD Z11, Z29, Z11
-	VORPD   Z11, Z12, Z12
-
-	// new hi = blend(hi, c10·lo)
-	VSHUFPD $0x55, Z0, Z0, Z8
-	VMULPD  Z0, Z24, Z13
-	VMULPD  Z8, Z26, Z8
-	VXORPD  Z30, Z8, Z8
-	VADDPD  Z8, Z13, Z13
-	VANDPD  Z2, Z28, Z14
-	VANDNPD Z13, Z28, Z13
-	VORPD   Z13, Z14, Z14
-	VSHUFPD $0x55, Z1, Z1, Z8
-	VMULPD  Z1, Z25, Z15
-	VMULPD  Z8, Z27, Z8
-	VXORPD  Z30, Z8, Z8
-	VADDPD  Z8, Z15, Z15
-	VANDPD  Z3, Z29, Z31
-	VANDNPD Z15, Z29, Z15
-	VORPD   Z15, Z31, Z31
-
-	VMOVUPD Z10, (SI)(AX*1)
-	VMOVUPD Z12, 64(SI)(AX*1)
-	VMOVUPD Z14, (DI)(AX*1)
-	VMOVUPD Z31, 64(DI)(AX*1)
-
-	// register-resident |new|² accumulation
-	VMULPD  Z10, Z10, Z8
-	VSHUFPD $0x55, Z8, Z8, Z9
-	VADDPD  Z9, Z8, Z8
-	VADDPD  Z8, Z16, Z16
-	VMULPD  Z12, Z12, Z8
-	VSHUFPD $0x55, Z8, Z8, Z9
-	VADDPD  Z9, Z8, Z8
-	VADDPD  Z8, Z17, Z17
-	VMULPD  Z14, Z14, Z8
-	VSHUFPD $0x55, Z8, Z8, Z9
-	VADDPD  Z9, Z8, Z8
-	VADDPD  Z8, Z18, Z18
-	VMULPD  Z31, Z31, Z8
-	VSHUFPD $0x55, Z8, Z8, Z9
-	VADDPD  Z9, Z8, Z8
-	VADDPD  Z8, Z19, Z19
-
-	ADDQ $128, AX
-	CMPQ AX, R11
-	JLT  z8aainner
-	LEAQ (DI)(R11*1), SI
-	JMP  z8aaouter
-
-z8aadone:
-	VMOVUPD Z16, (R8)
-	VMOVUPD Z17, 64(R8)
-	VMOVUPD Z18, (R9)
-	VMOVUPD Z19, 64(R9)
-	VZEROUPPER
-	RET
 
 // func spanApply1RDBlocksAVX512(span []complex128, maskL int, r00, r11, u01re, u01im, u10re, u10im float64)
 //

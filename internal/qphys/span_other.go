@@ -68,14 +68,6 @@ func spanCollapseBlocksZ8(span []complex128, cc []float64, mA, mB []uint64, acc 
 	panic("qphys: SIMD span kernel on unsupported architecture")
 }
 
-func spanAntiAccBlocksASM(span []complex128, cr01, ci01, cr10, ci10 []float64, kp []uint64, aA, aB []float64, blk int) {
-	panic("qphys: SIMD span kernel on unsupported architecture")
-}
-
-func spanAntiAccBlocksZ8(span []complex128, cr01, ci01, cr10, ci10 []float64, kp []uint64, aA, aB []float64, blk int) {
-	panic("qphys: SIMD span kernel on unsupported architecture")
-}
-
 func spanApply1RDBlocksAVX512(span []complex128, maskL int, r00, r11, u01re, u01im, u10re, u10im float64) {
 	panic("qphys: SIMD span kernel on unsupported architecture")
 }

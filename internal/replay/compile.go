@@ -128,18 +128,10 @@ func compileSchedule(sched []op) *compiled {
 	last := -1
 	for i := range c.ops {
 		s := &c.ops[i]
-		if (s.Kind == qphys.SchedChannel || s.Kind == qphys.SchedMeasure) && last >= 0 {
-			p := &c.ops[last]
-			switch p.Kind {
-			case qphys.SchedChannel:
-				p.CarryFor = s.Q
-			case qphys.SchedApply1, qphys.SchedApply1RD, qphys.SchedMeasure:
-				if p.Q == s.Q {
-					p.CarryFor = s.Q
-				}
-			}
+		if last >= 0 {
+			linkCarry(&c.ops[last], s)
 		}
-		if !(s.Kind == qphys.SchedCZ || (s.Kind == qphys.SchedApply2 && s.PhaseSafe)) {
+		if !carryTransparent(s) {
 			last = i
 		}
 	}
@@ -151,24 +143,36 @@ func compileSchedule(sched []op) *compiled {
 	if last >= 0 {
 		for i := range c.ops {
 			s := &c.ops[i]
-			if s.Kind == qphys.SchedChannel || s.Kind == qphys.SchedMeasure {
-				p := &c.ops[last]
-				switch p.Kind {
-				case qphys.SchedChannel:
-					p.CarryFor = s.Q
-				case qphys.SchedApply1, qphys.SchedApply1RD, qphys.SchedMeasure:
-					if p.Q == s.Q {
-						p.CarryFor = s.Q
-					}
-				}
-				break
-			}
-			if !(s.Kind == qphys.SchedCZ || (s.Kind == qphys.SchedApply2 && s.PhaseSafe)) {
+			linkCarry(&c.ops[last], s)
+			if !carryTransparent(s) {
 				break
 			}
 		}
 	}
 	return c
+}
+
+// linkCarry asks producer p to carry populations for step s when s is
+// a population consumer and p's kernel can: a channel carries any
+// qubit, a unitary or a measurement only its own.
+func linkCarry(p, s *qphys.SchedOp) {
+	if s.Kind != qphys.SchedChannel && s.Kind != qphys.SchedMeasure {
+		return
+	}
+	switch p.Kind {
+	case qphys.SchedChannel:
+		p.CarryFor = s.Q
+	case qphys.SchedApply1, qphys.SchedApply1RD, qphys.SchedMeasure:
+		if p.Q == s.Q {
+			p.CarryFor = s.Q
+		}
+	}
+}
+
+// carryTransparent reports whether step s leaves every |a|² bit
+// unchanged (a CZ or a phase-safe gate2), so a carry can pass over it.
+func carryTransparent(s *qphys.SchedOp) bool {
+	return s.Kind == qphys.SchedCZ || (s.Kind == qphys.SchedApply2 && s.PhaseSafe)
 }
 
 // phaseSafeGate2 reports whether a two-qubit unitary is diagonal with
