@@ -146,17 +146,6 @@ func AllXYProgram(p AllXYParams) string {
 	return b.String()
 }
 
-// allXYPairProgram emits the program for one sweep point of the parallel
-// engine: Rounds averaging rounds of a single gate pair (twice per round
-// when Doubled, matching AllXYProgram's point order).
-func allXYPairProgram(p AllXYParams, pair AllXYPair) string {
-	var b strings.Builder
-	allXYHeader(&b, p)
-	emitAllXYPair(&b, p, pair)
-	allXYFooter(&b)
-	return b.String()
-}
-
 // allXYPairShotProgram emits the per-shot program for one gate pair: one
 // averaging round (the pair twice when Doubled); the round loop lives in
 // the replay engine.

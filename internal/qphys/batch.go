@@ -35,7 +35,10 @@ import (
 // coefficients, anti-diagonal jumps run a strided per-lane port of the
 // scalar tail on their own column, and the rare dense/complex
 // selections fall back to the scalar tail on a gathered copy — same
-// code, same inputs, bit-identical by construction. Populations come
+// code, same inputs, bit-identical by construction. A dense two-qubit
+// step, which the machine never records (its only two-qubit gate is the
+// CZ, a SchedCZ step), runs the scalar Apply2 per lane on a gathered
+// copy the same way. Populations come
 // from each lane's carry; when any lane lacks a valid one, one
 // whole-block pass recomputes them for every lane.
 //
@@ -585,57 +588,13 @@ func (b *TrajBatch) negateBothBatch(qa, qb int) {
 	spanNegBothBlocks(b.amp, hi*L, lo*L)
 }
 
-// apply2Batch is Apply2 with the lane loop innermost: the diagonal
-// fast path multiplies each touched group's rows, the dense path runs
-// the 4-amplitude block per lane. Identical arithmetic to the scalar
-// kernel per lane.
+// apply2Batch runs the scalar Apply2 per lane on a gathered copy, as
+// the ckTail channel lanes run the scalar tail.
 func (b *TrajBatch) apply2Batch(u Matrix, qa, qb int) {
-	L := b.L
-	amp := b.amp
-	ma := 1 << (b.nq - 1 - qa)
-	mb := 1 << (b.nq - 1 - qb)
-	dim := 1 << b.nq
-	if diag2(u) {
-		rest := (dim - 1) &^ (ma | mb)
-		for s, fixed := range [4]int{0, mb, ma, ma | mb} {
-			d := u.Data[s*4+s]
-			if d == 1 {
-				continue
-			}
-			r := 0
-			for {
-				row := amp[(r|fixed)*L : (r|fixed)*L+L : (r|fixed)*L+L]
-				for l := 0; l < L; l++ {
-					row[l] *= d
-				}
-				if r == rest {
-					break
-				}
-				r = (r - rest) & rest
-			}
-		}
-		return
-	}
-	both := ma | mb
-	for base := 0; base < dim; base++ {
-		if base&both != 0 {
-			continue
-		}
-		o0 := base * L
-		o1 := (base | mb) * L
-		o2 := (base | ma) * L
-		o3 := (base | ma | mb) * L
-		r0s := amp[o0 : o0+L : o0+L]
-		r1s := amp[o1 : o1+L : o1+L]
-		r2s := amp[o2 : o2+L : o2+L]
-		r3s := amp[o3 : o3+L : o3+L]
-		for l, a0 := range r0s {
-			a1, a2, a3 := r1s[l], r2s[l], r3s[l]
-			r0s[l] = u.Data[0]*a0 + u.Data[1]*a1 + u.Data[2]*a2 + u.Data[3]*a3
-			r1s[l] = u.Data[4]*a0 + u.Data[5]*a1 + u.Data[6]*a2 + u.Data[7]*a3
-			r2s[l] = u.Data[8]*a0 + u.Data[9]*a1 + u.Data[10]*a2 + u.Data[11]*a3
-			r3s[l] = u.Data[12]*a0 + u.Data[13]*a1 + u.Data[14]*a2 + u.Data[15]*a3
-		}
+	for l := 0; l < b.L; l++ {
+		b.gatherLane(l)
+		b.scratch.Apply2(u, qa, qb)
+		b.scatterLane(l)
 	}
 }
 

@@ -29,6 +29,11 @@ package qphys
 // pair pins that stream (its swap becomes a no-op), which covers every
 // mask-nesting sub-case of the scalar kernels with one code path.
 //
+// spanApply1RDBlocks and spanNegBothBlocks are also the scalar
+// executor's kernels: Trajectory.Apply1RD and NegateBoth call them at
+// one lane (L = 1), so both executors share each loop and its SIMD
+// bodies.
+//
 // Each primitive has a pure-Go body, the bit-for-bit reference, and
 // SIMD bodies in span_amd64.s: AVX2 for every primitive, AVX-512 for
 // all but negBoth, and 8-lane ZMM specializations of the scale, acc,

@@ -58,7 +58,6 @@ type ChannelTable struct {
 	freal    bool
 	fw0, fw1 float64
 	fr0, fr1 float64
-	fe0, fe1 complex128
 }
 
 // Operator classes of a ChannelTable entry, mirroring the dynamic
@@ -115,7 +114,6 @@ func NewChannelTable(ops []Matrix) *ChannelTable {
 	ct.fkind = ct.kind[0]
 	ct.freal = ct.realc[0]
 	ct.fw0, ct.fw1 = ct.w0[0], ct.w1[0]
-	ct.fe0, ct.fe1 = ct.e0[0], ct.e1[0]
 	ct.fr0, ct.fr1 = real(ct.e0[0]), real(ct.e1[0])
 	return ct
 }
@@ -242,9 +240,12 @@ func priceChannel(ct *ChannelTable, p0, p1, r float64) (chosen int, lastP float6
 // applyChannelSampled is the pricing + application tail of
 // ApplyChannelCarry, entered with the populations and the variate already
 // in hand — the compiled-schedule executor (RunSchedule) jumps here
-// directly when its inlined hot path does not apply. Deterministic in
-// (state, ct, q, p0, p1, r), so re-entering with the same inputs
-// reproduces the same selection bit for bit.
+// directly when its first-operator fast path does not apply, and the
+// lockstep executor runs it per lane for its rare selections. A real
+// diagonal selection is applied by scaleDiagReal, the kernel the fast
+// path calls too. Deterministic in (state, ct, q, p0, p1, r), so
+// re-entering with the same inputs reproduces the same selection bit for
+// bit.
 func (t *Trajectory) applyChannelSampled(ct *ChannelTable, q, mask int, p0, p1, r float64, nextQ int) PopCarry {
 	ops := ct.ops
 	psi := t.Psi
@@ -267,119 +268,7 @@ func (t *Trajectory) applyChannelSampled(ct *ChannelTable, q, mask int, p0, p1, 
 			// each amplitude's parts with two real multiplies. Identical to
 			// the complex multiply except for the sign of zeros, which no
 			// |a|² term, comparison, or downstream decision can observe.
-			r0, r1 := real(ct.e0[chosen])*rinv, real(ct.e1[chosen])*rinv
-			switch {
-			case nextQ == q:
-				// Fused apply + same-qubit population pass: lo amplitudes
-				// feed p0 and hi amplitudes feed p1, each in ascending
-				// index order — exactly the order of a standalone pass.
-				var np0, np1 float64
-				for base := 0; base < len(psi); base += mask << 1 {
-					for i := base; i < base+mask; i++ {
-						a := psi[i]
-						re, im := real(a)*r0, imag(a)*r0
-						psi[i] = complex(re, im)
-						np0 += re*re + im*im
-						b := psi[i+mask]
-						re, im = real(b)*r1, imag(b)*r1
-						psi[i+mask] = complex(re, im)
-						np1 += re*re + im*im
-					}
-				}
-				return PopCarry{P0: np0, P1: np1, Valid: true}
-			case nextQ >= 0 && nextQ < t.nq:
-				// Fused apply + other-qubit population pass, visiting every
-				// index exactly once in globally ascending order so each
-				// accumulator's addition order matches a standalone pass.
-				// The loops nest by whichever of the two masks is larger,
-				// so the coefficient and the accumulator each change only
-				// at their own block boundaries and the inner loops stay
-				// branch-free with register accumulators.
-				nmask := 1 << (t.nq - 1 - nextQ)
-				var np0, np1 float64
-				if nmask > mask {
-					// Accumulator constant per outer block, coefficient
-					// alternating every mask elements inside.
-					for nb := 0; nb < len(psi); nb += nmask {
-						s := np0
-						if nb&nmask != 0 {
-							s = np1
-						}
-						for mb := nb; mb < nb+nmask; mb += mask << 1 {
-							for i := mb; i < mb+mask; i++ {
-								a := psi[i]
-								re, im := real(a)*r0, imag(a)*r0
-								psi[i] = complex(re, im)
-								s += re*re + im*im
-							}
-							for i := mb + mask; i < mb+mask+mask; i++ {
-								a := psi[i]
-								re, im := real(a)*r1, imag(a)*r1
-								psi[i] = complex(re, im)
-								s += re*re + im*im
-							}
-						}
-						if nb&nmask != 0 {
-							np1 = s
-						} else {
-							np0 = s
-						}
-					}
-				} else if nmask == 1 {
-					// Bottom-qubit carry target: accumulators alternate
-					// every element, so walk each coefficient block
-					// pairwise with no inner slicing.
-					for mb := 0; mb < len(psi); mb += mask {
-						r := r0
-						if mb&mask != 0 {
-							r = r1
-						}
-						for i := mb; i+1 < mb+mask; i += 2 {
-							a := psi[i]
-							re, im := real(a)*r, imag(a)*r
-							psi[i] = complex(re, im)
-							np0 += re*re + im*im
-							b := psi[i+1]
-							re, im = real(b)*r, imag(b)*r
-							psi[i+1] = complex(re, im)
-							np1 += re*re + im*im
-						}
-					}
-				} else {
-					// Coefficient constant per outer block, accumulator
-					// alternating every nmask elements inside.
-					for mb := 0; mb < len(psi); mb += mask {
-						r := r0
-						if mb&mask != 0 {
-							r = r1
-						}
-						for nb := mb; nb < mb+mask; nb += nmask << 1 {
-							for i := nb; i < nb+nmask; i++ {
-								a := psi[i]
-								re, im := real(a)*r, imag(a)*r
-								psi[i] = complex(re, im)
-								np0 += re*re + im*im
-							}
-							for i := nb + nmask; i < nb+nmask+nmask; i++ {
-								a := psi[i]
-								re, im := real(a)*r, imag(a)*r
-								psi[i] = complex(re, im)
-								np1 += re*re + im*im
-							}
-						}
-					}
-				}
-				return PopCarry{P0: np0, P1: np1, Valid: true}
-			}
-			for base := 0; base < len(psi); base += mask << 1 {
-				for i := base; i < base+mask; i++ {
-					a := psi[i]
-					psi[i] = complex(real(a)*r0, imag(a)*r0)
-					b := psi[i+mask]
-					psi[i+mask] = complex(real(b)*r1, imag(b)*r1)
-				}
-			}
-			return PopCarry{}
+			return t.scaleDiagReal(q, mask, real(ct.e0[chosen])*rinv, real(ct.e1[chosen])*rinv, nextQ)
 		}
 		c0, c1 := ct.e0[chosen]*inv, ct.e1[chosen]*inv
 		if nextQ == q {
@@ -428,6 +317,127 @@ func (t *Trajectory) applyChannelSampled(ct *ChannelTable, q, mask int, p0, p1, 
 	return PopCarry{}
 }
 
+// scaleDiagReal applies a sampled real diagonal operator, already
+// normalized to the coefficients (r0, r1), to qubit q (mask = its bit)
+// and returns the carry nextQ asks for: q's own populations, another
+// qubit's, or none (nextQ < 0). Every apply+carry pass visits each index
+// once in globally ascending order, so each accumulator's addition order
+// matches a standalone population pass bit for bit. It is the one
+// real-diagonal channel apply of the scalar executor: applyChannelSampled
+// and RunSchedule's first-operator fast path both end here.
+func (t *Trajectory) scaleDiagReal(q, mask int, r0, r1 float64, nextQ int) PopCarry {
+	psi := t.Psi
+	switch {
+	case nextQ == q:
+		// Fused apply + same-qubit population pass: lo amplitudes feed p0
+		// and hi amplitudes feed p1, each in ascending index order —
+		// exactly the order of a standalone pass.
+		var np0, np1 float64
+		for base := 0; base < len(psi); base += mask << 1 {
+			for i := base; i < base+mask; i++ {
+				a := psi[i]
+				re, im := real(a)*r0, imag(a)*r0
+				psi[i] = complex(re, im)
+				np0 += re*re + im*im
+				b := psi[i+mask]
+				re, im = real(b)*r1, imag(b)*r1
+				psi[i+mask] = complex(re, im)
+				np1 += re*re + im*im
+			}
+		}
+		return PopCarry{P0: np0, P1: np1, Valid: true}
+	case nextQ >= 0 && nextQ < t.nq:
+		// Fused apply + other-qubit population pass. The loops nest by
+		// whichever of the two masks is larger, so the coefficient and
+		// the accumulator each change only at their own block boundaries
+		// and the inner loops stay branch-free with register accumulators.
+		nmask := 1 << (t.nq - 1 - nextQ)
+		var np0, np1 float64
+		if nmask > mask {
+			// Accumulator constant per outer block, coefficient
+			// alternating every mask elements inside.
+			for nb := 0; nb < len(psi); nb += nmask {
+				s := np0
+				if nb&nmask != 0 {
+					s = np1
+				}
+				for mb := nb; mb < nb+nmask; mb += mask << 1 {
+					for i := mb; i < mb+mask; i++ {
+						a := psi[i]
+						re, im := real(a)*r0, imag(a)*r0
+						psi[i] = complex(re, im)
+						s += re*re + im*im
+					}
+					for i := mb + mask; i < mb+mask+mask; i++ {
+						a := psi[i]
+						re, im := real(a)*r1, imag(a)*r1
+						psi[i] = complex(re, im)
+						s += re*re + im*im
+					}
+				}
+				if nb&nmask != 0 {
+					np1 = s
+				} else {
+					np0 = s
+				}
+			}
+		} else if nmask == 1 {
+			// Bottom-qubit carry target: accumulators alternate every
+			// element, so walk each coefficient block pairwise with no
+			// inner slicing.
+			for mb := 0; mb < len(psi); mb += mask {
+				r := r0
+				if mb&mask != 0 {
+					r = r1
+				}
+				for i := mb; i+1 < mb+mask; i += 2 {
+					a := psi[i]
+					re, im := real(a)*r, imag(a)*r
+					psi[i] = complex(re, im)
+					np0 += re*re + im*im
+					b := psi[i+1]
+					re, im = real(b)*r, imag(b)*r
+					psi[i+1] = complex(re, im)
+					np1 += re*re + im*im
+				}
+			}
+		} else {
+			// Coefficient constant per outer block, accumulator
+			// alternating every nmask elements inside.
+			for mb := 0; mb < len(psi); mb += mask {
+				r := r0
+				if mb&mask != 0 {
+					r = r1
+				}
+				for nb := mb; nb < mb+mask; nb += nmask << 1 {
+					for i := nb; i < nb+nmask; i++ {
+						a := psi[i]
+						re, im := real(a)*r, imag(a)*r
+						psi[i] = complex(re, im)
+						np0 += re*re + im*im
+					}
+					for i := nb + nmask; i < nb+nmask+nmask; i++ {
+						a := psi[i]
+						re, im := real(a)*r, imag(a)*r
+						psi[i] = complex(re, im)
+						np1 += re*re + im*im
+					}
+				}
+			}
+		}
+		return PopCarry{P0: np0, P1: np1, Valid: true}
+	}
+	for base := 0; base < len(psi); base += mask << 1 {
+		for i := base; i < base+mask; i++ {
+			a := psi[i]
+			psi[i] = complex(real(a)*r0, imag(a)*r0)
+			b := psi[i+mask]
+			psi[i+mask] = complex(real(b)*r1, imag(b)*r1)
+		}
+	}
+	return PopCarry{}
+}
+
 // Apply1Carry is Apply1 fused with a same-qubit population pass: it
 // applies the single-qubit unitary to qubit q and accumulates q's
 // populations from the new amplitudes — lo values feed p0 and hi values
@@ -461,18 +471,12 @@ func (t *Trajectory) Apply1Carry(u Matrix, q int) PopCarry {
 	return PopCarry{P0: np0, P1: np1, Valid: true}
 }
 
-// MeasureWithProb is Measure with qubit q's raw excited-state population
+// MeasureCarry is Measure with qubit q's raw excited-state population
 // already known: p1 must equal the |1⟩ population a fresh pass would
 // compute (e.g. the P1 of a Valid PopCarry for q). It clamps, samples,
-// and collapses exactly as Measure does, consuming one variate — bit-
-// identical to Measure whenever the precondition holds.
-func (t *Trajectory) MeasureWithProb(q int, p1 float64, rng *rand.Rand) int {
-	outcome, _ := t.MeasureCarry(q, p1, rng, false)
-	return outcome
-}
-
-// MeasureCarry is MeasureWithProb that can additionally carry qubit q's
-// post-collapse populations to the next schedule step: the projection
+// and collapses exactly as Measure does, consuming one variate. With
+// wantCarry it additionally carries qubit q's post-collapse populations
+// to the next schedule step: the projection
 // pass accumulates the renormalized survivors' |a|² in ascending index
 // order (the zeroed branch contributes an exact 0), so the carry matches
 // a standalone pass bit for bit. The degenerate zero-probability reset
@@ -563,8 +567,9 @@ func IsCZ(u Matrix) bool {
 }
 
 // NegateBoth negates every amplitude whose qa and qb bits are both set —
-// the CZ gate, without Apply2's classification and group walk. Identical
-// to Apply2(CZ, qa, qb) except for the sign of zeros (negation vs
+// the CZ gate, without Apply2's classification and group walk: the
+// lockstep executor's span kernel at one lane. Identical to
+// Apply2(CZ, qa, qb) except for the sign of zeros (negation vs
 // multiplication by −1+0i), which nothing downstream can observe.
 func (t *Trajectory) NegateBoth(qa, qb int) {
 	if qa == qb || qa < 0 || qa >= t.nq || qb < 0 || qb >= t.nq {
@@ -575,15 +580,7 @@ func (t *Trajectory) NegateBoth(qa, qb int) {
 	if lo > hi {
 		hi, lo = lo, hi
 	}
-	psi := t.Psi
-	for a := hi; a < len(psi); a += hi << 1 {
-		for b := a + lo; b < a+hi; b += lo << 1 {
-			seg := psi[b : b+lo : b+lo]
-			for j := range seg {
-				seg[j] = -seg[j]
-			}
-		}
-	}
+	spanNegBothBlocks(t.Psi, hi, lo)
 }
 
 // RealDiag2 reports whether a single-qubit unitary's diagonal entries
@@ -596,9 +593,9 @@ func RealDiag2(u Matrix) bool {
 
 // Apply1RD is Apply1 specialized for unitaries with real diagonal
 // entries (RealDiag2): the diagonal terms scale each amplitude's parts
-// with two real multiplies instead of a complex multiply. Identical to
-// Apply1 except for the sign of zeros, which nothing downstream can
-// observe.
+// with two real multiplies instead of a complex multiply. It is the
+// lockstep executor's span kernel at one lane. Identical to Apply1
+// except for the sign of zeros, which nothing downstream can observe.
 func (t *Trajectory) Apply1RD(u Matrix, q int) {
 	if u.N != 2 {
 		panic("qphys: Apply1RD requires a single-qubit gate")
@@ -606,19 +603,7 @@ func (t *Trajectory) Apply1RD(u Matrix, q int) {
 	if q < 0 || q >= t.nq {
 		panic(fmt.Sprintf("qphys: Apply1RD qubit %d out of range 0..%d", q, t.nq-1))
 	}
-	mask := 1 << (t.nq - 1 - q)
-	r00, r11 := real(u.Data[0]), real(u.Data[3])
-	u01, u10 := u.Data[1], u.Data[2]
-	psi := t.Psi
-	for base := 0; base < len(psi); base += mask << 1 {
-		for i := base; i < base+mask; i++ {
-			a0, a1 := psi[i], psi[i+mask]
-			x := u01 * a1
-			y := u10 * a0
-			psi[i] = complex(real(a0)*r00+real(x), imag(a0)*r00+imag(x))
-			psi[i+mask] = complex(real(y)+real(a1)*r11, imag(y)+imag(a1)*r11)
-		}
-	}
+	spanApply1RDBlocks(t.Psi, 1<<(t.nq-1-q), real(u.Data[0]), real(u.Data[3]), u.Data[1], u.Data[2])
 }
 
 // Apply1RDCarry is Apply1RD fused with a same-qubit population pass (see

@@ -169,39 +169,49 @@ func TestMeasureCarryMatchesMeasure(t *testing.T) {
 	}
 }
 
+// TestApply1RDAndCarryMatchApply1 pins Apply1RD — the span kernel at one
+// lane, so masks 2..8 reach its AVX2 and AVX-512 bodies — and
+// Apply1RDCarry to the reference Apply1 on every SIMD tier the host has.
 func TestApply1RDAndCarryMatchApply1(t *testing.T) {
 	const n = 4
 	us := []Matrix{REquator(0.3, 1.1), REquator(2.0, math.Pi), RX(0.5), Hadamard()}
-	for ui, u := range us {
-		if !RealDiag2(u) {
-			t.Fatalf("test unitary %d should have real diagonal entries", ui)
-		}
-		for q := 0; q < n; q++ {
-			ref := randomTrajectory(n, int64(ui)+7)
-			rd := randomTrajectory(n, int64(ui)+7)
-			fc := randomTrajectory(n, int64(ui)+7)
-			ref.Apply1(u, q)
-			rd.Apply1RD(u, q)
-			carry := fc.Apply1RDCarry(u, q)
-			samePsi(t, ref, rd, fmt.Sprintf("Apply1RD u=%d q=%d", ui, q))
-			samePsi(t, ref, fc, fmt.Sprintf("Apply1RDCarry u=%d q=%d", ui, q))
-			// Carry equals a fresh pass.
-			var p0, p1 float64
-			mask := 1 << (n - 1 - q)
-			for base := 0; base < len(ref.Psi); base += mask << 1 {
-				for i := base; i < base+mask; i++ {
-					a0, a1 := ref.Psi[i], ref.Psi[i+mask]
-					p0 += real(a0)*real(a0) + imag(a0)*imag(a0)
-					p1 += real(a1)*real(a1) + imag(a1)*imag(a1)
+	for _, mode := range simdModes() {
+		withSIMD(mode, func() {
+			for ui, u := range us {
+				if !RealDiag2(u) {
+					t.Fatalf("test unitary %d should have real diagonal entries", ui)
+				}
+				for q := 0; q < n; q++ {
+					ref := randomTrajectory(n, int64(ui)+7)
+					rd := randomTrajectory(n, int64(ui)+7)
+					fc := randomTrajectory(n, int64(ui)+7)
+					ref.Apply1(u, q)
+					rd.Apply1RD(u, q)
+					carry := fc.Apply1RDCarry(u, q)
+					samePsi(t, ref, rd, fmt.Sprintf("Apply1RD simd=%s u=%d q=%d", mode, ui, q))
+					samePsi(t, ref, fc, fmt.Sprintf("Apply1RDCarry simd=%s u=%d q=%d", mode, ui, q))
+					// Carry equals a fresh pass.
+					var p0, p1 float64
+					mask := 1 << (n - 1 - q)
+					for base := 0; base < len(ref.Psi); base += mask << 1 {
+						for i := base; i < base+mask; i++ {
+							a0, a1 := ref.Psi[i], ref.Psi[i+mask]
+							p0 += real(a0)*real(a0) + imag(a0)*imag(a0)
+							p1 += real(a1)*real(a1) + imag(a1)*imag(a1)
+						}
+					}
+					if carry.P0 != p0 || carry.P1 != p1 {
+						t.Fatalf("simd=%s u=%d q=%d: carry (%v,%v) != fresh pass (%v,%v)", mode, ui, q, carry.P0, carry.P1, p0, p1)
+					}
 				}
 			}
-			if carry.P0 != p0 || carry.P1 != p1 {
-				t.Fatalf("u=%d q=%d: carry (%v,%v) != fresh pass (%v,%v)", ui, q, carry.P0, carry.P1, p0, p1)
-			}
-		}
+		})
 	}
 }
 
+// TestNegateBothMatchesApply2CZ pins NegateBoth — the span kernel at one
+// lane, so periods 2..16 reach its AVX2 body — to the reference Apply2 of
+// the CZ on every SIMD tier the host has.
 func TestNegateBothMatchesApply2CZ(t *testing.T) {
 	const n = 5
 	cz := CZ()
@@ -211,17 +221,21 @@ func TestNegateBothMatchesApply2CZ(t *testing.T) {
 	if IsCZ(Identity(4)) || IsCZ(Hadamard()) {
 		t.Fatal("IsCZ must reject non-CZ matrices")
 	}
-	for qa := 0; qa < n; qa++ {
-		for qb := 0; qb < n; qb++ {
-			if qa == qb {
-				continue
+	for _, mode := range simdModes() {
+		withSIMD(mode, func() {
+			for qa := 0; qa < n; qa++ {
+				for qb := 0; qb < n; qb++ {
+					if qa == qb {
+						continue
+					}
+					ref := randomTrajectory(n, int64(qa*n+qb))
+					cmp := randomTrajectory(n, int64(qa*n+qb))
+					ref.Apply2(cz, qa, qb)
+					cmp.NegateBoth(qa, qb)
+					samePsi(t, ref, cmp, fmt.Sprintf("CZ simd=%s (%d,%d)", mode, qa, qb))
+				}
 			}
-			ref := randomTrajectory(n, int64(qa*n+qb))
-			cmp := randomTrajectory(n, int64(qa*n+qb))
-			ref.Apply2(cz, qa, qb)
-			cmp.NegateBoth(qa, qb)
-			samePsi(t, ref, cmp, fmt.Sprintf("CZ (%d,%d)", qa, qb))
-		}
+		})
 	}
 }
 

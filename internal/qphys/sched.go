@@ -5,12 +5,13 @@ import "math"
 // sched.go — single-pass execution of a compiled shot schedule on the
 // trajectory backend. A schedule compiler (internal/replay) lowers a
 // recorded shot into []SchedOp once; RunSchedule then executes the whole
-// shot with the hot channel path inlined, the state slice and PRNG
-// hoisted out of the step loop, and population carries threaded between
-// steps — every arithmetic decision bit-identical to executing the same
-// operations through Apply1/ApplyKraus1/Measure one call at a time
-// (modulo the sign of zeros, which nothing can observe; see
-// compiled.go).
+// shot with the channel step's population pass and first-operator check
+// inline, the state slice and PRNG hoisted out of the step loop, and
+// population carries threaded between steps. Every amplitude update is a
+// call to the one kernel of its operation in compiled.go, and every
+// arithmetic decision is bit-identical to executing the same operations
+// through Apply1/ApplyKraus1/Measure one call at a time (modulo the sign
+// of zeros, which nothing can observe; see compiled.go).
 
 // SchedOp kinds. The compiler picks the most specialized kind that
 // applies; RunSchedule trusts the classification.
@@ -52,11 +53,12 @@ type SchedOp struct {
 // invoked for every SchedMeasure step with the projected outcome; it
 // must complete the rest of the machine's measurement chain
 // (discrimination sampling, recording, result delivery) and may consume
-// the same PRNG. The hot channel path — axis pricing resolving to the
-// first operator, diagonal with real coefficients — is inlined here;
-// everything rarer re-enters the shared applyChannelSampled tail with
-// the same populations and variate, so the selection is reproduced bit
-// for bit.
+// the same PRNG. A channel step's population pass and its check for the
+// hot case — pricing resolves to the first operator, diagonal with real
+// coefficients — are inline here, and the hot case's apply is one call to
+// scaleDiagReal, the kernel applyChannelSampled uses for the same
+// operator. Everything rarer re-enters applyChannelSampled with the same
+// populations and variate, so the selection is reproduced bit for bit.
 //
 // in/inQ seed the population carry and the returned values hand the
 // trailing carry back: steady-state shots run back to back on one
@@ -90,7 +92,7 @@ func (t *Trajectory) RunSchedule(ops []SchedOp, in PopCarry, inQ int, measure fu
 				}
 			}
 			carryQ = nextQ
-			// Inlined hot path: the first operator absorbs the draw and is
+			// Hot path: the first operator absorbs the draw and is
 			// diagonal with real coefficients. The selection comparison is
 			// exactly the general pricing loop's first iteration
 			// (cum = 0.0 + p), so the branch decision is bit-identical.
@@ -100,109 +102,7 @@ func (t *Trajectory) RunSchedule(ops []SchedOp, in PopCarry, inQ int, measure fu
 				continue
 			}
 			rinv := 1 / math.Sqrt(fp)
-			r0, r1 := ct.fr0*rinv, ct.fr1*rinv
-			switch {
-			case nextQ == q:
-				// Fused apply + same-qubit population pass (ascending per
-				// accumulator, as a standalone pass would add them).
-				var np0, np1 float64
-				for base := 0; base < len(psi); base += mask << 1 {
-					for i := base; i < base+mask; i++ {
-						a := psi[i]
-						re, im := real(a)*r0, imag(a)*r0
-						psi[i] = complex(re, im)
-						np0 += re*re + im*im
-						b := psi[i+mask]
-						re, im = real(b)*r1, imag(b)*r1
-						psi[i+mask] = complex(re, im)
-						np1 += re*re + im*im
-					}
-				}
-				carry = PopCarry{P0: np0, P1: np1, Valid: true}
-			case nextQ >= 0:
-				// Fused apply + other-qubit population pass, nested by
-				// whichever mask is larger so coefficient and accumulator
-				// each change only at their own block boundaries (see
-				// ApplyChannelCarry for the ordering argument).
-				nmask := 1 << (t.nq - 1 - nextQ)
-				var np0, np1 float64
-				if nmask > mask {
-					for nb := 0; nb < len(psi); nb += nmask {
-						s := np0
-						if nb&nmask != 0 {
-							s = np1
-						}
-						for mb := nb; mb < nb+nmask; mb += mask << 1 {
-							for i := mb; i < mb+mask; i++ {
-								a := psi[i]
-								re, im := real(a)*r0, imag(a)*r0
-								psi[i] = complex(re, im)
-								s += re*re + im*im
-							}
-							for i := mb + mask; i < mb+mask+mask; i++ {
-								a := psi[i]
-								re, im := real(a)*r1, imag(a)*r1
-								psi[i] = complex(re, im)
-								s += re*re + im*im
-							}
-						}
-						if nb&nmask != 0 {
-							np1 = s
-						} else {
-							np0 = s
-						}
-					}
-				} else if nmask == 1 {
-					for mb := 0; mb < len(psi); mb += mask {
-						rr := r0
-						if mb&mask != 0 {
-							rr = r1
-						}
-						for i := mb; i+1 < mb+mask; i += 2 {
-							a := psi[i]
-							re, im := real(a)*rr, imag(a)*rr
-							psi[i] = complex(re, im)
-							np0 += re*re + im*im
-							b := psi[i+1]
-							re, im = real(b)*rr, imag(b)*rr
-							psi[i+1] = complex(re, im)
-							np1 += re*re + im*im
-						}
-					}
-				} else {
-					for mb := 0; mb < len(psi); mb += mask {
-						rr := r0
-						if mb&mask != 0 {
-							rr = r1
-						}
-						for nb := mb; nb < mb+mask; nb += nmask << 1 {
-							for i := nb; i < nb+nmask; i++ {
-								a := psi[i]
-								re, im := real(a)*rr, imag(a)*rr
-								psi[i] = complex(re, im)
-								np0 += re*re + im*im
-							}
-							for i := nb + nmask; i < nb+nmask+nmask; i++ {
-								a := psi[i]
-								re, im := real(a)*rr, imag(a)*rr
-								psi[i] = complex(re, im)
-								np1 += re*re + im*im
-							}
-						}
-					}
-				}
-				carry = PopCarry{P0: np0, P1: np1, Valid: true}
-			default:
-				for base := 0; base < len(psi); base += mask << 1 {
-					for i := base; i < base+mask; i++ {
-						a := psi[i]
-						psi[i] = complex(real(a)*r0, imag(a)*r0)
-						b := psi[i+mask]
-						psi[i+mask] = complex(real(b)*r1, imag(b)*r1)
-					}
-				}
-				carry = PopCarry{}
-			}
+			carry = t.scaleDiagReal(q, mask, ct.fr0*rinv, ct.fr1*rinv, nextQ)
 		case SchedApply1RD:
 			if int(o.CarryFor) == q {
 				carry = t.Apply1RDCarry(o.U, q)

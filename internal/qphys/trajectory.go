@@ -356,10 +356,11 @@ func (t *Trajectory) ExpectationZ(q int) float64 {
 // PRNG, collapses the state, and returns the binary outcome. The outcome
 // probability from the sampling pass is reused for the renormalization,
 // so the whole measurement is two state passes (probability + collapse);
-// compiled schedules skip the first via MeasureWithProb when a fused
+// compiled schedules skip the first via MeasureCarry when a fused
 // kernel already carried the population.
 func (t *Trajectory) Measure(q int, rng *rand.Rand) int {
-	return t.MeasureWithProb(q, t.ProbExcited(q), rng)
+	outcome, _ := t.MeasureCarry(q, t.ProbExcited(q), rng, false)
+	return outcome
 }
 
 // Project collapses qubit q onto the given outcome and renormalizes. A

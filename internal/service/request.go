@@ -219,7 +219,7 @@ func (r ExperimentRequest) Validate(i int) []FieldError {
 		add("shot_workers", "must be non-negative (0 selects one worker per CPU)")
 	}
 	if r.BatchLanes < 0 {
-		add("batch_lanes", "must be non-negative (0 and 1 select scalar shard execution)")
+		add("batch_lanes", "must be non-negative (0 selects automatic grouping, 1 scalar shards)")
 	}
 	maxQ := 8
 	if core.Backend(r.Backend) == core.BackendTrajectory {

@@ -268,6 +268,8 @@ func TestMalformedRequestsReturnStructured400(t *testing.T) {
 		{"negative rounds", `{"experiments": [{"type": "allxy", "rounds": -5}]}`, "invalid_fields", "rounds", 0},
 		{"qubit beyond density register", `{"experiments": [{"type": "t1", "qubit": 12}]}`, "invalid_fields", "qubit", 0},
 		{"negative T1", `{"experiments": [{"type": "t1", "t1_sec": -1}]}`, "invalid_fields", "t1_sec", 0},
+		{"negative batch_lanes", `{"experiments": [{"type": "repcode", "backend": "trajectory", "batch_lanes": -1}]}`, "invalid_fields", "batch_lanes", 0},
+		{"negative shot_workers", `{"experiments": [{"type": "t1", "shot_workers": -1}]}`, "invalid_fields", "shot_workers", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
