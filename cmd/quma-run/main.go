@@ -154,7 +154,8 @@ func main() {
 		reports = []shardReport{reportOf(m, true)}
 	} else {
 		var stats replay.Stats
-		stats, reports, err = runShots(cfg, prog, *shots, *shotWorkers, *lanes, mode)
+		eng := expt.Engine{ShotWorkers: *shotWorkers, BatchLanes: *lanes, Replay: mode}
+		stats, reports, err = runShots(cfg, prog, *shots, eng)
 		if err != nil {
 			fail(err)
 		}
@@ -280,10 +281,10 @@ func reportOf(m *core.Machine, last bool) shardReport {
 // report per shard, in shard order. The runner pools its machines and
 // reuses them for later shards, so each report is copied inside
 // finishShard while the shard's machine is still in hand.
-func runShots(cfg core.Config, prog *isa.Program, shots, workers, lanes int, mode replay.Mode) (replay.Stats, []shardReport, error) {
+func runShots(cfg core.Config, prog *isa.Program, shots int, eng expt.Engine) (replay.Stats, []shardReport, error) {
 	n := expt.ShotShardCount(shots)
 	reports := make([]shardReport, n)
-	stats, err := expt.RunShots(context.Background(), cfg, prog, shots, workers, lanes, mode,
+	stats, err := expt.RunShots(context.Background(), cfg, prog, shots, eng,
 		func(k int, m *core.Machine, _ replay.Stats) error {
 			reports[k] = reportOf(m, k == n-1)
 			return nil

@@ -57,7 +57,7 @@ func TestInterpAliasRunsCompiled(t *testing.T) {
 	cfg.CollectK = 1
 	prog := asm.MustAssemble("mov r15, 40000\nQNopReg r15\nPulse {q0}, X90\nWait 4\nMPG {q0}, 300\nMD {q0}, r7\nhalt\n")
 	run := func(mode replay.Mode) (replay.Stats, []shardReport) {
-		st, reports, err := runShots(cfg, prog, 600, 2, 2, mode)
+		st, reports, err := runShots(cfg, prog, 600, expt.Engine{ShotWorkers: 2, BatchLanes: 2, Replay: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestRunShardedLaneGroupingIsNeutral(t *testing.T) {
 		}
 		run := func(workers, lanes int) (replay.Stats, []shard) {
 			got := make([]shard, n)
-			st, err := expt.RunShots(context.Background(), cfg, prog, shots, workers, lanes, replay.ModeAuto,
+			st, err := expt.RunShots(context.Background(), cfg, prog, shots, expt.Engine{ShotWorkers: workers, BatchLanes: lanes, Replay: replay.ModeAuto},
 				func(k int, m *core.Machine, _ replay.Stats) error {
 					got[k] = capture(k, m)
 					return nil
@@ -145,7 +145,7 @@ func TestRunShardedLaneGroupingIsNeutral(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("shots=%d workers=%d lanes=%d: shards\n%+v\nreference\n%+v", shots, workers, lanes, got, want)
 				}
-				st, reports, err := runShots(cfg, prog, shots, workers, lanes, replay.ModeAuto)
+				st, reports, err := runShots(cfg, prog, shots, expt.Engine{ShotWorkers: workers, BatchLanes: lanes, Replay: replay.ModeAuto})
 				if err != nil {
 					t.Fatal(err)
 				}

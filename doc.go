@@ -86,7 +86,10 @@
 //     Machine.ResetState (bit-identical to a fresh construction), each
 //     distinct program text assembles once per sweep, and the seeding
 //     contract makes results bit-identical for any worker count
-//     (Params.Workers; 0 = all CPUs) on both backends.
+//     (Engine.Workers; 0 = all CPUs) on both backends. Every sweep
+//     experiment's Params embeds one expt.Engine, the single
+//     declaration of its result-neutral execution settings: Workers,
+//     ShotWorkers, BatchLanes and Replay.
 //
 // # Shot-replay execution engine
 //
@@ -190,7 +193,7 @@
 // and results merge in shard order (measurement streams buffered
 // per shard and delivered with global shot indices; collector averages
 // recomputed exactly from per-shard sums and counts). The result is
-// bit-identical for any ShotWorkers value (0 = all CPUs), on both
+// bit-identical for any Engine.ShotWorkers value (0 = all CPUs), on both
 // backends, in every replay mode. Shot counts at or below ShotShardSize
 // keep the legacy single PRNG stream exactly; above it the stream layout
 // changes — statistically equal, pinned at 5σ against the unsharded path
@@ -285,12 +288,13 @@
 // the CPU overlap the lanes' independent chains. Lanes may hold
 // different shot counts (a plan's last shard is short): they run in
 // lockstep as far as the shortest, then the survivors go on. The lane
-// width is a result-neutral scheduling knob (the BatchLanes field of
-// every experiment's parameters): by default (0) a shot worker that
-// would run several shards of one point back to back runs up to eight
-// of them in lockstep, wherever BenchmarkReplayLanes measures the
-// executor faster than scalar (expt.ShardLaneGroups); 1 forces scalar
-// shards. QUMA_NOSIMD=1 disables the SIMD kernels at process level —
-// every suite passes both ways, and the conformance suite pins
-// batched-vs-scalar byte identity per kernel and per experiment.
+// width is a result-neutral scheduling knob (expt.Engine.BatchLanes,
+// embedded in every experiment's parameters): by default (0) a shot
+// worker that would run several shards of one point back to back runs
+// up to eight of them in lockstep, wherever BenchmarkReplayLanes
+// measures the executor faster than scalar (expt.ShardLaneGroups); 1
+// forces scalar shards. QUMA_NOSIMD=1 disables the SIMD kernels at
+// process level — every suite passes both ways, and the conformance
+// suite pins batched-vs-scalar byte identity per kernel and per
+// experiment.
 package quma

@@ -56,24 +56,32 @@ func TestExamplesGolden(t *testing.T) {
 			if err := cmd.Run(); err != nil {
 				t.Fatalf("go %v: %v\nstderr:\n%s", args, err, stderr.Bytes())
 			}
-			path := filepath.Join("testdata", "golden", ex.name+".txt")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run `go test -run TestExamplesGolden -update .` to create the snapshot)", err)
-			}
-			if !bytes.Equal(stdout.Bytes(), want) {
-				t.Fatalf("output drifted from %s:\n%s", path, diffLines(want, stdout.Bytes()))
-			}
+			checkGolden(t, "TestExamplesGolden", ex.name+".txt", stdout.Bytes())
 		})
+	}
+}
+
+// checkGolden compares got with the snapshot testdata/golden/<file>, or
+// rewrites the snapshot under -update. test names the test that
+// regenerates it.
+func checkGolden(t *testing.T, test, file string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", file)
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test -run %s -update .` to create the snapshot)", err, test)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output drifted from %s:\n%s", path, diffLines(want, got))
 	}
 }
 

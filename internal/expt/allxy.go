@@ -65,23 +65,7 @@ type AllXYParams struct {
 	Doubled bool
 	// MeasureCycles is the MPG duration (paper: 300).
 	MeasureCycles int
-	// Workers bounds the sweep parallelism across the 21 pairs (0 = one
-	// worker per CPU). Results are identical for any value; see sweep.go.
-	Workers int
-	// ShotWorkers bounds the shot-shard parallelism inside each pair when
-	// Rounds exceeds ShotShardSize (0 = one worker per CPU). Results are
-	// identical for any value; see shotshard.go.
-	ShotWorkers int
-	// BatchLanes caps how many shot shards run in lockstep on the
-	// batched trajectory executor (one lane per shard — same seeds, same
-	// streams): 0 = auto (ShardLaneGroups), 1 = scalar shards. Results
-	// are bit-identical for any value; see shotshard.go.
-	BatchLanes int
-	// Replay selects the shot-replay engine mode: replay.ModeOff (full
-	// simulation of every shot) or ModeCompiled (default auto = compiled;
-	// the deprecated ModeInterp is an alias of it). Results are
-	// bit-identical for any value — see internal/replay.
-	Replay replay.Mode
+	Engine
 }
 
 // DefaultAllXYParams returns the paper's settings with a reduced round
@@ -210,7 +194,7 @@ func (e *Env) RunAllXY(ctx context.Context, cfg core.Config, p AllXYParams) (*Al
 		sums := make([][]float64, nshards)
 		counts := make([][]int, nshards)
 		shardPulses := make([]uint64, nshards)
-		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, plan, p.ShotWorkers, p.BatchLanes, p.Replay, nil, nil,
+		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, plan, p.Engine, nil, nil,
 			func(k int, m *core.Machine, st replay.Stats) error {
 				if got := m.Collector.Rounds(); got != st.Shots {
 					return fmt.Errorf("expt: pair %s shard %d collected %d rounds, want %d", pairs[i].Label, k, got, st.Shots)

@@ -25,23 +25,7 @@ type SweepParams struct {
 	DelaysCycles []int
 	// MeasureCycles is the MPG duration.
 	MeasureCycles int
-	// Workers bounds the sweep parallelism (0 = one worker per CPU).
-	// Results are identical for any value; see sweep.go.
-	Workers int
-	// ShotWorkers bounds the shot-shard parallelism inside each delay
-	// point when Rounds exceeds ShotShardSize (0 = one worker per CPU).
-	// Results are identical for any value; see shotshard.go.
-	ShotWorkers int
-	// BatchLanes caps how many shot shards run in lockstep on the
-	// batched trajectory executor (one lane per shard — same seeds, same
-	// streams): 0 = auto (ShardLaneGroups), 1 = scalar shards. Results
-	// are bit-identical for any value; see shotshard.go.
-	BatchLanes int
-	// Replay selects the shot-replay engine mode: replay.ModeOff (full
-	// simulation of every shot) or ModeCompiled (default auto = compiled;
-	// the deprecated ModeInterp is an alias of it). Results are
-	// bit-identical for any value — see internal/replay.
-	Replay replay.Mode
+	Engine
 }
 
 // DefaultSweepParams returns a 16-point sweep to 60 µs, 200 rounds.
@@ -127,7 +111,7 @@ func runSweep(ctx context.Context, env *Env, cfg core.Config, p SweepParams, bod
 		// reproduces Averages()[0] bit for bit.
 		sums := make([]float64, shardCount(plan))
 		counts := make([]int, shardCount(plan))
-		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, plan, p.ShotWorkers, p.BatchLanes, p.Replay, nil, nil,
+		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, plan, p.Engine, nil, nil,
 			func(k int, m *core.Machine, _ replay.Stats) error {
 				sums[k] = m.Collector.Sums()[0]
 				counts[k] = m.Collector.Counts()[0]

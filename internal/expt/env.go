@@ -121,25 +121,18 @@ func (e *Env) poolFor(cfg core.Config) *machinePool {
 
 // ProgramParams configures a raw-assembly shot run: the service's (and
 // the conformance suite's) escape hatch from the fixed experiment menu.
+// Replay, ShotWorkers and BatchLanes are Engine's shot-level settings (a
+// shot run has no sweep, hence no Workers); see Engine. They are plain
+// fields, not an embedded Engine, so that the ProgramResult echo keeps
+// its field order and composite literals can keep setting them.
 type ProgramParams struct {
 	// Source is the combined classical + QuMIS assembly text.
 	Source string
 	// Shots is the number of engine shots (must be positive).
-	Shots int
-	// Replay selects the shot-replay engine mode ("" = auto). Results
-	// are bit-identical for any value, as for every experiment.
-	Replay replay.Mode
-	// ShotWorkers bounds the shot-shard parallelism when Shots exceeds
-	// ShotShardSize (0 = one worker per CPU). The shard plan is a pure
-	// function of Shots, so results are bit-identical for any value —
-	// see shotshard.go.
+	Shots       int
+	Replay      replay.Mode
 	ShotWorkers int
-	// BatchLanes caps how many shot shards run in lockstep on the
-	// batched trajectory executor (one lane per shard — same seeds, same
-	// streams): 0 = auto (ShardLaneGroups), 1 = scalar shards. Results
-	// are bit-identical for any value: the knob trades nothing but
-	// throughput, exactly like ShotWorkers.
-	BatchLanes int
+	BatchLanes  int
 }
 
 // ProgramResult summarizes a raw-assembly shot run. Everything in it is
@@ -195,7 +188,8 @@ func (e *Env) RunProgram(ctx context.Context, cfg core.Config, p ProgramParams) 
 	res := &ProgramResult{Params: p, Shots: p.Shots}
 	h := fnv.New64a()
 	pool := e.poolFor(cfg)
-	stats, err := runShotJobSharded(ctx, pool, cfg.Seed, prog, p.Shots, ShotShardPlan(p.Shots), p.ShotWorkers, p.BatchLanes, p.Replay, nil,
+	eng := Engine{ShotWorkers: p.ShotWorkers, BatchLanes: p.BatchLanes, Replay: p.Replay}
+	stats, err := runShotJobSharded(ctx, pool, cfg.Seed, prog, p.Shots, ShotShardPlan(p.Shots), eng, nil,
 		func(shot int, md []replay.MD) {
 			if shot > 0 && len(md) != res.MDPerShot {
 				res.MDVaries = true

@@ -175,7 +175,7 @@ func (e *Env) RunPhaseCode(ctx context.Context, cfg core.Config, p RepCodeParams
 			return ones < 2
 		}},
 	}
-	errors, err := runChunkedVariants(ctx, e, cfg, p.Rounds, p.Workers, p.ShotWorkers, p.BatchLanes, p.Replay, variants)
+	errors, err := runChunkedVariants(ctx, e, cfg, p.Rounds, p.Engine, variants)
 	if err != nil {
 		return nil, err
 	}

@@ -37,23 +37,7 @@ type RabiParams struct {
 	// InitCycles and MeasureCycles as in the other experiments.
 	InitCycles    int
 	MeasureCycles int
-	// Workers bounds the sweep parallelism across scale points (0 = one
-	// worker per CPU). Results are identical for any value; see sweep.go.
-	Workers int
-	// ShotWorkers bounds the shot-shard parallelism inside each scale
-	// point when Rounds exceeds ShotShardSize (0 = one worker per CPU).
-	// Results are identical for any value; see shotshard.go.
-	ShotWorkers int
-	// BatchLanes caps how many shot shards run in lockstep on the
-	// batched trajectory executor (one lane per shard — same seeds, same
-	// streams): 0 = auto (ShardLaneGroups), 1 = scalar shards. Results
-	// are bit-identical for any value; see shotshard.go.
-	BatchLanes int
-	// Replay selects the shot-replay engine mode: replay.ModeOff (full
-	// simulation of every shot) or ModeCompiled (default auto = compiled;
-	// the deprecated ModeInterp is an alias of it). Results are
-	// bit-identical for any value — see internal/replay.
-	Replay replay.Mode
+	Engine
 }
 
 // DefaultRabiParams sweeps 0..1.1× the nominal π amplitude in 23 steps
@@ -120,7 +104,7 @@ func (e *Env) RunRabi(ctx context.Context, cfg core.Config, p RabiParams) (*Rabi
 			return err
 		}
 		var ones int
-		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, ShotShardPlan(p.Rounds), p.ShotWorkers, p.BatchLanes, p.Replay,
+		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, ShotShardPlan(p.Rounds), p.Engine,
 			func(m *core.Machine) error {
 				m.UOp.DefinePrimitive("RABI", RabiCodeword)
 				scaled := nominal

@@ -27,24 +27,7 @@ type RBParams struct {
 	// Seed drives sequence sampling (independent of the machine's own
 	// measurement PRNG).
 	Seed int64
-	// Workers bounds the sweep parallelism across (length, trial) pairs
-	// (0 = one worker per CPU). Results are identical for any value; see
-	// sweep.go.
-	Workers int
-	// ShotWorkers bounds the shot-shard parallelism inside each sequence
-	// when Rounds exceeds ShotShardSize (0 = one worker per CPU). Results
-	// are identical for any value; see shotshard.go.
-	ShotWorkers int
-	// BatchLanes caps how many shot shards run in lockstep on the
-	// batched trajectory executor (one lane per shard — same seeds, same
-	// streams): 0 = auto (ShardLaneGroups), 1 = scalar shards. Results
-	// are bit-identical for any value; see shotshard.go.
-	BatchLanes int
-	// Replay selects the shot-replay engine mode: replay.ModeOff (full
-	// simulation of every shot) or ModeCompiled (default auto = compiled;
-	// the deprecated ModeInterp is an alias of it). Results are
-	// bit-identical for any value — see internal/replay.
-	Replay replay.Mode
+	Engine
 }
 
 // DefaultRBParams returns a short benchmark suitable for tests.
@@ -121,7 +104,7 @@ func (e *Env) RunRB(ctx context.Context, cfg core.Config, p RBParams) (*RBResult
 			return err
 		}
 		var ones int
-		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, ShotShardPlan(p.Rounds), p.ShotWorkers, p.BatchLanes, p.Replay, nil,
+		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, ShotShardPlan(p.Rounds), p.Engine, nil,
 			func(_ int, md []replay.MD) {
 				if len(md) > 0 && md[0].Result == 1 {
 					ones++

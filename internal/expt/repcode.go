@@ -38,28 +38,7 @@ type RepCodeParams struct {
 	InitCycles int
 	// MeasureCycles is the MPG duration.
 	MeasureCycles int
-	// Workers bounds the sweep parallelism across program variants (0 =
-	// one worker per CPU). Results are identical for any value; see
-	// sweep.go.
-	Workers int
-	// ShotWorkers bounds the shot-shard parallelism across each variant's
-	// fixed round chunks (0 = one worker per CPU). The chunk partition and
-	// per-chunk seeds are unchanged from earlier releases, so results are
-	// bit-identical for any value — and to pre-sharding builds — for every
-	// Rounds; see shotshard.go.
-	ShotWorkers int
-	// BatchLanes caps how many shot shards run in lockstep on the
-	// batched trajectory executor (one lane per shard — same seeds, same
-	// streams): 0 = auto (ShardLaneGroups), 1 = scalar shards. Results
-	// are bit-identical for any value; see shotshard.go.
-	BatchLanes int
-	// Replay selects the shot-replay engine mode: replay.ModeOff (full
-	// simulation of every shot) or ModeCompiled (default auto = compiled;
-	// the deprecated ModeInterp is an alias of it). Results are
-	// bit-identical for any value — see internal/replay. The
-	// feedback-corrected variant always falls back to full simulation:
-	// its pulse schedule depends on the measured syndromes.
-	Replay replay.Mode
+	Engine
 }
 
 // dataQubits resolves the code distance, defaulting to 3.
@@ -291,7 +270,7 @@ func (e *Env) RunRepCode(ctx context.Context, cfg core.Config, p RepCodeParams) 
 		{src: RepCodeShotProgram(p, false), isError: majorityError},
 		{src: RepCodeShotProgram(p, true), isError: majorityError},
 	}
-	errors, err := runChunkedVariants(ctx, e, cfg, p.Rounds, p.Workers, p.ShotWorkers, p.BatchLanes, p.Replay, variants)
+	errors, err := runChunkedVariants(ctx, e, cfg, p.Rounds, p.Engine, variants)
 	if err != nil {
 		return nil, err
 	}
@@ -323,17 +302,17 @@ type chunkVariant struct {
 // bit-identical to earlier releases for every Rounds, worker count, and
 // replay mode. Error counting consumes only the engine's measurement
 // stream, which is bit-identical between full simulation and replay.
-func runChunkedVariants(ctx context.Context, env *Env, cfg core.Config, rounds, workers, shotWorkers, batchLanes int, mode replay.Mode, variants []chunkVariant) ([]float64, error) {
+func runChunkedVariants(ctx context.Context, env *Env, cfg core.Config, rounds int, eng Engine, variants []chunkVariant) ([]float64, error) {
 	plan := chunkRounds(rounds, repCodeChunkRounds)
 	out := make([]float64, len(variants))
 	pool := env.poolFor(cfg)
-	err := runPool(ctx, len(variants), workers, func(v int) error {
+	err := runPool(ctx, len(variants), eng.Workers, func(v int) error {
 		prog, err := env.progs.get(variants[v].src)
 		if err != nil {
 			return err
 		}
 		var errs int64
-		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, v+1), prog, rounds, plan, shotWorkers, batchLanes, mode, nil,
+		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, v+1), prog, rounds, plan, eng, nil,
 			func(_ int, md []replay.MD) {
 				if variants[v].isError(md) {
 					errs++

@@ -7,8 +7,9 @@ package expt
 // runs on its own pooled machine, seeded with DeriveSeed(pointSeed,
 // shardIndex), as one lane of a replay.RunBatch invocation (lead/detect
 // shots plus its slice of the replay loop). Results merge in shard
-// order, so the outcome is bit-identical for any ShotWorkers value given
-// the same plan. The contract, extending the sweep determinism contract:
+// order, so the outcome is bit-identical for any Engine.ShotWorkers
+// value given the same plan. The contract, extending the sweep
+// determinism contract:
 //
 //   - The shard plan depends only on the total shot count (auto
 //     experiments: ShotShardPlan) or on the experiment's own fixed
@@ -42,17 +43,14 @@ package expt
 //     machines/seeds/PRNG streams (lane k IS shard k: same
 //     DeriveSeed(pointSeed, k), same BaseShot, same shot count, same
 //     buffered stream slot). Lanes of unequal size run in lockstep as
-//     far as the shortest; the survivors go on. BatchLanes caps a
-//     group; the default 0 groups the shards a shot worker would run
-//     back to back, where the lockstep executor is measured faster
-//     (ShardLaneGroups), and 1 runs every shard scalar. Because the
-//     plan, the seeds, and the merge order are untouched, changing the
-//     lane grouping can never change result bytes — batching is a
-//     throughput knob with the same neutrality contract as
-//     ShotWorkers. A panic inside a batch discards every machine of the
-//     group (the unwind passes all the puts) and cancels sibling
-//     groups; a group error is attributed to its first shard index for
-//     the lowest-index selection rule.
+//     far as the shortest; the survivors go on. Engine.BatchLanes sets
+//     the grouping (ShardLaneGroups). Because the plan, the seeds, and
+//     the merge order are untouched, changing the lane grouping can
+//     never change result bytes — batching is a throughput knob with
+//     the same neutrality contract as ShotWorkers. A panic inside a
+//     batch discards every machine of the group (the unwind passes all
+//     the puts) and cancels sibling groups; a group error is attributed
+//     to its first shard index for the lowest-index selection rule.
 
 import (
 	"context"
@@ -154,21 +152,22 @@ func autoLaneFloor(nq int) int {
 
 // ShardLaneGroups is the lane grouping of a sharded shot job, shared by
 // every caller that runs shot shards (the sweep engine and quma-run).
-// batchLanes >= 1 caps the group size explicitly (1: scalar shards).
-// batchLanes == 0 is automatic: on the trajectory backend, groups of
+// eng.BatchLanes >= 1 caps the group size explicitly (1: scalar shards).
+// eng.BatchLanes == 0 is automatic: on the trajectory backend, groups of
 // ⌈shards ÷ g⌉ lanes with g = max(shotWorkers, ⌈shards ÷ 8⌉) — that is
 // ⌈shards ÷ shotWorkers⌉ lanes while that is at most 8 — so a worker
 // that would run several shards back to back runs them in lockstep
-// instead; groups smaller than autoLaneFloor stay scalar. shotWorkers
-// <= 0 means one per CPU. ModeOff has no batched executor and always
-// gets singletons. Like every grouping, the choice never changes a
-// result byte.
-func ShardLaneGroups(plan []int, batchLanes, shotWorkers int, cfg core.Config, mode replay.Mode) [][2]int {
-	lanes := batchLanes
+// instead; groups smaller than autoLaneFloor stay scalar. shotWorkers is
+// eng.ShotWorkers, or one per CPU when that is 0. ModeOff has no batched
+// executor and always gets singletons. Like every grouping, the choice
+// never changes a result byte.
+func ShardLaneGroups(plan []int, eng Engine, cfg core.Config) [][2]int {
+	lanes := eng.BatchLanes
 	switch {
-	case mode == replay.ModeOff:
+	case eng.Replay == replay.ModeOff:
 		lanes = 1
 	case lanes == 0 && cfg.Backend == core.BackendTrajectory:
+		shotWorkers := eng.ShotWorkers
 		if shotWorkers <= 0 {
 			shotWorkers = runtime.GOMAXPROCS(0)
 		}
@@ -185,16 +184,17 @@ func ShardLaneGroups(plan []int, batchLanes, shotWorkers int, cfg core.Config, m
 // the same shot-shard runner as every experiment: the automatic plan
 // ShotShardPlan(shots) with shard k seeded DeriveSeed(cfg.Seed, k) (at
 // or below ShotShardSize, one shard seeded cfg.Seed itself), up to
-// shotWorkers lane groups (ShardLaneGroups of batchLanes) in flight,
-// panic isolation, sibling cancellation and the runner's error rule.
+// eng.ShotWorkers lane groups (ShardLaneGroups) in flight, panic
+// isolation, sibling cancellation and the runner's error rule.
+// eng.Workers is unused: a shot job is one sweep point.
 // finishShard runs once per shard (ShotShardCount(shots) in all),
 // possibly concurrently, with that shard's machine; the runner pools
 // machines and reuses them for later shards, so finishShard must copy
 // what it keeps and write only shard-indexed slots. The returned stats
 // are the shard-order merge.
-func RunShots(ctx context.Context, cfg core.Config, prog *isa.Program, shots, shotWorkers, batchLanes int, mode replay.Mode,
+func RunShots(ctx context.Context, cfg core.Config, prog *isa.Program, shots int, eng Engine,
 	finishShard func(shard int, m *core.Machine, stats replay.Stats) error) (replay.Stats, error) {
-	return runShotJobSharded(ctx, newMachinePool(cfg), cfg.Seed, prog, shots, ShotShardPlan(shots), shotWorkers, batchLanes, mode, nil, nil, finishShard)
+	return runShotJobSharded(ctx, newMachinePool(cfg), cfg.Seed, prog, shots, ShotShardPlan(shots), eng, nil, nil, finishShard)
 }
 
 // runShotJobSharded executes one sweep point with its shot range split
@@ -205,13 +205,14 @@ func RunShots(ctx context.Context, cfg core.Config, prog *isa.Program, shots, sh
 // machine seeded pointSeed, bit-identical to the pre-sharding engine.
 //
 // Every shard runs through one group runner. The shards are partitioned
-// into lockstep groups (ShardLaneGroups of batchLanes: 0 = auto, 1 =
-// scalar; ModeOff and single shards always get singletons), and each
-// group is one replay.RunBatch call — per-lane machines, seeds, shot
-// counts and streams, exactly a scalar shard's wiring — with up to
-// shotWorkers groups in flight (0 = one per CPU). Result bytes are
-// identical for every batchLanes value by the per-lane bit-identity
-// contract.
+// into lockstep groups (ShardLaneGroups of eng: BatchLanes 0 = auto,
+// 1 = scalar; ModeOff and single shards always get singletons), and each
+// group is one replay.RunBatch call in mode eng.Replay — per-lane
+// machines, seeds, shot counts and streams, exactly a scalar shard's
+// wiring — with up to eng.ShotWorkers groups in flight (0 = one per
+// CPU). eng.Workers is the caller's sweep-level setting and unused here.
+// Result bytes are identical for every BatchLanes value by the per-lane
+// bit-identity contract.
 //
 // setup runs on every shard's machine (the pooled-machine rule for
 // machine customization). onShot, when non-nil, receives every shot in
@@ -223,7 +224,7 @@ func RunShots(ctx context.Context, cfg core.Config, prog *isa.Program, shots, sh
 // per shard, with that shard's machine still in hand, as its group
 // completes — callers must write only shard-indexed slots from it. The
 // returned stats are the shard-order merge (replay.Stats.Merge).
-func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, prog *isa.Program, shots int, plan []int, shotWorkers, batchLanes int, mode replay.Mode,
+func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, prog *isa.Program, shots int, plan []int, eng Engine,
 	setup func(*core.Machine) error,
 	onShot func(int, []replay.MD),
 	finishShard func(shard int, m *core.Machine, stats replay.Stats) error) (replay.Stats, error) {
@@ -302,7 +303,7 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 		}
 		if err == nil {
 			var sts []replay.Stats
-			sts, err = replay.RunBatch(sctx, prog, lanes, 0, mode)
+			sts, err = replay.RunBatch(sctx, prog, lanes, 0, eng.Replay)
 			copy(statsv[g0:g1], sts)
 			for j := 0; err == nil && finishShard != nil && j < len(lanes); j++ {
 				err = finishShard(g0+j, lanes[j].M, sts[j])
@@ -313,9 +314,9 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 		}
 		return err
 	}
-	groups := ShardLaneGroups(plan, batchLanes, shotWorkers, mp.cfg, mode)
+	groups := ShardLaneGroups(plan, eng, mp.cfg)
 	errs := make([]error, len(plan))
-	poolErr := runPool(sctx, len(groups), shotWorkers, func(gi int) error {
+	poolErr := runPool(sctx, len(groups), eng.ShotWorkers, func(gi int) error {
 		g0, g1 := groups[gi][0], groups[gi][1]
 		// Recover panics here, not only in runPool, so the recovery
 		// reaches cancelShards: a panicking shard must abort its

@@ -293,7 +293,7 @@ func TestShardLaneGroups(t *testing.T) {
 		{"explicit scalar", plan(4), 1, 1, traj(1), replay.ModeAuto, singles(4)},
 	}
 	for _, c := range cases {
-		if got := ShardLaneGroups(c.plan, c.lanes, c.sw, c.cfg, c.mode); !reflect.DeepEqual(got, c.want) {
+		if got := ShardLaneGroups(c.plan, Engine{ShotWorkers: c.sw, BatchLanes: c.lanes, Replay: c.mode}, c.cfg); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: ShardLaneGroups = %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -429,7 +429,7 @@ func TestShardOverheadAccounting(t *testing.T) {
 	pool := env.poolFor(cfg)
 
 	// At threshold: legacy single stream, lead paid once, zero overhead.
-	st, err := runShotJobSharded(context.Background(), pool, cfg.Seed, prog, ShotShardSize, ShotShardPlan(ShotShardSize), 4, 0, replay.ModeAuto, nil, nil, nil)
+	st, err := runShotJobSharded(context.Background(), pool, cfg.Seed, prog, ShotShardSize, ShotShardPlan(ShotShardSize), Engine{ShotWorkers: 4, Replay: replay.ModeAuto}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestShardOverheadAccounting(t *testing.T) {
 	// of every shard after the first. Identical with and without lanes.
 	for _, lanes := range []int{0, 8} {
 		plan := ShotShardPlan(600)
-		st, err := runShotJobSharded(context.Background(), pool, cfg.Seed, prog, 600, plan, 4, lanes, replay.ModeAuto, nil, nil, nil)
+		st, err := runShotJobSharded(context.Background(), pool, cfg.Seed, prog, 600, plan, Engine{ShotWorkers: 4, BatchLanes: lanes, Replay: replay.ModeAuto}, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,7 +459,7 @@ func TestShardOverheadAccounting(t *testing.T) {
 
 	// ModeOff never engages replay: every shot is ordinary full-pipeline
 	// work, so no lead and no overhead, sharded or not.
-	st, err = runShotJobSharded(context.Background(), pool, cfg.Seed, prog, 600, ShotShardPlan(600), 4, 0, replay.ModeOff, nil, nil, nil)
+	st, err = runShotJobSharded(context.Background(), pool, cfg.Seed, prog, 600, ShotShardPlan(600), Engine{ShotWorkers: 4, Replay: replay.ModeOff}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestShardPlanMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = runShotJobSharded(context.Background(), env.poolFor(cfg), 1, prog, 500, []int{100, 100}, 2, 0, replay.ModeAuto, nil, nil, nil)
+	_, err = runShotJobSharded(context.Background(), env.poolFor(cfg), 1, prog, 500, []int{100, 100}, Engine{ShotWorkers: 2, Replay: replay.ModeAuto}, nil, nil, nil)
 	if err == nil {
 		t.Fatal("mismatched shard plan accepted")
 	}
@@ -512,7 +512,7 @@ func BenchmarkShardedT1Point(b *testing.B) {
 	plan := ShotShardPlan(shots)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runShotJobSharded(context.Background(), pool, 1, prog, shots, plan, 0, 0, replay.ModeAuto, nil, nil, nil); err != nil {
+		if _, err := runShotJobSharded(context.Background(), pool, 1, prog, shots, plan, Engine{Replay: replay.ModeAuto}, nil, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -557,7 +557,7 @@ func BenchmarkBatchedRepCode(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := runShotJobSharded(context.Background(), pool, 7, prog, shots, plan, 1, lanes, replay.ModeAuto, nil, nil, nil); err != nil {
+					if _, err := runShotJobSharded(context.Background(), pool, 7, prog, shots, plan, Engine{ShotWorkers: 1, BatchLanes: lanes, Replay: replay.ModeAuto}, nil, nil, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

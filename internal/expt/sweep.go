@@ -45,7 +45,40 @@ import (
 	"quma/internal/core"
 	"quma/internal/isa"
 	"quma/internal/qphys"
+	"quma/internal/replay"
 )
+
+// Engine holds an experiment's execution settings: how its sweep points
+// and shots are scheduled, and which shot engine runs them. None of them
+// changes a result byte — the sweep, shot-shard and replay determinism
+// contracts make every value produce the same results — so each is a
+// throughput knob, and its zero value selects the default. Every sweep
+// experiment's Params embeds one Engine; ProgramParams carries the
+// shot-level three.
+type Engine struct {
+	// Workers bounds the sweep parallelism across an experiment's points
+	// (0 = one worker per CPU); see runPool.
+	Workers int
+	// ShotWorkers bounds the shot-shard parallelism inside each point —
+	// across the ShotShardSize shards of a point whose Rounds exceed it,
+	// or across repcode/phasecode's fixed round chunks (0 = one worker
+	// per CPU); see shotshard.go.
+	ShotWorkers int
+	// BatchLanes caps how many shot shards run in lockstep on the
+	// batched trajectory executor, one lane per shard with the shard's
+	// seed and stream. 0 is automatic (ShardLaneGroups): the shards a
+	// shot worker would run back to back form one group, and groups
+	// smaller than the lockstep executor's measured break-even stay
+	// scalar. 1 runs every shard scalar.
+	BatchLanes int
+	// Replay selects the shot-replay engine mode: replay.ModeOff (full
+	// simulation of every shot) or ModeCompiled ("" and ModeAuto select
+	// it; the deprecated ModeInterp is an alias of it). Programs whose
+	// pulse schedule depends on measured results (the feedback-corrected
+	// repcode variant, the phase code) always fall back to full
+	// simulation; see internal/replay.
+	Replay replay.Mode
+}
 
 // DeriveSeed deterministically derives an independent PRNG seed for sweep
 // point `index` of a sweep with the given base seed, using the splitmix64
@@ -135,41 +168,32 @@ func runPool(ctx context.Context, n, workers int, job func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
-	if workers == 1 {
-		var firstErr error
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("expt: sweep point %d skipped: %w", i, err)
-				}
-				break
-			}
-			if err := recoverJob(job, i); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
 	errs := make([]error, n)
 	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := ctx.Err(); err != nil {
+				errs[i] = fmt.Errorf("expt: sweep point %d skipped: %w", i, err)
+				continue
+			}
+			errs[i] = recoverJob(job, i)
+		}
+	}
+	// The caller is one of the workers, so a one-worker pool — every
+	// shot job of a one-shot-worker sweep — starts no goroutine.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = fmt.Errorf("expt: sweep point %d skipped: %w", i, err)
-					continue
-				}
-				errs[i] = recoverJob(job, i)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

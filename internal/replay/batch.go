@@ -140,12 +140,10 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 
 	// Unsafe lanes finish on the full pipeline and safe lanes that
 	// cannot join the lockstep group (another backend, or a schedule
-	// that differs from the group's by value) replay their own compiled
+	// that differs from the group's) replay their own compiled
 	// schedule. The group is every other safe lane: trajectory state,
-	// schedule value-identical to its first member's (lanes are
-	// distinct machines, so cache-pointer identity cannot hold across
-	// them — but identical configs record value-identical schedules,
-	// and the compiled tables derive from matrix values).
+	// schedule equal to its first member's (schedulesEqual compares by
+	// value, so distinct machines of identical configs match).
 	var group []int
 	for i, ln := range lanes {
 		st := &stats[i]
@@ -158,7 +156,7 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 		}
 		st.Safe, st.Compiled, st.Lead = true, true, detectShots
 		ln.M.SetProbe(nil)
-		if _, ok := ln.M.State.(*qphys.Trajectory); ok && (group == nil || schedulesEqualValue(scheds[group[0]], scheds[i])) {
+		if _, ok := ln.M.State.(*qphys.Trajectory); ok && (group == nil || schedulesEqual(scheds[group[0]], scheds[i])) {
 			group = append(group, i)
 			continue
 		}
@@ -270,11 +268,11 @@ func clearProbes(lanes []BatchLane) {
 // a machine pooled for the lifetime of a sweep (or of the batch service,
 // whose service-lifetime assembly cache keeps program pointers stable)
 // compiles each distinct program once, however many programs interleave
-// on it. Every hit is validated entry-for-entry against the fresh
-// recording (whose matrices alias stable machine-cache entries), so a
-// stale entry — e.g. after core invalidated the cache on
-// UploadPulse/SetQubitParams — can only miss, never corrupt. A miss
-// compiles and (bounded) stores.
+// on it. Every hit is validated against the fresh recording
+// (schedulesEqual), so a stale entry — e.g. after core invalidated the
+// cache on UploadPulse/SetQubitParams — hits only if its matrix values
+// still match, when its compiled form is still exact, and never
+// corrupts. A miss compiles and (bounded) stores.
 func memoizedCompile(m *core.Machine, p *isa.Program, sched []op) *compiled {
 	cache, _ := m.ReplayCache.(map[*isa.Program]*compileCache)
 	if cache == nil {
@@ -291,54 +289,4 @@ func memoizedCompile(m *core.Machine, p *isa.Program, sched []op) *compiled {
 	}
 	cache[p] = &compileCache{sched: sched, c: comp}
 	return comp
-}
-
-// matrixEqualValue compares two matrices entry by entry — the cross-
-// machine analogue of sameMatrix, which relies on cache-pointer
-// identity that cannot hold between distinct machines.
-func matrixEqualValue(a, b qphys.Matrix) bool {
-	if a.N != b.N || len(a.Data) != len(b.Data) {
-		return false
-	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// krausEqualValue compares two Kraus sets operator by operator.
-func krausEqualValue(a, b []qphys.Matrix) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !matrixEqualValue(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// schedulesEqualValue compares two recorded schedules by value. Lanes of
-// a batch are separate machines whose schedules alias separate caches;
-// identical configurations record value-identical schedules, and the
-// compiled form derives from matrix values alone, so value equality is
-// exactly the condition under which one compiled schedule serves every
-// lane bit-identically.
-func schedulesEqualValue(a, b []op) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		x, y := &a[i], &b[i]
-		if x.kind != y.kind || x.q != y.q || x.qb != y.qb {
-			return false
-		}
-		if !matrixEqualValue(x.u, y.u) || !krausEqualValue(x.kraus, y.kraus) {
-			return false
-		}
-	}
-	return true
 }

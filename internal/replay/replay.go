@@ -55,6 +55,7 @@ package replay
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"quma/internal/core"
 	"quma/internal/isa"
@@ -260,27 +261,33 @@ func (r *recorder) Measured(q, result int) {
 	r.md = append(r.md, MD{Qubit: q, Result: result})
 }
 
-// sameMatrix reports whether two matrices are the same cached entry (or
-// both empty). Matrices in a schedule come from the machine's caches, so
-// identical operations share backing storage; value-equal matrices from
-// different cache entries compare unequal, which errs toward fallback.
-func sameMatrix(a, b qphys.Matrix) bool {
+// matrixEqual reports whether two matrices hold the same entries. A
+// shared backing array — the same machine-cache entry, the common case
+// within one machine — answers without reading the entries.
+func matrixEqual(a, b qphys.Matrix) bool {
 	if a.N != b.N || len(a.Data) != len(b.Data) {
 		return false
 	}
-	return len(a.Data) == 0 || &a.Data[0] == &b.Data[0]
+	return len(a.Data) == 0 || &a.Data[0] == &b.Data[0] || slices.Equal(a.Data, b.Data)
 }
 
-// sameKraus reports whether two Kraus sets are the same cached slice.
-func sameKraus(a, b []qphys.Matrix) bool {
+// krausEqual reports whether two Kraus sets hold the same operators.
+func krausEqual(a, b []qphys.Matrix) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	return len(a) == 0 || &a[0] == &b[0]
+	return len(a) == 0 || &a[0] == &b[0] || slices.EqualFunc(a, b, matrixEqual)
 }
 
 // schedulesEqual compares two recorded shot schedules operation by
-// operation.
+// operation, matrices by value. Value equality is what every use needs:
+// the compiled form derives from matrix values alone, and cached
+// matrices are never mutated (a recalibration replaces the entry). So
+// shot-invariance detection, the memo's staleness check and lockstep
+// grouping across distinct machines — whose schedules alias separate
+// caches — all accept exactly the schedules one compiled form replays
+// bit-identically. Within one machine the pointer shortcuts make the
+// comparison as cheap as identity.
 func schedulesEqual(a, b []op) bool {
 	if len(a) != len(b) {
 		return false
@@ -290,7 +297,7 @@ func schedulesEqual(a, b []op) bool {
 		if x.kind != y.kind || x.q != y.q || x.qb != y.qb {
 			return false
 		}
-		if !sameMatrix(x.u, y.u) || !sameKraus(x.kraus, y.kraus) {
+		if !matrixEqual(x.u, y.u) || !krausEqual(x.kraus, y.kraus) {
 			return false
 		}
 	}

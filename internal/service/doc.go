@@ -215,11 +215,13 @@
 // (cancel_test.go in internal/expt pins both halves under -race).
 //
 // batch_lanes is a result-neutral scheduling knob, exactly like
-// workers and shot_workers: it caps the groups of shot shards that run
-// on the lockstep shot-batched executor (internal/qphys.TrajBatch), and
-// every lane replays the same per-shard seed and rng stream as the
-// scalar sharded path, so the result bytes are identical for any
-// value. 0 (the default, and what the scrubbed canonical form runs) is
+// workers and shot_workers (the three, with replay, fill the one
+// expt.Engine value ExperimentRequest.engine builds per request; the
+// settings are documented on expt.Engine): it caps the groups of shot
+// shards that run on the lockstep shot-batched executor
+// (internal/qphys.TrajBatch), and every lane replays the same
+// per-shard seed and rng stream as the scalar sharded path, so the
+// result bytes are identical for any value. 0 (the default, and what the scrubbed canonical form runs) is
 // the sweep engine's automatic rule (expt.ShardLaneGroups): a shot
 // worker that would run several shards of one point back to back runs
 // them in lockstep, where the executor is measured faster; 1 runs

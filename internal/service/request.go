@@ -138,31 +138,38 @@ func canonicalExperiments(exps []ExperimentRequest) ([]byte, error) {
 	return json.Marshal(canon)
 }
 
-// scrubResultParams zeroes the result-neutral knobs in a result's params
-// echo before marshaling, so the served bytes match what the canonical
-// (scrubbed) form of the request would produce — the other half of the
-// schema-v3 contract. The experiment layer guarantees the measured data
-// is already identical; only the verbatim echo needed scrubbing.
+// scrubResultParams zeroes the result-neutral scheduling settings in a
+// result's params echo before marshaling, so the served bytes match what
+// the canonical (scrubbed) form of the request would produce — the other
+// half of the schema-v3 contract. Sweep results echo an expt.Engine,
+// whose Workers, ShotWorkers and BatchLanes are cleared in one place;
+// Replay stays echoed as requested. The experiment layer guarantees the
+// measured data is already identical; only the verbatim echo needed
+// scrubbing.
 func scrubResultParams(res any) {
+	var eng *expt.Engine
 	switch v := res.(type) {
 	case *expt.T1Result:
-		v.Params.Workers, v.Params.ShotWorkers, v.Params.BatchLanes = 0, 0, 0
+		eng = &v.Params.Engine
 	case *expt.RamseyResult:
-		v.Params.Workers, v.Params.ShotWorkers, v.Params.BatchLanes = 0, 0, 0
+		eng = &v.Params.Engine
 	case *expt.EchoResult:
-		v.Params.Workers, v.Params.ShotWorkers, v.Params.BatchLanes = 0, 0, 0
+		eng = &v.Params.Engine
 	case *expt.AllXYResult:
-		v.Params.Workers, v.Params.ShotWorkers, v.Params.BatchLanes = 0, 0, 0
+		eng = &v.Params.Engine
 	case *expt.RabiResult:
-		v.Params.Workers, v.Params.ShotWorkers, v.Params.BatchLanes = 0, 0, 0
+		eng = &v.Params.Engine
 	case *expt.RBResult:
-		v.Params.Workers, v.Params.ShotWorkers, v.Params.BatchLanes = 0, 0, 0
+		eng = &v.Params.Engine
 	case *expt.RepCodeResult:
-		v.Params.Workers, v.Params.ShotWorkers, v.Params.BatchLanes = 0, 0, 0
+		eng = &v.Params.Engine
 	case *expt.PhaseCodeResult:
-		v.Params.Workers, v.Params.ShotWorkers, v.Params.BatchLanes = 0, 0, 0
+		eng = &v.Params.Engine
 	case *expt.ProgramResult:
 		v.Params.ShotWorkers, v.Params.BatchLanes = 0, 0
+	}
+	if eng != nil {
+		*eng = expt.Engine{Replay: eng.Replay}
 	}
 }
 
@@ -214,6 +221,9 @@ func (r ExperimentRequest) Validate(i int) []FieldError {
 	}
 	if r.Rounds < 0 {
 		add("rounds", "must be non-negative (0 selects the default)")
+	}
+	if r.Workers < 0 {
+		add("workers", "must be non-negative (0 selects one worker per CPU)")
 	}
 	if r.ShotWorkers < 0 {
 		add("shot_workers", "must be non-negative (0 selects one worker per CPU)")
@@ -322,6 +332,12 @@ func (r ExperimentRequest) dataQubits() int {
 	return r.DataQubits
 }
 
+// engine builds the execution settings a request selects. They never
+// change a result byte (see expt.Engine).
+func (r ExperimentRequest) engine() expt.Engine {
+	return expt.Engine{Workers: r.Workers, ShotWorkers: r.ShotWorkers, BatchLanes: r.BatchLanes, Replay: replay.Mode(r.Replay)}
+}
+
 func (r ExperimentRequest) sweepParams() expt.SweepParams {
 	p := expt.DefaultSweepParams()
 	p.Qubit = r.Qubit
@@ -331,10 +347,7 @@ func (r ExperimentRequest) sweepParams() expt.SweepParams {
 	if len(r.DelaysCycles) > 0 {
 		p.DelaysCycles = r.DelaysCycles
 	}
-	p.Workers = r.Workers
-	p.ShotWorkers = r.ShotWorkers
-	p.BatchLanes = r.BatchLanes
-	p.Replay = replay.Mode(r.Replay)
+	p.Engine = r.engine()
 	return p
 }
 
@@ -363,10 +376,7 @@ func Execute(ctx context.Context, env *expt.Env, r ExperimentRequest) (json.RawM
 		if r.Rounds > 0 {
 			p.Rounds = r.Rounds
 		}
-		p.Workers = r.Workers
-		p.ShotWorkers = r.ShotWorkers
-		p.BatchLanes = r.BatchLanes
-		p.Replay = replay.Mode(r.Replay)
+		p.Engine = r.engine()
 		res, err = env.RunAllXY(ctx, cfg, p)
 	case "rabi":
 		p := expt.DefaultRabiParams()
@@ -377,10 +387,7 @@ func Execute(ctx context.Context, env *expt.Env, r ExperimentRequest) (json.RawM
 		if len(r.Scales) > 0 {
 			p.Scales = r.Scales
 		}
-		p.Workers = r.Workers
-		p.ShotWorkers = r.ShotWorkers
-		p.BatchLanes = r.BatchLanes
-		p.Replay = replay.Mode(r.Replay)
+		p.Engine = r.engine()
 		res, err = env.RunRabi(ctx, cfg, p)
 	case "rb":
 		p := expt.DefaultRBParams()
@@ -397,10 +404,7 @@ func Execute(ctx context.Context, env *expt.Env, r ExperimentRequest) (json.RawM
 		if r.SeqSeed != 0 {
 			p.Seed = r.SeqSeed
 		}
-		p.Workers = r.Workers
-		p.ShotWorkers = r.ShotWorkers
-		p.BatchLanes = r.BatchLanes
-		p.Replay = replay.Mode(r.Replay)
+		p.Engine = r.engine()
 		res, err = env.RunRB(ctx, cfg, p)
 	case "repcode", "phasecode":
 		p := expt.DefaultRepCodeParams()
@@ -411,10 +415,7 @@ func Execute(ctx context.Context, env *expt.Env, r ExperimentRequest) (json.RawM
 		if r.WaitCycles > 0 {
 			p.WaitCycles = r.WaitCycles
 		}
-		p.Workers = r.Workers
-		p.ShotWorkers = r.ShotWorkers
-		p.BatchLanes = r.BatchLanes
-		p.Replay = replay.Mode(r.Replay)
+		p.Engine = r.engine()
 		if r.Type == "repcode" {
 			res, err = env.RunRepCode(ctx, cfg, p)
 		} else {
