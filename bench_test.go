@@ -25,6 +25,7 @@ import (
 	"quma/internal/expt"
 	"quma/internal/isa"
 	"quma/internal/microcode"
+	"quma/internal/prng"
 	"quma/internal/pulse"
 	"quma/internal/qphys"
 	"quma/internal/readout"
@@ -731,7 +732,7 @@ func BenchmarkKraus1(b *testing.B) {
 // BenchmarkTrajectoryApply1 measures the statevector single-qubit kernel
 // at n=12 — a register size the density backend cannot even allocate.
 func BenchmarkTrajectoryApply1(b *testing.B) {
-	tr := qphys.NewTrajectory(12, rand.New(rand.NewSource(1)))
+	tr := qphys.NewTrajectorySource(12, prng.New(1))
 	u := qphys.RX(0.3)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -743,7 +744,7 @@ func BenchmarkTrajectoryApply1(b *testing.B) {
 // BenchmarkTrajectoryApply2 measures the statevector two-qubit kernel at
 // n=12.
 func BenchmarkTrajectoryApply2(b *testing.B) {
-	tr := qphys.NewTrajectory(12, rand.New(rand.NewSource(1)))
+	tr := qphys.NewTrajectorySource(12, prng.New(1))
 	cz := qphys.CZ()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -755,7 +756,7 @@ func BenchmarkTrajectoryApply2(b *testing.B) {
 // BenchmarkTrajectoryKraus1 measures Monte-Carlo channel unwinding at
 // n=12 with the full 8-operator decoherence set of advance().
 func BenchmarkTrajectoryKraus1(b *testing.B) {
-	tr := qphys.NewTrajectory(12, rand.New(rand.NewSource(1)))
+	tr := qphys.NewTrajectorySource(12, prng.New(1))
 	tr.Apply1(qphys.RX(math.Pi/2), 5)
 	ops := qphys.DecoherenceChannel(20e-9, qphys.DefaultQubitParams())
 	b.ReportMetric(float64(len(ops)), "kraus-ops")

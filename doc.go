@@ -159,6 +159,14 @@
 //     for every program (TestCompiledReplayStateBitExact). The one
 //     slack is the sign of zeros from real-coefficient scaling, which
 //     nothing downstream can observe.
+//   - One generator. Each machine draws every variate from one
+//     prng.Source (internal/prng), a port of math/rand's generator that
+//     yields rand.NewSource's stream for every seed. The trajectory
+//     register and the replay executors call its Float64 directly, so
+//     the draw inlines into their loops; the machine's rand.Rand wraps
+//     the same Source for the cold draws (readout noise, density-matrix
+//     measurement). The stream is part of the determinism contract, with
+//     math/rand as its test oracle (internal/prng/stream_test.go).
 //   - Per-schedule tables. Each decoherence channel's axis-aligned
 //     pricing coefficients and operator tables are hoisted out of the
 //     shot loop into one qphys.ChannelTable, deduplicated by the

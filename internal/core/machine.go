@@ -25,6 +25,7 @@ import (
 	"quma/internal/exec"
 	"quma/internal/isa"
 	"quma/internal/microcode"
+	"quma/internal/prng"
 	"quma/internal/pulse"
 	"quma/internal/qphys"
 	"quma/internal/readout"
@@ -230,19 +231,21 @@ func New(cfg Config) (*Machine, error) {
 		cfg.Qubit = append(cfg.Qubit, qphys.DefaultQubitParams())
 	}
 
+	src := prng.New(cfg.Seed)
 	m := &Machine{
 		Cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		rng:       rand.New(src),
 		lastTime:  make([]clock.Sample, cfg.NumQubits),
 		rotCache:  make(map[rotKey]rotVal),
 		decoCache: make(map[decoKey]decoVal),
 		cz:        qphys.CZ(),
 	}
 	// The trajectory backend samples Kraus operators from the machine's
-	// own PRNG — the same stream measurement draws from — so a fixed
-	// Config.Seed fixes the whole trajectory.
+	// own generator — the stream m.rng draws measurements and readout
+	// noise from — so a fixed Config.Seed fixes the whole trajectory. It
+	// holds the concrete source, so replayed draws skip rand.Rand.
 	if cfg.Backend == BackendTrajectory {
-		m.State = qphys.NewTrajectory(cfg.NumQubits, m.rng)
+		m.State = qphys.NewTrajectorySource(cfg.NumQubits, src)
 	} else {
 		m.State = qphys.NewDensity(cfg.NumQubits)
 	}
@@ -296,8 +299,9 @@ func New(cfg Config) (*Machine, error) {
 func (m *Machine) ResetState(seed int64) {
 	m.Cfg.Seed = seed
 	m.rng.Seed(seed)
-	// The State keeps its backend binding (the trajectory backend samples
-	// from m.rng, which stays the same object).
+	// The State keeps its backend binding: rand.Rand.Seed reseeds the
+	// one prng.Source that m.rng wraps and the trajectory backend samples
+	// from.
 	m.State.Reset()
 	for i := range m.lastTime {
 		m.lastTime[i] = 0

@@ -68,9 +68,10 @@ import (
 // full-pipeline executions) before replaying its remainder, so the size
 // balances that per-shard overhead against shard-count parallelism and
 // against test affordability (exceeding the threshold must not require
-// huge shot counts). For the d=3 repcode shot the overhead is ~4% at 256:
-// a ~72 µs lead against ~6.6 µs per compiled shot (qumabench traced run,
-// replay.lead_us and replay.compiled_shot_ns, on a 2-vCPU Xeon VM).
+// huge shot counts). For the d=3 repcode shot the overhead is ~8% at 256:
+// a ~116 µs lead against ~5.5 µs per compiled shot (median of three
+// qumabench traced runs, replay.lead_us and replay.compiled_shot_ns, on a
+// 2-vCPU Xeon VM).
 const ShotShardSize = 256
 
 // ShotShardPlan returns the automatic shard plan for a shot count: nil
@@ -253,6 +254,11 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 			s := &bufs[k]
 			s.lens = make([]int, 0, plan[k])
 			cb = func(_ int, md []replay.MD) {
+				if s.md == nil {
+					// Replayed shots record the same measurements, so
+					// the first shot's count sizes the whole shard.
+					s.md = make([]replay.MD, 0, len(md)*plan[k])
+				}
 				s.md = append(s.md, md...)
 				s.lens = append(s.lens, len(md))
 			}

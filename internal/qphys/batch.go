@@ -2,7 +2,8 @@ package qphys
 
 import (
 	"fmt"
-	"math/rand"
+
+	"quma/internal/prng"
 )
 
 // batch.go — lockstep shot-batched execution of a compiled schedule.
@@ -56,7 +57,7 @@ type TrajBatch struct {
 	// gather/scatter endpoints (Gather on construction, Scatter to hand
 	// the state back).
 	lanes []*Trajectory
-	rngs  []*rand.Rand
+	srcs  []*prng.Source
 
 	// Population-carry state, threaded across ops and shots exactly as
 	// the scalar executor threads its (PopCarry, carryQ) pair. The
@@ -66,8 +67,8 @@ type TrajBatch struct {
 	carryQ int
 
 	// scratch is a single-lane register used to run dense/complex
-	// channel selections through the scalar tail; its rng is never used —
-	// all variates are drawn from the lane rngs before divergence.
+	// channel selections through the scalar tail; it has no generator —
+	// all variates are drawn from the lane sources before divergence.
 	scratch *Trajectory
 
 	// Per-op scratch, allocated once so the steady-state shot loop
@@ -119,7 +120,7 @@ func NewTrajBatch(lanes []*Trajectory) *TrajBatch {
 		L:       L,
 		amp:     make([]complex128, dim*L),
 		lanes:   append([]*Trajectory(nil), lanes...),
-		rngs:    make([]*rand.Rand, L),
+		srcs:    make([]*prng.Source, L),
 		carry:   make([]PopCarry, L),
 		carryQ:  -1,
 		scratch: &Trajectory{nq: nq, Psi: make([]complex128, dim)},
@@ -145,7 +146,7 @@ func NewTrajBatch(lanes []*Trajectory) *TrajBatch {
 		outc:    make([]int, L),
 	}
 	for l, t := range lanes {
-		b.rngs[l] = t.rng
+		b.srcs[l] = t.src
 		for i, a := range t.Psi {
 			b.amp[i*L+l] = a
 		}
@@ -310,13 +311,13 @@ func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 	// and classify the application.
 	fastOK := ct.fkind != chanDense
 	r0, r1 := b.r0, b.r1
-	rngs, carry, ckind := b.rngs, b.carry, b.ckind
+	srcs, carry, ckind := b.srcs, b.carry, b.ckind
 	pp0, pp1 := b.pp0, b.pp1
 	lastPs, chosens := b.lastP, b.chosen
 	carryHit := b.carryQ == q
 	nDiag, nAnti, nTail := 0, 0, 0
 	for l := 0; l < L; l++ {
-		rv := rngs[l].Float64()
+		rv := srcs[l].Float64()
 		var pl0, pl1 float64
 		if carryHit && carry[l].Valid {
 			pl0, pl1 = carry[l].P0, carry[l].P1
@@ -623,7 +624,7 @@ func (b *TrajBatch) measureBatch(q int, wantCarry bool, measure func(lane, q, ou
 	// variate, classify. All lane draws happen before any amplitude
 	// work; per lane the draw still precedes its own collapse, as in
 	// the scalar executor.
-	carry, rngs, outc, ckind := b.carry, b.rngs, b.outc, b.ckind
+	carry, srcs, outc, ckind := b.carry, b.srcs, b.outc, b.ckind
 	cc := b.r0
 	mk0, mk1 := b.mk0, b.mk1
 	lastPs := b.lastP
@@ -638,7 +639,7 @@ func (b *TrajBatch) measureBatch(q int, wantCarry bool, measure func(lane, q, ou
 		p1 = clampProb(p1)
 		outcome := 0
 		p := 1 - p1
-		if rngs[l].Float64() < p1 {
+		if srcs[l].Float64() < p1 {
 			outcome = 1
 			p = p1
 		}

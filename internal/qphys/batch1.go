@@ -20,7 +20,7 @@ import "math"
 func (b *TrajBatch) runSchedule1(ops []SchedOp, measure func(lane, q, outcome int)) {
 	L := b.L
 	lo, hi := b.amp[:L:L], b.amp[L:2*L:2*L]
-	carry, rngs := b.carry[:L:L], b.rngs[:L:L]
+	carry, srcs := b.carry[:L:L], b.srcs[:L:L]
 	for ii := range ops {
 		o := &ops[ii]
 		switch o.Kind {
@@ -31,7 +31,7 @@ func (b *TrajBatch) runSchedule1(ops []SchedOp, measure func(lane, q, outcome in
 			fast := ct.fkind == chanDiag && ct.freal
 			for l := 0; l < L; l++ {
 				a0, a1 := lo[l], hi[l]
-				r := rngs[l].Float64()
+				r := srcs[l].Float64()
 				var p0, p1 float64
 				if carryHit && carry[l].Valid {
 					p0, p1 = carry[l].P0, carry[l].P1
@@ -110,7 +110,7 @@ func (b *TrajBatch) runSchedule1(ops []SchedOp, measure func(lane, q, outcome in
 					p1 = s.ProbExcited(0)
 				}
 				var outcome int
-				outcome, carry[l] = s.MeasureCarry(0, p1, rngs[l], wantCarry)
+				outcome, carry[l] = s.MeasureCarry(0, p1, srcs[l].Float64(), wantCarry)
 				lo[l], hi[l] = s.Psi[0], s.Psi[1]
 				measure(l, 0, outcome)
 			}

@@ -15,8 +15,9 @@ package qphys
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
+
+	"quma/internal/prng"
 )
 
 // batchTestSchedule is the representative compiled schedule the batch
@@ -214,23 +215,6 @@ func TestRunScheduleBatchMatchesScalarPerLane(t *testing.T) {
 	}
 }
 
-// fixedSource is a PRNG source returning a scripted Int63 stream —
-// the lever that forces rand.Float64 to exact chosen values, which is
-// the only way to reach the degenerate (p < 1e-15) measurement branch
-// deterministically.
-type fixedSource struct {
-	vals []int64
-	i    int
-}
-
-func (s *fixedSource) Int63() int64 {
-	v := s.vals[s.i%len(s.vals)]
-	s.i++
-	return v
-}
-
-func (s *fixedSource) Seed(int64) {}
-
 // TestMeasureBatchDegenerateMatchesScalar pins the degenerate
 // projection: a lane whose drawn outcome has probability below 1e-15
 // must reset to the outcome's basis state exactly as the scalar path
@@ -241,18 +225,20 @@ func TestMeasureBatchDegenerateMatchesScalar(t *testing.T) {
 	const q = 1
 	// Float64() = Int63()/2^63; 2^63-1024 is the largest Int63 value that
 	// does not round up to 1.0 (which Float64 rejects and redraws),
-	// yielding exactly 1-2^-53 — the largest float64 below 1.
-	almostOne := int64(math.MaxInt64) - 1023
+	// yielding exactly 1-2^-53 — the largest float64 below 1. SetNext
+	// forces the degenerate lane's draw, the only way to reach the branch
+	// deterministically.
+	almostOne := uint64(math.MaxInt64) - 1023
 	cases := []struct {
 		name string
-		vals []int64 // scripted draws for the degenerate lane
+		next uint64 // the degenerate lane's scripted draw
 		prep func(*Trajectory)
 	}{
 		{
 			// p1 = 1 - O(1e-16): the draw lands above it, outcome 0 with
 			// p0 < 1e-15 → degenerate reset to |0…0⟩.
 			name: "outcome0",
-			vals: []int64{almostOne},
+			next: almostOne,
 			prep: func(tr *Trajectory) {
 				for i := range tr.Psi {
 					tr.Psi[i] = 0
@@ -266,7 +252,7 @@ func TestMeasureBatchDegenerateMatchesScalar(t *testing.T) {
 			// p1 = 1e-18 > 0 with a zero draw: outcome 1 with p1 < 1e-15 →
 			// degenerate reset to |0…0⟩ then X → the outcome-1 basis state.
 			name: "outcome1",
-			vals: []int64{0},
+			next: 0,
 			prep: func(tr *Trajectory) {
 				for i := range tr.Psi {
 					tr.Psi[i] = 0
@@ -284,7 +270,9 @@ func TestMeasureBatchDegenerateMatchesScalar(t *testing.T) {
 		ops := []SchedOp{{Kind: SchedMeasure, Q: q, CarryFor: carryFor}}
 		for _, c := range cases {
 			mk := func() []*Trajectory {
-				deg := NewTrajectory(n, rand.New(&fixedSource{vals: c.vals}))
+				src := prng.New(1)
+				src.SetNext(c.next)
+				deg := NewTrajectorySource(n, src)
 				c.prep(deg)
 				return []*Trajectory{randomTrajectory(n, 77), deg}
 			}

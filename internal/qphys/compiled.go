@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"math/rand"
 )
 
 // Compiled-channel hooks for schedule compilers (internal/replay).
@@ -166,7 +165,7 @@ func (t *Trajectory) ApplyChannelCarry(ct *ChannelTable, q int, in PopCarry, nex
 	}
 	mask := 1 << (t.nq - 1 - q)
 	psi := t.Psi
-	r := t.rng.Float64()
+	r := t.src.Float64()
 
 	var p0, p1 float64
 	if in.Valid {
@@ -474,18 +473,19 @@ func (t *Trajectory) Apply1Carry(u Matrix, q int) PopCarry {
 // MeasureCarry is Measure with qubit q's raw excited-state population
 // already known: p1 must equal the |1⟩ population a fresh pass would
 // compute (e.g. the P1 of a Valid PopCarry for q). It clamps, samples,
-// and collapses exactly as Measure does, consuming one variate. With
+// and collapses exactly as Measure does, with the caller's variate r (one
+// Float64 draw, taken where Measure takes its own). With
 // wantCarry it additionally carries qubit q's post-collapse populations
 // to the next schedule step: the projection
 // pass accumulates the renormalized survivors' |a|² in ascending index
 // order (the zeroed branch contributes an exact 0), so the carry matches
 // a standalone pass bit for bit. The degenerate zero-probability reset
 // path produces no carry.
-func (t *Trajectory) MeasureCarry(q int, p1 float64, rng *rand.Rand, wantCarry bool) (int, PopCarry) {
+func (t *Trajectory) MeasureCarry(q int, p1, r float64, wantCarry bool) (int, PopCarry) {
 	p1 = clampProb(p1)
 	outcome := 0
 	p := 1 - p1
-	if rng.Float64() < p1 {
+	if r < p1 {
 		outcome = 1
 		p = p1
 	}

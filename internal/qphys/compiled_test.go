@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"quma/internal/prng"
 )
 
 // Property tests for the compiled-channel hooks: every compiled kernel
@@ -40,7 +42,7 @@ func testChannels() map[string][]Matrix {
 // randomTrajectory returns a normalized random n-qubit state whose
 // channel sampling draws from a PRNG seeded with seed.
 func randomTrajectory(n int, seed int64) *Trajectory {
-	t := NewTrajectory(n, rand.New(rand.NewSource(seed)))
+	t := NewTrajectorySource(n, prng.New(seed))
 	gen := rand.New(rand.NewSource(seed + 1000))
 	var norm float64
 	for i := range t.Psi {
@@ -67,7 +69,7 @@ func samePsi(t *testing.T, want, got *Trajectory, context string) {
 // sameRNG verifies both machines' PRNG streams are at the same position.
 func sameRNG(t *testing.T, a, b *Trajectory, context string) {
 	t.Helper()
-	if x, y := a.rng.Float64(), b.rng.Float64(); x != y {
+	if x, y := a.src.Float64(), b.src.Float64(); x != y {
 		t.Fatalf("%s: PRNG streams diverged: next draws %v vs %v", context, x, y)
 	}
 }
@@ -143,8 +145,8 @@ func TestMeasureCarryMatchesMeasure(t *testing.T) {
 		for seed := int64(1); seed <= 10; seed++ {
 			ref := randomTrajectory(n, seed)
 			cmp := randomTrajectory(n, seed)
-			want := ref.Measure(q, ref.rng)
-			outcome, carry := cmp.MeasureCarry(q, cmp.ProbExcited(q), cmp.rng, true)
+			want := ref.Measure(q, rand.New(ref.src))
+			outcome, carry := cmp.MeasureCarry(q, cmp.ProbExcited(q), cmp.src.Float64(), true)
 			if want != outcome {
 				t.Fatalf("q=%d seed=%d: outcomes differ: %d vs %d", q, seed, want, outcome)
 			}
@@ -322,7 +324,7 @@ func TestRunScheduleMatchesSequential(t *testing.T) {
 				case SchedCZ, SchedApply2:
 					ref.Apply2(o.U, int(o.Q), int(o.Qb))
 				case SchedMeasure:
-					refOut = append(refOut, ref.Measure(int(o.Q), ref.rng))
+					refOut = append(refOut, ref.Measure(int(o.Q), rand.New(ref.src)))
 				}
 			}
 			carry, carryQ = cmp.RunSchedule(ops, carry, carryQ, func(q, outcome int) {

@@ -67,7 +67,7 @@ type SchedOp struct {
 // schedule is circular). Pass an invalid carry for the first shot.
 func (t *Trajectory) RunSchedule(ops []SchedOp, in PopCarry, inQ int, measure func(q, outcome int)) (PopCarry, int) {
 	psi := t.Psi
-	rng := t.rng
+	src := t.src
 	carry := in
 	carryQ := inQ
 	for ii := range ops {
@@ -78,7 +78,7 @@ func (t *Trajectory) RunSchedule(ops []SchedOp, in PopCarry, inQ int, measure fu
 			ct := o.Ch
 			nextQ := int(o.CarryFor)
 			mask := 1 << (t.nq - 1 - q)
-			r := rng.Float64()
+			r := src.Float64()
 			var p0, p1 float64
 			if carry.Valid && carryQ == q {
 				p0, p1 = carry.P0, carry.P1
@@ -136,7 +136,7 @@ func (t *Trajectory) RunSchedule(ops []SchedOp, in PopCarry, inQ int, measure fu
 				p1 = t.ProbExcited(q)
 			}
 			var outcome int
-			outcome, carry = t.MeasureCarry(q, p1, rng, int(o.CarryFor) == q)
+			outcome, carry = t.MeasureCarry(q, p1, src.Float64(), int(o.CarryFor) == q)
 			carryQ = q
 			measure(q, outcome)
 		}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+
+	"quma/internal/prng"
 )
 
 // Trajectory is a pure-state Monte-Carlo backend: it stores the 2^n
@@ -22,11 +24,13 @@ import (
 type Trajectory struct {
 	nq  int
 	Psi []complex128
-	// rng drives Kraus-operator sampling. It is bound at construction —
-	// the machine hands over its deterministic PRNG — so a fixed seed
-	// fixes the whole trajectory, which keeps sweep results
-	// bit-reproducible for any worker count.
-	rng *rand.Rand
+	// src drives Kraus-operator sampling and the compiled executors'
+	// measurements. It is bound at construction — the machine hands over
+	// its deterministic generator — so a fixed seed fixes the whole
+	// trajectory, which keeps sweep results bit-reproducible for any
+	// worker count. It is the concrete type, not a rand.Source, so the
+	// per-operation draws inline into the executors' loops.
+	src *prng.Source
 	// diagMemo caches the diagonality classification of the last Apply2
 	// matrix by identity: the machine plays the same cached CZ on every
 	// flux pulse, so the 16-entry scan runs once, not once per gate.
@@ -38,15 +42,26 @@ type Trajectory struct {
 // is still cheap, and the ISA's qubit masks stop at 16 anyway.
 const maxTrajectoryQubits = 20
 
-// NewTrajectory returns an n-qubit register initialized to |0…0⟩ whose
-// channel sampling draws from rng.
-func NewTrajectory(n int, rng *rand.Rand) *Trajectory {
+// NewTrajectorySource returns an n-qubit register initialized to |0…0⟩
+// whose channel sampling draws from src. core.New binds the machine's
+// generator here, and rand.New(src) serves the machine's other draws from
+// the same stream.
+func NewTrajectorySource(n int, src *prng.Source) *Trajectory {
 	if n < 1 || n > maxTrajectoryQubits {
 		panic(fmt.Sprintf("qphys: unsupported trajectory register size %d", n))
 	}
 	psi := make([]complex128, 1<<n)
 	psi[0] = 1
-	return &Trajectory{nq: n, Psi: psi, rng: rng}
+	return &Trajectory{nq: n, Psi: psi, src: src}
+}
+
+// NewTrajectory is a thin wrapper for callers that hold a *rand.Rand:
+// the register's own generator is seeded from one rng.Int63() draw, so
+// its stream is derived from rng but is not rng's. Code that must share
+// one stream between the register and other draws uses
+// NewTrajectorySource.
+func NewTrajectory(n int, rng *rand.Rand) *Trajectory {
+	return NewTrajectorySource(n, prng.New(rng.Int63()))
 }
 
 // NumQubits returns the register size.
@@ -199,7 +214,7 @@ func (t *Trajectory) ApplyKraus1(ops []Matrix, q int) {
 	}
 	mask := 1 << (t.nq - 1 - q)
 	psi := t.Psi
-	r := t.rng.Float64()
+	r := t.src.Float64()
 
 	var p0, p1 float64
 	for base := 0; base < len(psi); base += mask << 1 {
@@ -359,7 +374,8 @@ func (t *Trajectory) ExpectationZ(q int) float64 {
 // compiled schedules skip the first via MeasureCarry when a fused
 // kernel already carried the population.
 func (t *Trajectory) Measure(q int, rng *rand.Rand) int {
-	outcome, _ := t.MeasureCarry(q, t.ProbExcited(q), rng, false)
+	p1 := t.ProbExcited(q)
+	outcome, _ := t.MeasureCarry(q, p1, rng.Float64(), false)
 	return outcome
 }
 

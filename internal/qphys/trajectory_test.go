@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"quma/internal/prng"
 )
 
 // The trajectory backend's unitary kernels must match the Density
@@ -30,10 +32,11 @@ func randomTrajectoryState(t *Trajectory, rng *rand.Rand) *Density {
 }
 
 func TestTrajectoryApply1PinnedToDensity(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	src := prng.New(11)
+	rng := rand.New(src)
 	for n := 1; n <= 5; n++ {
 		for trial := 0; trial < 8; trial++ {
-			tr := NewTrajectory(n, rng)
+			tr := NewTrajectorySource(n, src)
 			d := randomTrajectoryState(tr, rng)
 			u := randomUnitaryGS(2, rng)
 			q := rng.Intn(n)
@@ -47,10 +50,11 @@ func TestTrajectoryApply1PinnedToDensity(t *testing.T) {
 }
 
 func TestTrajectoryApply2PinnedToDensity(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
+	src := prng.New(12)
+	rng := rand.New(src)
 	for n := 2; n <= 5; n++ {
 		for trial := 0; trial < 8; trial++ {
-			tr := NewTrajectory(n, rng)
+			tr := NewTrajectorySource(n, src)
 			d := randomTrajectoryState(tr, rng)
 			u := randomUnitaryGS(4, rng)
 			qa := rng.Intn(n)
@@ -70,9 +74,10 @@ func TestTrajectoryApply2PinnedToDensity(t *testing.T) {
 func TestTrajectoryRandomCircuitPinnedToDensity(t *testing.T) {
 	// A deeper random circuit catches convention mismatches (bit order,
 	// control/target) that single gates can miss.
-	rng := rand.New(rand.NewSource(13))
+	src := prng.New(13)
+	rng := rand.New(src)
 	for n := 2; n <= 4; n++ {
-		tr := NewTrajectory(n, rng)
+		tr := NewTrajectorySource(n, src)
 		d := NewDensity(n)
 		for step := 0; step < 30; step++ {
 			if rng.Intn(2) == 0 {
@@ -111,9 +116,9 @@ func TestTrajectoryKrausSamplingIsExactInExpectation(t *testing.T) {
 	const trials = 4000
 	ops := AmplitudeDamping(0.3)
 	var sum float64
-	rng := rand.New(rand.NewSource(14))
+	src := prng.New(14)
 	for i := 0; i < trials; i++ {
-		tr := NewTrajectory(1, rng)
+		tr := NewTrajectorySource(1, src)
 		tr.Apply1(PauliX(), 0)
 		tr.ApplyKraus1(ops, 0)
 		sum += tr.ProbExcited(0)
@@ -138,9 +143,9 @@ func TestTrajectoryDecoherenceChannelMatchesDensityMean(t *testing.T) {
 
 	const trials = 4000
 	var sum float64
-	rng := rand.New(rand.NewSource(15))
+	src := prng.New(15)
 	for i := 0; i < trials; i++ {
-		tr := NewTrajectory(1, rng)
+		tr := NewTrajectorySource(1, src)
 		tr.Apply1(RX(math.Pi/2), 0)
 		tr.ApplyKraus1(ops, 0)
 		sum += tr.ExpectationZ(0)
@@ -152,8 +157,9 @@ func TestTrajectoryDecoherenceChannelMatchesDensityMean(t *testing.T) {
 }
 
 func TestTrajectoryKrausPreservesNorm(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	tr := NewTrajectory(3, rng)
+	src := prng.New(16)
+	rng := rand.New(src)
+	tr := NewTrajectorySource(3, src)
 	randomTrajectoryState(tr, rng)
 	ops := DecoherenceChannel(50e-9, DefaultQubitParams())
 	for i := 0; i < 50; i++ {
@@ -168,8 +174,9 @@ func TestTrajectoryKrausPreservesNorm(t *testing.T) {
 }
 
 func TestTrajectoryMeasureCollapses(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	tr := NewTrajectory(2, rng)
+	src := prng.New(17)
+	rng := rand.New(src)
+	tr := NewTrajectorySource(2, src)
 	tr.Apply1(Hadamard(), 0)
 	tr.Apply2(CNOT(), 0, 1) // Bell pair: outcomes must correlate
 	a := tr.Measure(0, rng)
@@ -186,8 +193,8 @@ func TestTrajectoryMeasureCollapses(t *testing.T) {
 }
 
 func TestTrajectoryProjectZeroProbabilityResets(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	tr := NewTrajectory(1, rng)
+	src := prng.New(18)
+	tr := NewTrajectorySource(1, src)
 	tr.Project(0, 1) // P(|1⟩) = 0: reset to the consistent basis state
 	if p := tr.ProbExcited(0); math.Abs(p-1) > 1e-12 {
 		t.Errorf("P(|1⟩) after zero-probability projection = %v, want 1", p)
@@ -195,8 +202,8 @@ func TestTrajectoryProjectZeroProbabilityResets(t *testing.T) {
 }
 
 func TestTrajectoryKernelsDoNotAllocate(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	tr := NewTrajectory(3, rng)
+	src := prng.New(19)
+	tr := NewTrajectorySource(3, src)
 	tr.Apply1(RX(math.Pi/2), 1)
 	u := RX(0.3)
 	cz := CZ()
@@ -214,8 +221,8 @@ func TestTrajectoryKernelsDoNotAllocate(t *testing.T) {
 
 func TestTrajectoryScalesPastDensityWall(t *testing.T) {
 	// 16 qubits: impossible for NewDensity (4^16 matrix), cheap here.
-	rng := rand.New(rand.NewSource(20))
-	tr := NewTrajectory(16, rng)
+	src := prng.New(20)
+	tr := NewTrajectorySource(16, src)
 	for q := 0; q < 16; q++ {
 		tr.Apply1(Hadamard(), q)
 	}

@@ -113,8 +113,8 @@ const detectShots = 3
 // ctxCheckShots is the bounded-staleness interval of the cancellation
 // check inside the replayed shot loops: the context is consulted once
 // every ctxCheckShots shots, so a cancellation or deadline preempts a
-// sweep within that many shots (a compiled shot costs ~6.6 µs for the
-// d=3 repcode and ~11 µs for RB m=128 in qumabench's traced run on a
+// sweep within that many shots (a compiled shot costs ~5.5 µs for the
+// d=3 repcode and ~10.4 µs for RB m=128 in qumabench's traced runs on a
 // 2-vCPU Xeon VM, so the bound is well under a millisecond) while the
 // per-shot cost of the check amortizes to nothing. Full-pipeline shots
 // are individually slow enough that their loops check every shot
