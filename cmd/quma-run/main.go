@@ -8,10 +8,12 @@
 // leading shots and, when the program is detected replay-safe, the
 // recorded quantum schedule is replayed for the rest — bit-identical
 // results, order-of-magnitude faster on shot-heavy programs. -replay=off
-// forces full per-shot simulation. Note that replayed shots perform no
-// classical execution, so final register contents reflect the last fully
-// simulated shot; programs whose registers matter are detected unsafe and
-// fall back automatically.
+// forces full per-shot simulation. Replayed shots perform no classical
+// execution, and a pooled machine that has already proven the program
+// replays its lead shots too, so when any shot was replayed the
+// instruction count and the registers are not printed: they would depend
+// on the shard layout, -lanes and -shot-workers. Programs whose
+// registers matter are detected unsafe and fall back automatically.
 //
 // Every -shots N > 1 run goes through the sweep engine's shot-shard
 // runner (expt.RunShots). Shot counts above expt.ShotShardSize are split
@@ -28,6 +30,8 @@
 // pulse, and measurement counters sum across shards; registers, final
 // qubit state, and the timeline come from the last shard's machine; the
 // data collection unit's averages merge exactly across the shards.
+// (-trace keeps every lead shot on the pipeline, which alone produces
+// the timeline.)
 //
 // Failures follow the engine's error rule: a shard's panic is recovered
 // into an error instead of crashing, the first failing shard cancels its
@@ -51,6 +55,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -143,6 +148,7 @@ func main() {
 	}
 
 	var reports []shardReport
+	var stats *replay.Stats
 	if *shots == 1 {
 		m, err := core.New(cfg)
 		if err != nil {
@@ -153,73 +159,14 @@ func main() {
 		}
 		reports = []shardReport{reportOf(m, true)}
 	} else {
-		var stats replay.Stats
 		eng := expt.Engine{ShotWorkers: *shotWorkers, BatchLanes: *lanes, Replay: mode}
-		stats, reports, err = runShots(cfg, prog, *shots, eng)
+		st, rs, err := runShots(cfg, prog, *shots, eng)
 		if err != nil {
 			fail(err)
 		}
-		if len(reports) > 1 {
-			// Lead/Overhead come from the merged engine stats: overhead
-			// is the recording cost sharding added over an unsharded run
-			// (zero at or below the shard threshold, where this line
-			// never prints).
-			fmt.Printf("shot-shard plan: %d shards of ≤%d shots (%d lead/detect shots, %d sharding overhead)\n",
-				len(reports), expt.ShotShardSize, stats.Lead, stats.Overhead)
-		}
-		printEngine(stats)
+		stats, reports = &st, rs
 	}
-
-	last := reports[len(reports)-1]
-	var steps, pulses, measurements uint64
-	for _, r := range reports {
-		steps += r.steps
-		pulses += r.pulses
-		measurements += r.measurements
-	}
-	fmt.Printf("program completed: %d instructions executed\n", steps)
-	fmt.Printf("pulses played: %d, measurements: %d\n", pulses, measurements)
-	fmt.Printf("CTPG memory footprint: %d bytes (12-bit samples)\n", last.footprint)
-	fmt.Println("registers:")
-	for r, v := range last.regs {
-		if v != 0 {
-			fmt.Printf("  r%-2d = %d\n", r, v)
-		}
-	}
-	for q, p := range last.p1 {
-		fmt.Printf("qubit %d final P(|1>) = %.4f\n", q, p)
-	}
-	if cfg.CollectK > 0 {
-		// Merge the shard collectors exactly: sums and counts added in
-		// shard order, divided once (identical to a single collector when
-		// there is one shard).
-		sums := make([]float64, cfg.CollectK)
-		counts := make([]int, cfg.CollectK)
-		rounds := 0
-		for _, r := range reports {
-			for i, s := range r.sums {
-				sums[i] += s
-			}
-			for i, c := range r.counts {
-				counts[i] += c
-			}
-			rounds += r.rounds
-		}
-		fmt.Printf("data collection unit: %d complete rounds, averages:\n", rounds)
-		for i := range sums {
-			avg := 0.0
-			if counts[i] > 0 {
-				avg = sums[i] / float64(counts[i])
-			}
-			fmt.Printf("  S[%d] = %.4f\n", i, avg)
-		}
-	}
-	if *trace {
-		fmt.Println("deterministic-domain timeline:")
-		for _, e := range last.trace {
-			fmt.Println("  " + e.String())
-		}
-	}
+	printRun(os.Stdout, reports, stats, cfg.CollectK, *trace)
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
@@ -234,13 +181,87 @@ func main() {
 	}
 }
 
-// printEngine reports what the shot-replay engine did.
-func printEngine(stats replay.Stats) {
-	if stats.Safe {
-		fmt.Printf("shot-replay engine: %d/%d shots replayed from the compiled schedule\n", stats.Replayed, stats.Shots)
-		return
+// printRun writes the run report to w: one report per shard in shard
+// order, and the merged engine stats (nil for a -shots 1 run, which runs
+// the pipeline without the engine). The instruction count and the
+// registers are printed only when no shot was replayed: replayed shots
+// execute no instructions, and which lead shots ran on the pipeline
+// depends on machine reuse across shards, so those figures would vary
+// with -lanes and -shot-workers where everything printed must not.
+func printRun(w io.Writer, reports []shardReport, stats *replay.Stats, collectK int, trace bool) {
+	if stats != nil {
+		if len(reports) > 1 {
+			// Lead/Overhead come from the merged engine stats: overhead
+			// is the recording cost sharding added over an unsharded run
+			// (zero at or below the shard threshold, where this line
+			// never prints).
+			fmt.Fprintf(w, "shot-shard plan: %d shards of ≤%d shots (%d lead/detect shots, %d sharding overhead)\n",
+				len(reports), expt.ShotShardSize, stats.Lead, stats.Overhead)
+		}
+		if stats.Safe {
+			fmt.Fprintf(w, "shot-replay engine: %d/%d shots replayed from the compiled schedule\n", stats.Replayed, stats.Shots)
+		} else {
+			fmt.Fprintf(w, "shot-replay engine: full simulation (%s)\n", stats.Reason)
+		}
 	}
-	fmt.Printf("shot-replay engine: full simulation (%s)\n", stats.Reason)
+	classical := stats == nil || stats.Replayed == 0
+
+	last := reports[len(reports)-1]
+	var steps, pulses, measurements uint64
+	for _, r := range reports {
+		steps += r.steps
+		pulses += r.pulses
+		measurements += r.measurements
+	}
+	if classical {
+		fmt.Fprintf(w, "program completed: %d instructions executed\n", steps)
+	} else {
+		fmt.Fprintln(w, "program completed: replayed shots keep no classical state (instruction count and registers not shown)")
+	}
+	fmt.Fprintf(w, "pulses played: %d, measurements: %d\n", pulses, measurements)
+	fmt.Fprintf(w, "CTPG memory footprint: %d bytes (12-bit samples)\n", last.footprint)
+	if classical {
+		fmt.Fprintln(w, "registers:")
+		for r, v := range last.regs {
+			if v != 0 {
+				fmt.Fprintf(w, "  r%-2d = %d\n", r, v)
+			}
+		}
+	}
+	for q, p := range last.p1 {
+		fmt.Fprintf(w, "qubit %d final P(|1>) = %.4f\n", q, p)
+	}
+	if collectK > 0 {
+		// Merge the shard collectors exactly: sums and counts added in
+		// shard order, divided once (identical to a single collector when
+		// there is one shard).
+		sums := make([]float64, collectK)
+		counts := make([]int, collectK)
+		rounds := 0
+		for _, r := range reports {
+			for i, s := range r.sums {
+				sums[i] += s
+			}
+			for i, c := range r.counts {
+				counts[i] += c
+			}
+			rounds += r.rounds
+		}
+		fmt.Fprintf(w, "data collection unit: %d complete rounds, averages:\n", rounds)
+		for i := range sums {
+			avg := 0.0
+			if counts[i] > 0 {
+				avg = sums[i] / float64(counts[i])
+			}
+			fmt.Fprintf(w, "  S[%d] = %.4f\n", i, avg)
+		}
+	}
+	if trace {
+		fmt.Fprintln(w, "deterministic-domain timeline:")
+		for _, e := range last.trace {
+			fmt.Fprintln(w, "  "+e.String())
+		}
+	}
 }
 
 // shardReport is what quma-run prints from one shard's machine: the

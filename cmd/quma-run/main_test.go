@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"quma/internal/asm"
@@ -159,5 +162,54 @@ func TestRunShardedLaneGroupingIsNeutral(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPrintedRunIsNeutral is TestRunShardedLaneGroupingIsNeutral's
+// sibling with the event timeline off, so a pooled machine that has
+// already proven the program replays its lead shots instead of running
+// the pipeline. What quma-run prints must not depend on where that
+// happened: the printed stdout is diffed across one, two and
+// one-per-CPU shot workers and automatic, scalar and capped lanes, and
+// the test demands that some shard skipped its pipeline lead (its
+// machine executed no instruction). Under -replay off every shot runs
+// the pipeline, so the full instruction count and the registers print.
+func TestPrintedRunIsNeutral(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Backend = core.BackendTrajectory
+	cfg.CollectK = 1
+	prog := asm.MustAssemble("mov r15, 400\nQNopReg r15\nPulse {q0}, X90\nWait 4\nMPG {q0}, 300\nMD {q0}, r7\nWait 340\nPulse {q0}, Y90\nWait 4\nhalt\n")
+	const shots = 1536
+	printed := func(eng expt.Engine) (string, []shardReport) {
+		st, reports, err := runShots(cfg, prog, shots, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		printRun(&buf, reports, &st, cfg.CollectK, false)
+		return buf.String(), reports
+	}
+	off, _ := printed(expt.Engine{ShotWorkers: 1, Replay: replay.ModeOff})
+	if want := fmt.Sprintf("program completed: %d instructions executed\n", 10*shots); !strings.Contains(off, want) || !strings.Contains(off, "registers:\n") {
+		t.Fatalf("-replay off report lacks %q or the registers:\n%s", want, off)
+	}
+	want, _ := printed(expt.Engine{ShotWorkers: 1, BatchLanes: 1, Replay: replay.ModeAuto})
+	if strings.Contains(want, "instructions executed") || strings.Contains(want, "registers:") {
+		t.Fatalf("replayed run prints lead-shot classical state:\n%s", want)
+	}
+	skipped := false
+	for _, workers := range []int{1, 2, 0} {
+		for _, lanes := range []int{0, 1, 8} {
+			got, reports := printed(expt.Engine{ShotWorkers: workers, BatchLanes: lanes, Replay: replay.ModeAuto})
+			if got != want {
+				t.Fatalf("workers=%d lanes=%d printed\n%s\nreference\n%s", workers, lanes, got, want)
+			}
+			for _, r := range reports {
+				skipped = skipped || r.steps == 0
+			}
+		}
+	}
+	if !skipped {
+		t.Fatal("no shard replayed its lead shots: the test no longer exercises the skip")
 	}
 }

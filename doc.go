@@ -104,8 +104,17 @@
 // channels, pulse rotations, flux unitaries, measurement chains — against
 // the state backend for all remaining shots.
 //
-// The lead shots are each run's (each shard's) fixed price, and every
-// shot of a feedback program pays the same full pipeline. In steady state
+// On a cold machine the lead shots are each run's (each shard's) fixed
+// price, and every shot of a feedback program pays the same full
+// pipeline. A pooled machine that has already proven a program skips the
+// pipeline lead at its next reset point: the memo entry keeps the
+// cold-start shot 0 recorded at a reset point, and the engine replays
+// shot 0 from it and shots 1–2 from the steady schedule, bit-identical
+// to the pipeline lead, with the same Stats (Lead still counts the
+// window). On such a hit the memo alone decides correctness, so it is
+// invalidated by UploadPulse, SetQubitParams and any µop redefinition,
+// and mutating a machine's exported components after construction is
+// unsupported (core.Machine.ReplayCache). In steady state
 // that pipeline and Machine.ResetState allocate nothing
 // (TestFullPipelineShotDoesNotAllocate): the microcode and µop units
 // expand into reused buffers, and a reset clears the controller, queues
@@ -136,8 +145,11 @@
 //     exercise this). Correctness never depends on the detector saying
 //     yes.
 //   - Replayed shots perform no classical execution: controller
-//     registers, data memory, the digital-output log, and the trace
-//     timeline reflect only fully simulated shots. Results flow through
+//     registers, data memory, the digital-output log, the instruction
+//     count and the trace timeline reflect only fully simulated shots
+//     (and a lead replayed from the memo simulates none; quma-run
+//     therefore prints no instruction count or registers after a run
+//     that replayed any shot). Results flow through
 //     the data collection unit and the engine's per-shot measurement
 //     stream, which replay maintains exactly.
 //
@@ -187,7 +199,8 @@
 //     form is memoized on the machine (core.Machine.ReplayCache, keyed
 //     by program identity), validated entry-for-entry against each
 //     fresh recording — pooled machines compile each program once per
-//     lifetime, however many programs interleave on them.
+//     lifetime, however many programs interleave on them. The lanes of
+//     one lockstep group share one immutable entry.
 //
 // # Shot-sharded parallel replay
 //
@@ -197,7 +210,9 @@
 // ShotShardSize shots, independent of worker count, like chunkRounds —
 // so it is part of the determinism contract, not a scheduling detail:
 // shard k runs on its own pooled machine seeded DeriveSeed(pointSeed, k),
-// executes its own lead/detect shots plus its slice of the replay loop,
+// executes its own lead/detect shots (replayed from the memo when the
+// machine has already proven the program) plus its slice of the replay
+// loop,
 // and results merge in shard order (measurement streams buffered
 // per shard and delivered with global shot indices; collector averages
 // recomputed exactly from per-shard sums and counts). The result is

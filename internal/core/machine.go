@@ -171,16 +171,32 @@ type Machine struct {
 	// probe, when non-nil, observes the quantum-operation stream.
 	probe Probe
 	// ReplayCache is an opaque slot for the shot-replay engine to memoize
-	// compiled schedules across runs on this machine, keyed by program
-	// identity. It survives ResetState on purpose — cached entries alias
-	// rotation/decoherence cache entries, which also survive, and the
-	// engine validates every entry against the freshly recorded schedule
-	// before reuse, so a stale entry can only miss, never corrupt. It is
-	// cleared wholesale by UploadPulse and SetQubitParams: those
-	// invalidate the aliased cache entries, leaving every compiled
-	// schedule permanently stale — dropping them bounds the memo to live
-	// programs over a machine pooled for a service lifetime.
+	// proven programs across runs on this machine, keyed by program
+	// identity: the steady-state schedule, its compiled form and the
+	// cold-start shot recorded at a reset point. It survives ResetState
+	// on purpose — cached entries alias rotation/decoherence cache
+	// entries, which also survive. It is cleared wholesale by UploadPulse
+	// and SetQubitParams: those invalidate the aliased cache entries,
+	// leaving every memoized schedule permanently stale — dropping them
+	// also bounds the memo to live programs over a machine pooled for a
+	// service lifetime.
+	//
+	// On a machine that runs the full pipeline the engine validates an
+	// entry against the freshly recorded schedule before reuse, so a
+	// stale entry can only miss. At a reset point (TakeResetPoint) the
+	// memo decides correctness alone: the engine replays the lead shots
+	// of a program this machine has already proven without recording
+	// anything. Such a hit is valid only between the invalidation points
+	// — UploadPulse, SetQubitParams, and the µop unit's definition
+	// generation (uop.Unit.Generation), which the engine checks — so
+	// mutating the exported components directly after construction
+	// (m.UOp.Delay, m.CTPG[q].Upload, m.Controller.CS, m.MDU fields,
+	// m.Cfg) is unsupported, as it already is for the rotation and
+	// decoherence caches.
 	ReplayCache any
+	// resetPoint reports that no program has run since New or
+	// ResetState (see TakeResetPoint).
+	resetPoint bool
 	// PulsesPlayed counts codeword-triggered playbacks.
 	PulsesPlayed uint64
 	// Measurements counts MD events executed.
@@ -239,6 +255,8 @@ func New(cfg Config) (*Machine, error) {
 		rotCache:  make(map[rotKey]rotVal),
 		decoCache: make(map[decoKey]decoVal),
 		cz:        qphys.CZ(),
+		// A fresh machine is at its reset point.
+		resetPoint: true,
 	}
 	// The trajectory backend samples Kraus operators from the machine's
 	// own generator — the stream m.rng draws measurements and readout
@@ -320,6 +338,21 @@ func (m *Machine) ResetState(seed int64) {
 	}
 	m.QMB.Reset()
 	m.Controller.Reset()
+	m.resetPoint = true
+}
+
+// TakeResetPoint reports whether the machine is still at its New or
+// ResetState point — no program has run since, no register was preset
+// and no instruction cache installed — and clears the mark, so it
+// answers true at most once per reset. At a reset point every program
+// starts from one classical state (time zero, all qubits idle since
+// construction, zeroed registers and memory), which is what lets the
+// replay engine reuse a cold-start shot it recorded at an earlier reset
+// point. RunProgram clears the mark as well.
+func (m *Machine) TakeResetPoint() bool {
+	at := m.resetPoint && m.Controller.Regs == [isa.NumRegs]int64{} && m.Controller.ICache == nil
+	m.resetPoint = false
+	return at
 }
 
 // SetProbe installs (or removes, with nil) the quantum-operation stream
@@ -339,6 +372,7 @@ func (m *Machine) RunAssembly(src string) error {
 // RunProgram executes a program to completion (halt) with the default
 // step bound.
 func (m *Machine) RunProgram(p *isa.Program) error {
+	m.resetPoint = false
 	if err := m.Controller.Load(p); err != nil {
 		return err
 	}

@@ -302,3 +302,46 @@ func TestResetStateKeepsCustomUploads(t *testing.T) {
 		t.Errorf("custom upload did not survive reset: ok=%v name=%q", ok, name)
 	}
 }
+
+// TestTakeResetPoint pins the reset-point mark the replay engine reads
+// before it replays a lead from the memo: New and ResetState set it,
+// taking it clears it, RunProgram clears it, and a preset register or
+// an installed instruction cache means the machine is no longer at its
+// reset point.
+func TestTakeResetPoint(t *testing.T) {
+	m, err := core.New(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.TakeResetPoint() {
+		t.Fatal("a fresh machine must be at its reset point")
+	}
+	if m.TakeResetPoint() {
+		t.Fatal("the mark must be taken only once")
+	}
+	m.ResetState(2)
+	if err := m.RunAssembly("Pulse {q0}, X90\nWait 4\nhalt\n"); err != nil {
+		t.Fatal(err)
+	}
+	if m.TakeResetPoint() {
+		t.Fatal("RunProgram must clear the mark")
+	}
+	m.ResetState(3)
+	m.Controller.Regs[4] = 1
+	if m.TakeResetPoint() {
+		t.Fatal("a preset register must clear the mark")
+	}
+	m.ResetState(4)
+	ic, err := exec.NewICache(16, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Controller.ICache = ic
+	if m.TakeResetPoint() {
+		t.Fatal("an installed instruction cache must clear the mark")
+	}
+	m.ResetState(5)
+	if !m.TakeResetPoint() {
+		t.Fatal("ResetState must set the mark")
+	}
+}

@@ -6,7 +6,8 @@ package expt
 // worker count, exactly like chunkRounds one level up — and every shard
 // runs on its own pooled machine, seeded with DeriveSeed(pointSeed,
 // shardIndex), as one lane of a replay.RunBatch invocation (lead/detect
-// shots plus its slice of the replay loop). Results merge in shard
+// shots, replayed from the memo on a warm machine, plus its slice of the
+// replay loop). Results merge in shard
 // order, so the outcome is bit-identical for any Engine.ShotWorkers
 // value given the same plan. The contract, extending the sweep
 // determinism contract:
@@ -64,14 +65,16 @@ import (
 )
 
 // ShotShardSize is the fixed shard size of the automatic shot-shard
-// plan. Each shard pays the engine's lead/detect shots (three
-// full-pipeline executions) before replaying its remainder, so the size
-// balances that per-shard overhead against shard-count parallelism and
-// against test affordability (exceeding the threshold must not require
-// huge shot counts). For the d=3 repcode shot the overhead is ~8% at 256:
-// a ~116 µs lead against ~5.5 µs per compiled shot (median of three
-// qumabench traced runs, replay.lead_us and replay.compiled_shot_ns, on a
-// 2-vCPU Xeon VM).
+// plan. A shard on a cold machine pays the engine's lead/detect shots
+// (three full-pipeline executions) before replaying its remainder, so
+// the size balances that per-shard overhead against shard-count
+// parallelism and against test affordability (exceeding the threshold
+// must not require huge shot counts). For the d=3 repcode shot the
+// overhead is ~8% at 256: a ~116 µs lead against ~5.5 µs per compiled
+// shot (median of three qumabench traced runs, replay.lead_us and
+// replay.compiled_shot_ns, on a 2-vCPU Xeon VM). A pooled machine that
+// has already proven the program replays its lead from the memo, so
+// that overhead is paid only on a cold machine.
 const ShotShardSize = 256
 
 // ShotShardPlan returns the automatic shard plan for a shot count: nil

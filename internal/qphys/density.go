@@ -183,6 +183,18 @@ func (d *Density) ReducedQubit(q int) Matrix {
 // i.e. the quantity the AllXY experiment estimates.
 func (d *Density) Fidelity01(q int) float64 { return d.ProbExcited(q) }
 
+// clampProb clamps a probability to [0, 1]: NaN stays NaN (math.NaN's
+// bits) and every zero becomes +0, exactly as math.Min(1, math.Max(0,
+// p)) does, but with plain compares that inline where math.Max's
+// out-of-line assembly does not.
 func clampProb(p float64) float64 {
-	return math.Min(1, math.Max(0, p))
+	switch {
+	case p > 1:
+		return 1
+	case p > 0:
+		return p
+	case p == p:
+		return 0
+	}
+	return math.NaN()
 }

@@ -196,3 +196,25 @@ func TestPropertyNoiseNeverIncreasesPurityFromMixed(t *testing.T) {
 		}
 	}
 }
+
+// TestClampProbMatchesMinMax pins the compare-based clampProb, bit for
+// bit, to the math.Min(1, math.Max(0, p)) form it replaced: the full
+// pipeline and the replay executors share it, so any difference would
+// move a result.
+func TestClampProbMatchesMinMax(t *testing.T) {
+	inputs := []float64{
+		math.NaN(), math.Float64frombits(0x7ff8000000000000), math.Float64frombits(0xfff0000000000001),
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, -0x1p-1022,
+		1, math.Nextafter(1, 2), math.Nextafter(1, 0), -1, 0.5, -0.5, 2, math.MaxFloat64, -math.MaxFloat64,
+	}
+	for _, p := range inputs {
+		want := math.Min(1, math.Max(0, p))
+		if got := clampProb(p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("clampProb(%v) = %v (%#x), min/max form %v (%#x)", p, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	if got := clampProb(math.Copysign(0, -1)); math.Signbit(got) {
+		t.Error("clampProb(-0) must be +0")
+	}
+}

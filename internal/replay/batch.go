@@ -7,10 +7,12 @@
 // Lead and detection shots stay per lane on the scalar machines — they
 // feed each lane's PRNG stream (cold-start transient, recording,
 // comparison) and let every lane validate replay safety against its own
-// controller and caches. Only the steady-state replayed shots run
-// batched, and only on the lanes that independently detected safety,
-// hold trajectory state, and recorded a schedule value-identical to the
-// group's first member. Every other lane completes on its own — the
+// controller and caches, or, on a warm lane (at its reset point, holding
+// a cold shot its machine proved), replay that window from the memo on
+// the scalar executor. Only the steady-state replayed shots run
+// batched, and only on the lanes that detected safety (or hold a proven
+// entry), hold trajectory state, and recorded a schedule value-identical
+// to the group's first member. Every other lane completes on its own — the
 // full pipeline when unsafe, its own compiled schedule otherwise —
 // which is bit-identical anyway: batching is only ever a throughput
 // fast path, never a semantic one.
@@ -102,38 +104,55 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 		return stats, nil
 	}
 
+	// A warm lane — at its reset point, holding a cold shot it proved
+	// for this program — replays its lead window from the memo (ents[i]
+	// is then its entry). Every other lane runs the lead through the
+	// pipeline, recording shots 1 and 2 and, at a reset point, the cold
+	// shot 0 (colds[i]).
 	scheds := make([][]op, len(lanes))
+	colds := make([][]op, len(lanes))
+	ents := make([]*entry, len(lanes))
 	reasons := make([]string, len(lanes))
+	coldOps := 0 // the last cold recording's length sizes the next
 	for i, ln := range lanes {
+		atReset := ln.M.TakeResetPoint()
+		if e := warmEntry(ln.M, p, counts[i], atReset); e != nil {
+			if err := e.replayLead(ctx, ln); err != nil {
+				return stats, err
+			}
+			scheds[i], ents[i] = e.sched, e
+			continue
+		}
+		recordCold := atReset && counts[i] > detectShots
 		rec := recs[i]
-		var s1, s2 []op
+		var rs [detectShots][]op
 		for shot := 0; shot < min(counts[i], detectShots); shot++ {
-			// Shots 1 and 2 are recorded into fresh schedules (s1 is
-			// kept for the comparison, s2 may be memoized), each sized
-			// from the previous shot's operation count.
-			if shot == 1 || shot == 2 {
-				rec.recording, rec.sched = true, make([]op, 0, rec.ops)
-			} else {
-				rec.recording = false
+			// Recorded shots go into fresh schedules, each sized from the
+			// previous shot's operation count (the cold shot 0 from the
+			// previous lane's): shot 1 is kept for the comparison, and
+			// shot 2 and the cold shot may be memoized.
+			rec.recording = shot > 0 || recordCold
+			if rec.recording {
+				rec.sched = make([]op, 0, max(rec.ops, coldOps))
 			}
 			if err := laneFullShots(ctx, p, rec, ln, shot, shot+1); err != nil {
 				return stats, err
 			}
-			switch shot {
-			case 1:
-				s1 = rec.sched
-			case 2:
-				s2 = rec.sched
+			if rec.recording {
+				rs[shot] = rec.sched
 			}
 		}
+		if rs[0] != nil {
+			coldOps = len(rs[0])
+		}
 		rec.recording = false
-		scheds[i] = s2
+		colds[i], scheds[i] = rs[0], rs[2]
 		switch unsafe := ln.M.Controller.ReplayUnsafeReason(); {
 		case counts[i] <= detectShots:
 			reasons[i] = "too few shots to amortize recording"
 		case unsafe != "":
 			reasons[i] = unsafe
-		case !schedulesEqual(s1, s2):
+		case !schedulesEqual(rs[1], rs[2]):
 			reasons[i] = "schedule is not shot-invariant"
 		}
 	}
@@ -160,16 +179,36 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 			group = append(group, i)
 			continue
 		}
-		comp := memoizedCompile(ln.M, p, scheds[i])
-		if st.Replayed, err = comp.run(ctx, ln.M, ln.BaseShot, detectShots, counts[i], ln.OnShot); err != nil {
+		e := ents[i]
+		if e == nil {
+			e = memoize(ln.M, p, scheds[i], colds[i], nil)
+		}
+		if st.Replayed, err = e.c.run(ctx, ln.M, ln.BaseShot, detectShots, counts[i], ln.OnShot); err != nil {
 			return stats, err
 		}
 	}
 	if group == nil {
 		return stats, nil
 	}
-	comp := memoizedCompile(lanes[group[0]].M, p, scheds[group[0]])
-	return stats, comp.runLockstep(ctx, lanes, group, counts, stats)
+	// One entry per group: a warm member brings its proven entry, and
+	// every member that ran the pipeline lead stores the group's entry
+	// when its own recordings value-equal it, so each lane's machine can
+	// skip the lead at its next reset point.
+	var e *entry
+	for _, i := range group {
+		if ents[i] != nil {
+			e = ents[i]
+			break
+		}
+	}
+	for _, i := range group {
+		if ents[i] == nil {
+			if x := memoize(lanes[i].M, p, scheds[i], colds[i], e); e == nil {
+				e = x
+			}
+		}
+	}
+	return stats, e.c.runLockstep(ctx, lanes, group, counts, stats)
 }
 
 // runLockstep replays the group's lanes from their first post-lead shot
@@ -261,32 +300,4 @@ func clearProbes(lanes []BatchLane) {
 	for _, ln := range lanes {
 		ln.M.SetProbe(nil)
 	}
-}
-
-// memoizedCompile resolves the compiled form of a freshly recorded
-// schedule through the machine-resident memo, keyed by program identity:
-// a machine pooled for the lifetime of a sweep (or of the batch service,
-// whose service-lifetime assembly cache keeps program pointers stable)
-// compiles each distinct program once, however many programs interleave
-// on it. Every hit is validated against the fresh recording
-// (schedulesEqual), so a stale entry — e.g. after core invalidated the
-// cache on UploadPulse/SetQubitParams — hits only if its matrix values
-// still match, when its compiled form is still exact, and never
-// corrupts. A miss compiles and (bounded) stores.
-func memoizedCompile(m *core.Machine, p *isa.Program, sched []op) *compiled {
-	cache, _ := m.ReplayCache.(map[*isa.Program]*compileCache)
-	if cache == nil {
-		cache = make(map[*isa.Program]*compileCache)
-		m.ReplayCache = cache
-	}
-	if e := cache[p]; e != nil && schedulesEqual(e.sched, sched) {
-		return e.c
-	}
-	comp := compileSchedule(sched)
-	if len(cache) >= maxCompiledPrograms {
-		cache = make(map[*isa.Program]*compileCache)
-		m.ReplayCache = cache
-	}
-	cache[p] = &compileCache{sched: sched, c: comp}
-	return comp
 }

@@ -35,18 +35,159 @@ package replay
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"quma/internal/core"
+	"quma/internal/isa"
 	"quma/internal/qphys"
 )
 
-// compileCache is one entry of the machine-resident compiled-schedule
-// memo (core.Machine.ReplayCache holds a map keyed by *isa.Program): the
-// recorded schedule the entry was built from, for entry-for-entry
-// validation, and the compiled form.
-type compileCache struct {
+// memo is the machine-resident memo (core.Machine.ReplayCache holds
+// one), keyed by program identity.
+type memo map[*isa.Program]memoSlot
+
+// memoSlot is one machine's hold on a program's entry. Entries are
+// shared by every machine whose own recordings value-equal them (the
+// lanes of one lockstep group), so what is particular to the machine
+// lives here: warm reports that this machine's own shot-0 recording,
+// made at a reset point while its µop unit was at definition generation
+// gen, proved the entry's cold shot.
+type memoSlot struct {
+	e    *entry
+	warm bool
+	gen  uint64
+}
+
+// entry is a proven program: the recorded steady-state schedule (for
+// validation against fresh recordings), its compiled form, and — when
+// one was recorded at a reset point — the cold-start shot. An entry is
+// immutable once published: shared entries are read by several shot
+// workers at once.
+type entry struct {
 	sched []op
 	c     *compiled
+	cold  *coldShot
+}
+
+// coldShot is shot 0 of a reset machine, stored relative to the steady
+// schedule it precedes. The two differ only in each qubit's first idle,
+// which runs from time zero, so the cold shot keeps only its head — the
+// recording up to its longest common suffix with the steady schedule —
+// and replays that suffix from the steady compiled form. (RB m=128: the
+// head is op 0 of 504; the d=3 repcode: ops 0–26 of 52.)
+type coldShot struct {
+	head []op      // the recorded operations before the shared suffix
+	post int       // length of the shared suffix, in recorded operations
+	c    *compiled // head, compiled without the wrap-around link
+	tail int       // first step of the shared suffix in the steady compiled form
+	// pulses is the cold shot's PulsesPlayed increment.
+	pulses uint64
+}
+
+// newColdShot builds the stored form of cold, a shot-0 recording, next
+// to the steady schedule sched and its compiled form c.
+func newColdShot(sched []op, c *compiled, cold []op) *coldShot {
+	post := 0
+	for post < len(cold) && post < len(sched) && opEqual(&cold[len(cold)-1-post], &sched[len(sched)-1-post]) {
+		post++
+	}
+	cs := &coldShot{head: slices.Clone(cold[:len(cold)-post]), post: post}
+	cs.c = lowerSchedule(cs.head, make(map[*qphys.Matrix]*qphys.ChannelTable))
+	cs.c.linkCarries(false)
+	// Lowered without tables, the steady schedule's part before the
+	// suffix only counts its steps and pulses.
+	pre := lowerSchedule(sched[:len(sched)-post], nil)
+	cs.tail = len(pre.ops)
+	cs.pulses = cs.c.pulses + c.pulses - pre.pulses
+	return cs
+}
+
+// matches reports whether cold, a fresh shot-0 recording, value-equals
+// the stored cold shot. sched is the steady schedule the cold shot was
+// stored against, or any schedule value-equal to it: the recording
+// machine's own, whose shared cache entries compare by pointer.
+func (cs *coldShot) matches(sched, cold []op) bool {
+	n := len(cs.head)
+	return len(cold) == n+cs.post && schedulesEqual(cold[:n], cs.head) &&
+		schedulesEqual(cold[n:], sched[len(sched)-cs.post:])
+}
+
+// memoize resolves machine m's entry for program p after a lead shot
+// window that recorded the steady schedule sched and, at a reset point,
+// the cold shot cold (nil otherwise), and returns it. Keyed by program
+// identity, the memo lets a machine pooled for a sweep (or for the batch
+// service, whose assembly cache keeps program pointers stable) compile
+// each program once, however many programs interleave on it. cand, when
+// non-nil, is the entry of the lane's lockstep group, preferred so the
+// group's machines share one compiled form. An entry is stored on m
+// only when m's own recordings value-equal it: a hit keeps the entry, a
+// steady-only hit gains a new entry that shares the compiled steady
+// form, and a miss compiles. On a pipeline lead every hit is validated
+// against the fresh recording, so a stale entry can only miss.
+func memoize(m *core.Machine, p *isa.Program, sched, cold []op, cand *entry) *entry {
+	mm, _ := m.ReplayCache.(memo)
+	if mm == nil {
+		mm = make(memo)
+		m.ReplayCache = mm
+	}
+	own := mm[p]
+	if cold == nil && own.e != nil && schedulesEqual(own.e.sched, sched) {
+		// Keeps a cold shot this machine proved at an earlier reset
+		// point.
+		return own.e
+	}
+	var steady *entry
+	var e *entry
+	for _, x := range [2]*entry{cand, own.e} {
+		if x == nil || !schedulesEqual(x.sched, sched) {
+			continue
+		}
+		if cold == nil || (x.cold != nil && x.cold.matches(sched, cold)) {
+			e = x
+			break
+		}
+		if steady == nil {
+			steady = x
+		}
+	}
+	if e == nil {
+		e = &entry{sched: sched}
+		if steady != nil {
+			e.sched, e.c = steady.sched, steady.c
+		} else {
+			e.c = compileSchedule(sched)
+		}
+		if cold != nil {
+			e.cold = newColdShot(e.sched, e.c, cold)
+		}
+	}
+	if _, ok := mm[p]; !ok && len(mm) >= maxCompiledPrograms {
+		mm = make(memo)
+		m.ReplayCache = mm
+	}
+	mm[p] = memoSlot{e: e, warm: cold != nil, gen: m.UOp.Generation()}
+	return e
+}
+
+// warmEntry returns the entry from which machine m may replay the lead
+// shot window of a shots-shot run of p instead of running the pipeline,
+// or nil. That needs a machine at its reset point (atReset, from
+// core.Machine.TakeResetPoint), more than detectShots shots (shorter
+// runs stay on the pipeline), no event timeline (only the pipeline
+// produces it), and a cold shot this machine proved under its current
+// µop definitions (UploadPulse and SetQubitParams already drop the
+// memo). No fresh recording re-validates such a hit: the memo decides
+// correctness alone (see core.Machine.ReplayCache).
+func warmEntry(m *core.Machine, p *isa.Program, shots int, atReset bool) *entry {
+	if !atReset || shots <= detectShots || m.Cfg.TraceEvents {
+		return nil
+	}
+	mm, _ := m.ReplayCache.(memo)
+	s := mm[p]
+	if !s.warm || s.gen != m.UOp.Generation() {
+		return nil
+	}
+	return s.e
 }
 
 // compiled is a shot schedule after compilation.
@@ -65,8 +206,17 @@ type compiled struct {
 // slice, so every application of one decoherence channel shares one
 // table.
 func compileSchedule(sched []op) *compiled {
+	c := lowerSchedule(sched, make(map[*qphys.Matrix]*qphys.ChannelTable))
+	c.linkCarries(true)
+	return c
+}
+
+// lowerSchedule lowers every recorded operation to its steps (none, one
+// or two each), with no population carries linked. Channel tables are
+// built into tables, keyed by Kraus-slice identity; a nil map leaves
+// channel steps without a table, which only counts the steps.
+func lowerSchedule(sched []op, tables map[*qphys.Matrix]*qphys.ChannelTable) *compiled {
 	c := &compiled{}
-	tables := make(map[*qphys.Matrix]*qphys.ChannelTable)
 	addUnitary := func(q int, u qphys.Matrix) {
 		kind := qphys.SchedApply1
 		if qphys.RealDiag2(u) {
@@ -87,7 +237,7 @@ func compileSchedule(sched []op) *compiled {
 				addUnitary(o.q, o.kraus[0])
 			} else if o.kraus != nil {
 				ct, ok := tables[&o.kraus[0]]
-				if !ok {
+				if !ok && tables != nil {
 					ct = qphys.NewChannelTable(o.kraus)
 					tables[&o.kraus[0]] = ct
 				}
@@ -113,6 +263,13 @@ func compileSchedule(sched []op) *compiled {
 			c.nMD++
 		}
 	}
+	return c
+}
+
+// linkCarries links the population carries of a lowered schedule; wrap
+// adds the wrap-around link of a steady-state schedule, whose shots run
+// back to back.
+func (c *compiled) linkCarries(wrap bool) {
 	// Link population carries: every population consumer (a channel
 	// application prices from one population pass; a measurement samples
 	// from one) asks the nearest preceding state-modifying step to
@@ -140,7 +297,7 @@ func compileSchedule(sched []op) *compiled {
 	// step of shot k can carry populations for the first consumer of
 	// shot k+1 (the state is the same and the accumulation order matches
 	// a fresh pass; the executor threads the carry between shots).
-	if last >= 0 {
+	if wrap && last >= 0 {
 		for i := range c.ops {
 			s := &c.ops[i]
 			linkCarry(&c.ops[last], s)
@@ -149,7 +306,6 @@ func compileSchedule(sched []op) *compiled {
 			}
 		}
 	}
-	return c
 }
 
 // linkCarry asks producer p to carry populations for step s when s is
@@ -203,13 +359,14 @@ func phaseSafeGate2(u qphys.Matrix) bool {
 	return true
 }
 
-// runDensity executes one compiled shot against the devirtualized density
-// backend. The density kernels apply channels exactly (no PRNG, no
-// populations), so the win here is hoisted operator tables and direct
-// calls.
-func (c *compiled) runDensity(m *core.Machine, d *qphys.Density, md []MD) []MD {
-	for i := range c.ops {
-		o := &c.ops[i]
+// runDensity executes compiled steps against the devirtualized density
+// backend, appending the shot's measurements to md; the caller adds the
+// shot's PulsesPlayed increment. The density kernels apply channels
+// exactly (no PRNG, no populations), so the win here is hoisted
+// operator tables and direct calls.
+func runDensity(m *core.Machine, d *qphys.Density, ops []qphys.SchedOp, md []MD) []MD {
+	for i := range ops {
+		o := &ops[i]
 		switch o.Kind {
 		case qphys.SchedApply1, qphys.SchedApply1RD:
 			d.Apply1(o.U, int(o.Q))
@@ -221,7 +378,6 @@ func (c *compiled) runDensity(m *core.Machine, d *qphys.Density, md []MD) []MD {
 			md = append(md, MD{Qubit: int(o.Q), Result: m.MeasureQubit(int(o.Q))})
 		}
 	}
-	m.PulsesPlayed += c.pulses
 	return md
 }
 
@@ -271,7 +427,8 @@ func (c *compiled) run(ctx context.Context, m *core.Machine, base, first, shots 
 			if err := check(shot); err != nil {
 				return replayed, err
 			}
-			md = c.runDensity(m, state, md[:0])
+			md = runDensity(m, state, c.ops, md[:0])
+			m.PulsesPlayed += c.pulses
 			replayed++
 			if onShot != nil {
 				onShot(base+shot, md)
@@ -281,4 +438,39 @@ func (c *compiled) run(ctx context.Context, m *core.Machine, base, first, shots 
 		return 0, fmt.Errorf("replay: no compiled executor for state backend %T", m.State)
 	}
 	return replayed, nil
+}
+
+// replayLead runs a warm lane's lead shot window (shots 0 to
+// detectShots-1) from its proven entry instead of the pipeline: shot 0
+// from the cold shot (its head, then the shared suffix of the steady
+// form), shots 1 and 2 from the steady schedule, all on the scalar
+// executor. Each shot applies the operations the pipeline would, in its
+// order, so every result and the state after every shot are those of
+// the pipeline lead; the population carry is dropped between the cold
+// shot and the steady ones, which changes no bytes.
+func (e *entry) replayLead(ctx context.Context, ln BatchLane) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("replay: preempted before shot %d: %w", ln.BaseShot, err)
+	}
+	m, cs := ln.M, e.cold
+	md := make([]MD, 0, e.c.nMD)
+	switch state := m.State.(type) {
+	case *qphys.Trajectory:
+		measure := func(q, outcome int) {
+			md = append(md, MD{Qubit: q, Result: m.FinishMeasure(outcome)})
+		}
+		carry, carryQ := state.RunSchedule(cs.c.ops, qphys.PopCarry{}, -1, measure)
+		state.RunSchedule(e.c.ops[cs.tail:], carry, carryQ, measure)
+	case *qphys.Density:
+		md = runDensity(m, state, cs.c.ops, md)
+		md = runDensity(m, state, e.c.ops[cs.tail:], md)
+	default:
+		return fmt.Errorf("replay: no compiled executor for state backend %T", m.State)
+	}
+	m.PulsesPlayed += cs.pulses
+	if ln.OnShot != nil {
+		ln.OnShot(ln.BaseShot, md)
+	}
+	_, err := e.c.run(ctx, m, ln.BaseShot, 1, detectShots, ln.OnShot)
+	return err
 }

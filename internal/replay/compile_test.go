@@ -6,7 +6,6 @@ import (
 
 	"quma/internal/asm"
 	"quma/internal/core"
-	"quma/internal/isa"
 	"quma/internal/qphys"
 )
 
@@ -106,16 +105,16 @@ func TestCompileCacheReuse(t *testing.T) {
 	if _, err := Run(context.Background(), m, prog, Options{Shots: 20, Mode: ModeCompiled}); err != nil {
 		t.Fatal(err)
 	}
-	cache1, ok := m.ReplayCache.(map[*isa.Program]*compileCache)
-	if !ok || cache1[prog] == nil {
+	cache1, ok := m.ReplayCache.(memo)
+	if !ok || cache1[prog].e == nil {
 		t.Fatal("first compiled run must populate the machine cache")
 	}
-	e1 := cache1[prog]
+	e1 := cache1[prog].e
 	m.ResetState(4)
 	if _, err := Run(context.Background(), m, prog, Options{Shots: 20, Mode: ModeCompiled}); err != nil {
 		t.Fatal(err)
 	}
-	e2 := m.ReplayCache.(map[*isa.Program]*compileCache)[prog]
+	e2 := m.ReplayCache.(memo)[prog].e
 	if e1.c != e2.c {
 		t.Error("re-running the same program must reuse the compiled schedule")
 	}
@@ -135,18 +134,18 @@ halt
 	if _, err := Run(context.Background(), m, other, Options{Shots: 20, Mode: ModeCompiled}); err != nil {
 		t.Fatal(err)
 	}
-	cache2 := m.ReplayCache.(map[*isa.Program]*compileCache)
-	if cache2[other] == nil || cache2[other].c == e1.c {
+	cache2 := m.ReplayCache.(memo)
+	if cache2[other].e == nil || cache2[other].e.c == e1.c {
 		t.Error("a different program must compile its own entry")
 	}
-	if cache2[prog] == nil || cache2[prog].c != e2.c {
+	if cache2[prog].e == nil || cache2[prog].e.c != e2.c {
 		t.Error("the first program's entry must survive a second program")
 	}
 	m.ResetState(6)
 	if _, err := Run(context.Background(), m, prog, Options{Shots: 20, Mode: ModeCompiled}); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.ReplayCache.(map[*isa.Program]*compileCache)[prog]; got == nil || got.c != e2.c {
+	if got := m.ReplayCache.(memo)[prog].e; got == nil || got.c != e2.c {
 		t.Error("returning to the first program must hit its keyed entry")
 	}
 	// And a cached run must equal a fresh machine bit for bit.
@@ -180,11 +179,11 @@ func BenchmarkCompiledShot(b *testing.B) {
 	if _, err := Run(context.Background(), m, prog, Options{Shots: detectShots + 1, Mode: ModeCompiled}); err != nil {
 		b.Fatal(err)
 	}
-	cacheMap, ok := m.ReplayCache.(map[*isa.Program]*compileCache)
-	if !ok || cacheMap[prog] == nil {
+	cacheMap, ok := m.ReplayCache.(memo)
+	if !ok || cacheMap[prog].e == nil {
 		b.Fatal("no compiled schedule cached")
 	}
-	cache := cacheMap[prog]
+	cache := cacheMap[prog].e
 	tr := m.State.(*qphys.Trajectory)
 	md := make([]MD, 0, cache.c.nMD)
 	measure := func(q, outcome int) {

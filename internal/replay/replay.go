@@ -38,6 +38,27 @@
 //     (core.Machine.ReplayCache) and validated against each fresh
 //     recording, so pooled machines compile each program once per
 //     lifetime.
+//   - Skips the lead on a machine that has already proven the program:
+//     the queue-based timing makes the classical pipeline deterministic,
+//     so from a reset point (core.Machine.TakeResetPoint) a safe program
+//     always issues the same three lead schedules. Each memo entry also
+//     keeps the cold-start shot 0, recorded at a reset point and stored
+//     as its head before the suffix it shares with the steady schedule.
+//     A lane whose machine is at its reset point and holds a cold shot it
+//     proved itself replays shot 0 from it and shots 1–2 from the steady
+//     schedule on the scalar executor — no pipeline, no recording — then
+//     joins the replay loop at shot 3 as before. On such a hit the memo
+//     decides correctness alone, with no fresh recording to validate it:
+//     a hit is valid only at a reset point, between the memo's
+//     invalidation points (UploadPulse, SetQubitParams and the µop
+//     unit's definition generation), and mutating the machine's exported
+//     components directly after construction is unsupported (see
+//     core.Machine.ReplayCache). Runs of detectShots shots or fewer,
+//     ModeOff and Cfg.TraceEvents (only the pipeline produces the
+//     timeline) keep the pipeline lead. One entry is published per
+//     lockstep group and stored on every lane whose own recordings
+//     value-equal it, so entries are shared across machines and, being
+//     immutable, across the goroutines that drive them.
 //
 // Feedback programs (e.g. examples/feedback, the corrected repetition
 // code) are detected as unsafe and transparently fall back to full
@@ -46,8 +67,12 @@
 //
 // Invariants replayed shots do NOT maintain: controller registers and
 // data memory (no classical execution happens), the digital output unit's
-// gating log, and the TraceEvents timeline. Anything consuming those must
-// run with ModeOff. Experiment results flow through the data collection
+// gating log, the CTPG playback logs, the TraceEvents timeline and the
+// instruction count. A lead
+// replayed from the memo runs no instruction either, so after a run that
+// replayed any shot, how much classical state the lead left depends on
+// whether the machine was warm. Anything consuming those must run with
+// ModeOff. Experiment results flow through the data collection
 // unit and the per-shot measurement callback, which replay maintains
 // exactly.
 package replay
@@ -99,15 +124,18 @@ func ParseMode(s string) (Mode, error) {
 		s, ModeAuto, ModeCompiled, ModeInterp, ModeOff)
 }
 
-// maxCompiledPrograms bounds the per-machine compiled-schedule memo.
+// maxCompiledPrograms bounds the per-machine memo of proven programs.
 const maxCompiledPrograms = 256
 
-// detectShots is the number of leading shots executed through the full
-// pipeline in ModeAuto: shot 0 carries the cold-start transient (TD = 0,
-// all qubits idle since construction, so its idle durations differ from
-// every later shot); shots 1 and 2 are recorded and compared — two
-// consecutive steady-state shots with identical schedules prove
-// shot-invariance for all that follow.
+// detectShots is the length of the lead shot window: shot 0 carries the
+// cold-start transient (TD = 0, all qubits idle since construction, so
+// its idle durations differ from every later shot); shots 1 and 2 are
+// recorded and compared — two consecutive steady-state shots with
+// identical schedules prove shot-invariance for all that follow. A cold
+// machine runs the window through the full pipeline (recording shot 0
+// too when at a reset point); a machine at its reset point that has
+// already proven the program replays it from the memo instead. Runs of
+// detectShots shots or fewer always take the pipeline.
 const detectShots = 3
 
 // ctxCheckShots is the bounded-staleness interval of the cancellation
@@ -153,18 +181,22 @@ type Options struct {
 type Stats struct {
 	// Shots is the total number executed (full + replayed).
 	Shots int
-	// Replayed counts shots executed by schedule replay.
+	// Replayed counts the shots after the lead window executed by
+	// schedule replay (a lead replayed from the memo is not counted).
 	Replayed int
 	// Safe reports whether the program was detected replay-safe.
 	Safe bool
 	// Compiled reports whether replayed shots ran from the compiled
 	// schedule (false: no replay at all).
 	Compiled bool
-	// Lead counts the full-pipeline lead/detect shots this run paid
-	// before replay engaged. It is zero whenever replay did not engage
-	// (ModeOff, unsafe programs, too few shots): those runs execute
-	// every shot through the full pipeline anyway, so their leading
-	// shots are ordinary work, not recording overhead.
+	// Lead counts the lead window (detectShots shots) of a run in which
+	// replay engaged, whether the window ran through the full pipeline
+	// or was replayed from the memo by a warm machine — so Lead and
+	// Replayed never depend on how warm the memo was. It is zero
+	// whenever replay did not engage (ModeOff, unsafe programs, too few
+	// shots): those runs execute every shot through the full pipeline
+	// anyway, so their leading shots are ordinary work, not recording
+	// overhead.
 	Lead int
 	// Overhead counts lead shots attributable to shot-sharding: merged
 	// job stats (Merge, in shard order) count every shard's lead shots
@@ -292,21 +324,28 @@ func schedulesEqual(a, b []op) bool {
 	if len(a) != len(b) {
 		return false
 	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		// One recording, e.g. the shared entry of two warm lanes.
+		return true
+	}
 	for i := range a {
-		x, y := &a[i], &b[i]
-		if x.kind != y.kind || x.q != y.q || x.qb != y.qb {
-			return false
-		}
-		if !matrixEqual(x.u, y.u) || !krausEqual(x.kraus, y.kraus) {
+		if !opEqual(&a[i], &b[i]) {
 			return false
 		}
 	}
 	return true
 }
 
+// opEqual compares two recorded operations, matrices by value.
+func opEqual(x, y *op) bool {
+	return x.kind == y.kind && x.q == y.q && x.qb == y.qb &&
+		matrixEqual(x.u, y.u) && krausEqual(x.kraus, y.kraus)
+}
+
 // Run executes the program Shots times on the machine, per Options.Mode:
 // RunBatch over a single lane. The machine should be freshly constructed
-// or ResetState so the engine owns its full deterministic timeline.
+// or ResetState so the engine owns its full deterministic timeline (and
+// so a machine that has proven the program can skip its pipeline lead).
 // Results (data collection unit, OnShot measurement streams,
 // PulsesPlayed/Measurements counters, and the quantum state after every
 // shot) are bit-identical across modes for every program — replay only

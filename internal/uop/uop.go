@@ -62,6 +62,8 @@ type Unit struct {
 	Delay clock.Cycle
 
 	seqs map[string]Sequence
+	// gen counts definitions (Define, DefinePrimitive) since NewUnit.
+	gen uint64
 }
 
 // DefaultDelay is the modelled micro-operation unit latency. It is chosen
@@ -91,6 +93,7 @@ func (u *Unit) Define(name string, seq Sequence) error {
 	cp := make(Sequence, len(seq))
 	copy(cp, seq)
 	u.seqs[name] = cp
+	u.gen++
 	return nil
 }
 
@@ -100,7 +103,15 @@ func (u *Unit) Define(name string, seq Sequence) error {
 // wave memory without translation".
 func (u *Unit) DefinePrimitive(name string, cw awg.Codeword) {
 	u.seqs[name] = Sequence{{Delta: 0, CW: cw}}
+	u.gen++
 }
+
+// Generation returns the unit's definition generation: a counter that
+// every Define and DefinePrimitive call bumps, redefinitions of an
+// existing name included. Equal generations of one unit mean no
+// definition changed in between; the replay engine keys its memoized
+// cold-start shots on it.
+func (u *Unit) Generation() uint64 { return u.gen }
 
 // DefineStandardLibrary registers pass-through entries for the whole
 // Table 1 pulse library.

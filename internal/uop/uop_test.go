@@ -155,3 +155,30 @@ func TestRedefineReplaces(t *testing.T) {
 		t.Error("redefinition must not duplicate")
 	}
 }
+
+// TestGenerationCountsDefinitions pins the definition generation the
+// replay engine keys memoized cold-start shots on: every Define and
+// DefinePrimitive bumps it, a redefinition with the same content
+// included, and lookups and expansions leave it alone.
+func TestGenerationCountsDefinitions(t *testing.T) {
+	u := NewUnit()
+	g := u.Generation()
+	u.DefinePrimitive("X90", 2)
+	if u.Generation() != g+1 {
+		t.Fatalf("DefinePrimitive: generation %d, want %d", u.Generation(), g+1)
+	}
+	u.DefinePrimitive("X90", 2)
+	seq, _ := u.Lookup("X90")
+	if err := u.Define("X90", seq); err != nil {
+		t.Fatal(err)
+	}
+	if u.Generation() != g+3 {
+		t.Fatalf("redefinitions: generation %d, want %d", u.Generation(), g+3)
+	}
+	if _, err := u.Expand(nil, "X90", 0); err != nil {
+		t.Fatal(err)
+	}
+	if u.Define("bad", nil) == nil || u.Generation() != g+3 {
+		t.Fatalf("lookups, expansions and rejected definitions must not bump the generation (%d)", u.Generation())
+	}
+}
