@@ -182,13 +182,17 @@
 //   - Per-schedule tables. Each decoherence channel's axis-aligned
 //     pricing coefficients and operator tables are hoisted out of the
 //     shot loop into one qphys.ChannelTable, deduplicated by the
-//     machine cache's Kraus-slice identity.
+//     machine cache's Kraus-slice identity. A table accepts only the
+//     channel class the machine records (real-diagonal and anti-diagonal
+//     operators, 2 to 16 of them), so the compiled executors carry no
+//     dense or complex-diagonal path.
 //   - Population carries. A kernel that already sweeps the state
 //     (channel application, same-qubit unitary, projection) accumulates
 //     the next consumer's populations in exactly the addition order a
 //     standalone pass would use, eliminating most per-channel population
-//     passes; carries thread through phase-safe gates (CZ) and across
-//     consecutive shots (the steady-state schedule is circular).
+//     passes; carries thread through the CZ (negation keeps every
+//     |a|²) and across consecutive shots (the steady-state schedule is
+//     circular).
 //   - Devirtualized dispatch. A type switch binds the whole shot loop to
 //     the concrete backend: *qphys.Trajectory runs one RunSchedule pass
 //     per shot with the hot channel path inlined, *qphys.Density gets
@@ -302,9 +306,10 @@
 // executor's float operations and rounding order, so a batched run's
 // result bytes are identical to the scalar sharded path (and to the
 // pre-sharding builds) per lane by construction, not by tolerance.
-// Lanes that diverge (an anti-diagonal jump, a dense Kraus selection,
-// a mid-schedule branch) fall out to the scalar tail for that step and
-// rejoin; steady state allocates nothing per shot. A one-qubit register
+// A lane that draws an anti-diagonal jump applies it on its own strided
+// column for that step and stays in the batch; compiled replay covers
+// only the operations the machine records, so no other per-lane event
+// exists, and steady state allocates nothing per shot. A one-qubit register
 // skips the span passes: there each step is two amplitudes per lane and
 // a shot is bound by one serial draw → √ → ÷ → scale chain per idle,
 // so the executor runs one plain loop over the lanes per step and lets

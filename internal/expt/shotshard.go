@@ -124,9 +124,11 @@ type shardStream struct {
 // as far as the shortest goes. Grouping is a pure function of (plan,
 // lanes) — but results do not depend on it at all: every lane of a
 // batch is bit-identical to its scalar shard, so any grouping produces
-// the same bytes.
+// the same bytes. A lanes value above the shard count means one group
+// of every shard; it is clamped before any arithmetic, so no value
+// overflows.
 func LaneGroups(plan []int, lanes int) [][2]int {
-	lanes = max(lanes, 1)
+	lanes = min(max(lanes, 1), max(len(plan), 1))
 	groups := make([][2]int, 0, (len(plan)+lanes-1)/lanes)
 	for k := 0; k < len(plan); k += lanes {
 		groups = append(groups, [2]int{k, min(k+lanes, len(plan))})
@@ -162,9 +164,11 @@ func autoLaneFloor(nq int) int {
 // ⌈shards ÷ shotWorkers⌉ lanes while that is at most 8 — so a worker
 // that would run several shards back to back runs them in lockstep
 // instead; groups smaller than autoLaneFloor stay scalar. shotWorkers is
-// eng.ShotWorkers, or one per CPU when that is 0. ModeOff has no batched
-// executor and always gets singletons. Like every grouping, the choice
-// never changes a result byte.
+// eng.ShotWorkers, or one per CPU when that is 0, clamped to the shard
+// count (more workers than shards idle, and the clamp keeps the sums
+// below from overflowing). ModeOff has no batched executor and always
+// gets singletons. Like every grouping, the choice never changes a
+// result byte.
 func ShardLaneGroups(plan []int, eng Engine, cfg core.Config) [][2]int {
 	lanes := eng.BatchLanes
 	switch {
@@ -175,6 +179,7 @@ func ShardLaneGroups(plan []int, eng Engine, cfg core.Config) [][2]int {
 		if shotWorkers <= 0 {
 			shotWorkers = runtime.GOMAXPROCS(0)
 		}
+		shotWorkers = min(shotWorkers, max(len(plan), 1))
 		groups := max(shotWorkers, (len(plan)+maxAutoLanes-1)/maxAutoLanes)
 		lanes = (len(plan) + groups - 1) / groups
 		if lanes < autoLaneFloor(cfg.NumQubits) {

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -245,6 +246,10 @@ func TestLaneGroups(t *testing.T) {
 		{[]int{256, 256, 100}, 2, [][2]int{{0, 2}, {2, 3}}},
 		{[]int{256, 144}, 8, [][2]int{{0, 2}}},
 		{[]int{256}, 4, [][2]int{{0, 1}}},
+		// A lane count past the shard count is clamped before any
+		// arithmetic, so math.MaxInt cannot overflow the capacity sum.
+		{[]int{256, 256, 88}, math.MaxInt, [][2]int{{0, 3}}},
+		{nil, math.MaxInt, [][2]int{}},
 	}
 	for _, c := range cases {
 		if got := LaneGroups(c.plan, c.lanes); !reflect.DeepEqual(got, c.want) {
@@ -291,6 +296,11 @@ func TestShardLaneGroups(t *testing.T) {
 		{"explicit off", plan(4), 8, 1, traj(1), replay.ModeOff, singles(4)},
 		{"explicit cap", plan(4), 3, 1, traj(2), replay.ModeCompiled, [][2]int{{0, 3}, {3, 4}}},
 		{"explicit scalar", plan(4), 1, 1, traj(1), replay.ModeAuto, singles(4)},
+		{"explicit huge", plan(3), math.MaxInt, 1, traj(5), replay.ModeAuto, [][2]int{{0, 3}}},
+		// More shot workers than shards: one shard per worker, however
+		// large the count (clamped before the lane sums).
+		{"huge shot workers", plan(3), 0, math.MaxInt, traj(1), replay.ModeAuto, singles(3)},
+		{"huge shot workers, many shards", plan(64), 0, math.MaxInt, traj(5), replay.ModeAuto, singles(64)},
 	}
 	for _, c := range cases {
 		if got := ShardLaneGroups(c.plan, Engine{ShotWorkers: c.sw, BatchLanes: c.lanes, Replay: c.mode}, c.cfg); !reflect.DeepEqual(got, c.want) {

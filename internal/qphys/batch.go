@@ -32,21 +32,19 @@ import (
 // measurement outcome, degenerate-projection reset) taken per lane from
 // the same comparisons. Lanes are classified per channel op by the
 // shared pricing helper (priceChannel — the scalar decision verbatim):
-// diagonal-real selections ride the vectorized flat pass with per-lane
-// coefficients, anti-diagonal jumps run a strided per-lane port of the
-// scalar tail on their own column, and the rare dense/complex
-// selections fall back to the scalar tail on a gathered copy — same
-// code, same inputs, bit-identical by construction. A dense two-qubit
-// step, which the machine never records (its only two-qubit gate is the
-// CZ, a SchedCZ step), runs the scalar Apply2 per lane on a gathered
-// copy the same way. Populations come
-// from each lane's carry; when any lane lacks a valid one, one
-// whole-block pass recomputes them for every lane.
+// diagonal selections ride the vectorized flat pass with per-lane
+// coefficients, and anti-diagonal jumps run a strided per-lane port of
+// the scalar tail on their own column. A channel table holds no other
+// operator class (NewChannelTable), so no lane leaves the batch. A dense
+// two-qubit step, which the machine never records (its only two-qubit
+// gate is the CZ, a SchedCZ step), runs the scalar Apply2 per lane on a
+// gathered copy. Populations come from each lane's carry; when any lane
+// lacks a valid one, one whole-block pass recomputes them for every lane.
 //
-// Each rare event (an anti jump, a dense or complex selection, a lane
-// whose carry broke while its siblings' held) has exactly one path, and
-// no step here looks at the host's SIMD support: the span wrappers in
-// batch_span.go pick a kernel body per call.
+// Each rare event (an anti jump, a lane whose carry broke while its
+// siblings' held) has exactly one path, and no step here looks at the
+// host's SIMD support: the span wrappers in batch_span.go pick a kernel
+// body per call.
 type TrajBatch struct {
 	nq int
 	L  int
@@ -66,9 +64,10 @@ type TrajBatch struct {
 	carry  []PopCarry
 	carryQ int
 
-	// scratch is a single-lane register used to run dense/complex
-	// channel selections through the scalar tail; it has no generator —
-	// all variates are drawn from the lane sources before divergence.
+	// scratch is a single-lane register on which the scalar kernels run
+	// for one lane (dense two-qubit steps; the one-qubit lane kernel's
+	// jumps and measurements); it has no generator — every variate is
+	// drawn from the lane's own source.
 	scratch *Trajectory
 
 	// Per-op scratch, allocated once so the steady-state shot loop
@@ -76,18 +75,17 @@ type TrajBatch struct {
 	// duplicated per-lane layout of the span primitives: lane l's value
 	// sits at [2l] (and, when a SIMD kernel produced it, equally at
 	// [2l+1]); readers always use slot 2l.
-	rv, p0, p1 []float64    // saved draw + populations for tail lanes
-	pp0, pp1   []float64    // 2L: population-pass results
-	r0, r1     []float64    // 2L: flat-pass scale coefficients
-	np0, np1   []float64    // 2L: fused-pass accumulators
-	c01, c10   []complex128 // anti-diagonal coefficients per lane
-	ckind      []uint8      // per-lane channel classification
-	mk0, mk1   []uint64     // 2L: collapse keep-masks (lo half, hi half)
-	lastP      []float64    // L: selected weights, batched reciprocal-root input
-	rinv       []float64    // L: 1/√lastP, one vector call per op
-	chosen     []int        // L: selected operator index per lane
-	anti, slow []int
-	outc       []int
+	pp0, pp1 []float64    // 2L: population-pass results
+	r0, r1   []float64    // 2L: flat-pass scale coefficients
+	np0, np1 []float64    // 2L: fused-pass accumulators
+	c01, c10 []complex128 // anti-diagonal coefficients per lane
+	ckind    []uint8      // per-lane channel classification
+	mk0, mk1 []uint64     // 2L: collapse keep-masks (lo half, hi half)
+	lastP    []float64    // L: selected weights, batched reciprocal-root input
+	rinv     []float64    // L: 1/√lastP, one vector call per op
+	chosen   []int        // L: selected operator index per lane
+	anti     []int        // lanes that drew an anti-diagonal jump
+	outc     []int
 }
 
 // Per-lane channel classification for one batched channel op.
@@ -95,7 +93,6 @@ const (
 	ckDiag uint8 = iota // diagonal-real operator: coefficients in the flat pass
 	ckNone              // no positive weight: state untouched, carry invalidated
 	ckAnti              // anti-diagonal operator: strided per-lane apply
-	ckTail              // dense or complex-diagonal: scalar tail on a gathered copy
 )
 
 // NewTrajBatch binds L scalar trajectory registers into one lockstep
@@ -124,9 +121,6 @@ func NewTrajBatch(lanes []*Trajectory) *TrajBatch {
 		carry:   make([]PopCarry, L),
 		carryQ:  -1,
 		scratch: &Trajectory{nq: nq, Psi: make([]complex128, dim)},
-		rv:      make([]float64, L),
-		p0:      make([]float64, L),
-		p1:      make([]float64, L),
 		pp0:     make([]float64, 2*L),
 		pp1:     make([]float64, 2*L),
 		r0:      make([]float64, 2*L),
@@ -142,7 +136,6 @@ func NewTrajBatch(lanes []*Trajectory) *TrajBatch {
 		rinv:    make([]float64, L),
 		chosen:  make([]int, L),
 		anti:    make([]int, L),
-		slow:    make([]int, L),
 		outc:    make([]int, L),
 	}
 	for l, t := range lanes {
@@ -227,10 +220,8 @@ func (b *TrajBatch) RunScheduleBatch(ops []SchedOp, measure func(lane, q, outcom
 			b.negateBothBatch(q, int(o.Qb))
 		case SchedApply2:
 			b.apply2Batch(o.U, q, int(o.Qb))
-			if !o.PhaseSafe {
-				for l := range b.carry {
-					b.carry[l].Valid = false
-				}
+			for l := range b.carry {
+				b.carry[l].Valid = false
 			}
 		case SchedMeasure:
 			b.measureBatch(q, int(o.CarryFor) == q, measure)
@@ -281,14 +272,12 @@ func (b *TrajBatch) probExcitedBatch(q, mask int) {
 // channelBatch is the batched SchedChannel step: per lane the same
 // variate draw, population sourcing, and operator selection as the
 // scalar executor, via the shared pricing helper. Lanes whose selection
-// is a diagonal operator with real coefficients — the no-jump branch
-// and dephasing jumps, i.e. almost every draw — are applied in one
-// vectorized flat pass with per-lane coefficients (including the fused
-// carry pass when the schedule wants one); lanes that drew an
-// anti-diagonal jump run the scalar tail's anti kernel strided over
-// their own column; dense/complex selections gather their column and
-// run the full scalar tail. Lanes outside the flat pass are scaled by
-// an exact 1.0 there (a bitwise no-op).
+// is a diagonal operator — the no-jump branch and dephasing jumps, i.e.
+// almost every draw — are applied in one vectorized flat pass with
+// per-lane coefficients (including the fused carry pass when the
+// schedule wants one); lanes that drew an anti-diagonal jump run the
+// scalar tail's anti kernel strided over their own column. Lanes outside
+// the flat pass are scaled by an exact 1.0 there (a bitwise no-op).
 func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 	L := b.L
 	amp := b.amp
@@ -297,9 +286,9 @@ func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 
 	// Populations: one whole-block pass whenever any lane lacks a valid
 	// carry for q — the schedule broke the chain for every lane, or a
-	// lane's own history (an anti jump with a cross-qubit carry target, a
-	// dense fallback) broke its own. Valid lanes read their carry, not
-	// the pass output, so recomputing their slots is harmless.
+	// lane's own history (an anti jump with a cross-qubit carry target)
+	// broke its own. Valid lanes read their carry, not the pass output,
+	// so recomputing their slots is harmless.
 	if b.carryMissing(q) {
 		b.popPass(q, mask)
 	}
@@ -309,13 +298,12 @@ func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 	// select the operator (the inline check is priceChannel's first
 	// iteration, kept inline to spare the call for the common draw),
 	// and classify the application.
-	fastOK := ct.fkind != chanDense
 	r0, r1 := b.r0, b.r1
 	srcs, carry, ckind := b.srcs, b.carry, b.ckind
 	pp0, pp1 := b.pp0, b.pp1
 	lastPs, chosens := b.lastP, b.chosen
 	carryHit := b.carryQ == q
-	nDiag, nAnti, nTail := 0, 0, 0
+	nDiag, nAnti := 0, 0
 	for l := 0; l < L; l++ {
 		rv := srcs[l].Float64()
 		var pl0, pl1 float64
@@ -326,31 +314,22 @@ func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 		}
 		var chosen int
 		var lastP float64
-		if fp := ct.fw0*pl0 + ct.fw1*pl1; fastOK && rv < fp {
+		if fp := ct.fw0*pl0 + ct.fw1*pl1; rv < fp {
 			chosen, lastP = 0, fp
 		} else {
 			chosen, lastP = priceChannel(ct, pl0, pl1, rv)
 		}
 		switch {
-		case chosen >= 0 && ct.kind[chosen] == chanDiag && ct.realc[chosen]:
-			ckind[l] = ckDiag
-			nDiag++
-		case chosen >= 0 && ct.kind[chosen] == chanAnti:
-			ckind[l] = ckAnti
-			b.anti[nAnti] = l
-			nAnti++
 		case chosen == chanChoseNone:
 			ckind[l] = ckNone
 			lastP = 1
+		case ct.kind[chosen] == chanDiag:
+			ckind[l] = ckDiag
+			nDiag++
 		default:
-			// Dense or complex-diagonal: the scalar tail on a gathered
-			// copy with the saved (populations, variate) reproduces the
-			// scalar selection and application bit for bit.
-			b.rv[l], b.p0[l], b.p1[l] = rv, pl0, pl1
-			ckind[l] = ckTail
-			b.slow[nTail] = l
-			nTail++
-			lastP = 1
+			ckind[l] = ckAnti
+			b.anti[nAnti] = l
+			nAnti++
 		}
 		lastPs[l] = lastP
 		chosens[l] = chosen
@@ -376,9 +355,8 @@ func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 			r0[2*l], r0[2*l+1], r1[2*l], r1[2*l+1] = 1, 1, 1, 1
 		default:
 			// Coefficient 1.0 makes the flat pass a bitwise no-op for
-			// this lane; the scalar path applies nothing here (a none
-			// selection drops the carry, tail lanes run the scalar
-			// tail below on their saved inputs).
+			// this lane; the scalar path applies nothing on a none
+			// selection and drops the carry.
 			r0[2*l], r0[2*l+1], r1[2*l], r1[2*l+1] = 1, 1, 1, 1
 		}
 	}
@@ -415,8 +393,8 @@ func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 		}
 	}
 
-	// Carry writeback for the flat-pass lanes; anti and tail lanes set
-	// their own below.
+	// Carry writeback for the flat-pass lanes; anti lanes set their own
+	// below.
 	if nextQ >= 0 {
 		np0, np1 := b.np0, b.np1
 		for l := 0; l < L; l++ {
@@ -439,12 +417,6 @@ func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 	// touching only that lane's cache lines.
 	for s := 0; s < nAnti; s++ {
 		b.antiApplyLane(b.anti[s], q, mask, nextQ)
-	}
-	for s := 0; s < nTail; s++ {
-		l := b.slow[s]
-		b.gatherLane(l)
-		b.carry[l] = b.scratch.applyChannelSampled(ct, q, mask, b.p0[l], b.p1[l], b.rv[l], nextQ)
-		b.scatterLane(l)
 	}
 }
 
@@ -589,8 +561,7 @@ func (b *TrajBatch) negateBothBatch(qa, qb int) {
 	spanNegBothBlocks(b.amp, hi*L, lo*L)
 }
 
-// apply2Batch runs the scalar Apply2 per lane on a gathered copy, as
-// the ckTail channel lanes run the scalar tail.
+// apply2Batch runs the scalar Apply2 per lane on a gathered copy.
 func (b *TrajBatch) apply2Batch(u Matrix, qa, qb int) {
 	for l := 0; l < b.L; l++ {
 		b.gatherLane(l)

@@ -10,10 +10,10 @@ import "math"
 // √ → ÷ → scale chain of its lane. runSchedule1 instead runs one plain
 // loop over the lanes per step, with a lane's two amplitudes in locals.
 // The lanes' chains are independent, so the CPU overlaps them; per lane
-// the arithmetic is RunSchedule's, expression for expression. Selections
-// off the hot path (jumps, dense or complex operators) and measurements
-// run the scalar kernels on the scratch register, with the lane's own
-// draw, populations and PRNG.
+// the arithmetic is RunSchedule's, expression for expression. Every
+// draw that does not select a diagonal first operator, and every
+// measurement, runs the scalar kernels on the scratch register, with the
+// lane's own draw, populations and PRNG.
 
 // runSchedule1 is RunScheduleBatch for a one-qubit register. Every step
 // addresses qubit 0, so the carry target is 0 or none.
@@ -28,7 +28,7 @@ func (b *TrajBatch) runSchedule1(ops []SchedOp, measure func(lane, q, outcome in
 			ct := o.Ch
 			nextQ := int(o.CarryFor)
 			carryHit := b.carryQ == 0
-			fast := ct.fkind == chanDiag && ct.freal
+			fast := ct.fkind == chanDiag
 			for l := 0; l < L; l++ {
 				a0, a1 := lo[l], hi[l]
 				r := srcs[l].Float64()

@@ -5,7 +5,7 @@ package qphys
 // outcomes, carries, and PRNG stream position that running the same
 // compiled schedule on that lane's scalar Trajectory would. The suite
 // drives the same representative schedule as the scalar executor's
-// pins (channels with fast and slow paths, dense Kraus fallbacks,
+// pins (channels with fast and slow paths, anti-diagonal jumps,
 // rotating-frame unitaries with carry chains, CZ, dense two-qubit
 // gates, measurements with and without carries) and compares under ==,
 // plus targeted pins for the degenerate measurement reset and the
@@ -22,8 +22,8 @@ import (
 
 // batchTestSchedule is the representative compiled schedule the batch
 // pins run: every op kind, carry chains (including the circular wrap),
-// a dense channel that always takes the scalar fallback, and measures
-// both carrying and not.
+// a channel whose first operator is a jump (no first-operator fast
+// path), and measures both carrying and not.
 func batchTestSchedule() []SchedOp {
 	chans := testChannels()
 	deco := func(name string) *ChannelTable { return NewChannelTable(chans[name]) }
@@ -33,14 +33,14 @@ func batchTestSchedule() []SchedOp {
 		{Kind: SchedApply1RD, Q: 0, U: x180, CarryFor: 0},
 		{Kind: SchedChannel, Q: 0, Ch: deco("decoherence-short"), CarryFor: 1},
 		{Kind: SchedChannel, Q: 1, Ch: deco("decoherence-short"), CarryFor: 4},
-		{Kind: SchedCZ, Q: 1, Qb: 0, U: CZ(), PhaseSafe: true},
+		{Kind: SchedCZ, Q: 1, Qb: 0, U: CZ()},
 		{Kind: SchedChannel, Q: 4, Ch: deco("decoherence-long"), CarryFor: -1},
 		{Kind: SchedApply1, Q: 2, U: RZ(0.4).Mul(RX(0.3)), CarryFor: 2},
 		{Kind: SchedChannel, Q: 2, Ch: deco("depolarizing"), CarryFor: 3},
 		{Kind: SchedMeasure, Q: 3, CarryFor: 3},
 		{Kind: SchedChannel, Q: 3, Ch: deco("decoherence-short"), CarryFor: -1},
 		{Kind: SchedApply2, Q: 0, Qb: 2, U: Embedded2ForTest(), CarryFor: -1},
-		{Kind: SchedChannel, Q: 1, Ch: deco("dense"), CarryFor: 1},
+		{Kind: SchedChannel, Q: 1, Ch: deco("damping-jump-first"), CarryFor: 1},
 		{Kind: SchedMeasure, Q: 1, CarryFor: -1},
 		{Kind: SchedChannel, Q: 2, Ch: deco("decoherence-long"), CarryFor: 0},
 	}
@@ -48,7 +48,7 @@ func batchTestSchedule() []SchedOp {
 
 // batchTestSchedule1 is the one-qubit counterpart of
 // batchTestSchedule, for the lane kernel: fast and jumping channels,
-// a dense channel, both unitary kinds with and without carries,
+// a jump-first channel, both unitary kinds with and without carries,
 // measures carrying and not, and a trailing carry that wraps into the
 // next shot's first channel.
 func batchTestSchedule1() []SchedOp {
@@ -65,7 +65,7 @@ func batchTestSchedule1() []SchedOp {
 		{Kind: SchedChannel, Q: 0, Ch: deco("thermal"), CarryFor: -1},
 		{Kind: SchedApply1RD, Q: 0, U: REquator(0.7, math.Pi/2), CarryFor: -1},
 		{Kind: SchedApply1, Q: 0, U: Hadamard(), CarryFor: -1},
-		{Kind: SchedChannel, Q: 0, Ch: deco("dense"), CarryFor: 0},
+		{Kind: SchedChannel, Q: 0, Ch: deco("damping-jump-first"), CarryFor: 0},
 		{Kind: SchedMeasure, Q: 0, CarryFor: -1},
 		{Kind: SchedChannel, Q: 0, Ch: deco("damping"), CarryFor: 0},
 	}

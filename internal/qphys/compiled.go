@@ -15,11 +15,15 @@ import (
 // operator entries, and (on the density backend) rebuilds the
 // entry/conjugate tables. ChannelTable hoists all of that out of the shot
 // loop into one per-schedule table, and the Carry variants additionally
-// let consecutive axis-aligned steps share population passes. Every hook
-// is bit-identical to the un-compiled path it replaces — pricing uses the
-// same float64 coefficient values, and all accumulations preserve the
-// per-accumulator addition order — so a compiled schedule produces the
-// same PRNG consumption and the same state, bit for bit.
+// let consecutive axis-aligned steps share population passes. A table
+// holds only the channel class the machine records — DecoherenceChannel's
+// real-diagonal and anti-diagonal operators — so the compiled executors
+// carry no dense or complex-diagonal path; ApplyKraus1 stays the general
+// kernel and the reference. Every hook is bit-identical to the
+// un-compiled path it replaces — pricing uses the same float64
+// coefficient values, and all accumulations preserve the per-accumulator
+// addition order — so a compiled schedule produces the same PRNG
+// consumption and the same state, bit for bit.
 
 // ChannelTable is the per-schedule compiled form of a single-qubit Kraus
 // channel: operator classification, Born-weight pricing coefficients, and
@@ -34,17 +38,11 @@ type ChannelTable struct {
 	// the operator; w0/w1 are the Born-weight coefficients of the
 	// populations (weight = w0·p0 + w1·p1), exactly the norm² values
 	// ApplyKraus1 computes per call. e0/e1 are the two (potentially)
-	// nonzero entries: (k00, k11) for diagonal operators, (k01, k10) for
-	// anti-diagonal ones.
+	// nonzero entries: (k00, k11) for diagonal operators, whose entries
+	// are real, and (k01, k10) for anti-diagonal ones.
 	kind   []uint8
 	w0, w1 []float64
 	e0, e1 []complex128
-	// realc marks operators whose two entries are both real, which is
-	// every operator DecoherenceChannel composes. Their application
-	// scales each amplitude's parts with two real multiplies instead of
-	// a full complex multiply — identical except for the sign of zeros,
-	// which no |a|² term, comparison, or downstream decision can observe.
-	realc []bool
 
 	// Density kernel tables: operator entries and their conjugates, the
 	// arrays ApplyKraus1 builds on the stack per call.
@@ -54,7 +52,6 @@ type ChannelTable struct {
 	// branch of a decoherence channel absorbs almost all of the Born
 	// weight, so the pricing fast path reads these without slice loads.
 	fkind    uint8
-	freal    bool
 	fw0, fw1 float64
 	fr0, fr1 float64
 }
@@ -62,17 +59,20 @@ type ChannelTable struct {
 // Operator classes of a ChannelTable entry, mirroring the dynamic
 // classification in Trajectory.ApplyKraus1.
 const (
-	chanDiag uint8 = iota
-	chanAnti
-	chanDense
+	chanDiag uint8 = iota // diagonal, real entries
+	chanAnti              // anti-diagonal
 )
 
 // NewChannelTable compiles a single-qubit channel (Σ K†K = I) into its
-// per-schedule table. The operators are retained by reference; channels
-// come from the machine's immutable caches, so no copy is taken.
+// per-schedule table. It accepts the channel class the machine records:
+// 2 to maxKraus1 operators, each diagonal with real entries or
+// anti-diagonal — every non-identity DecoherenceChannel (and the
+// depolarizing channel). Any other channel panics; ApplyKraus1 applies
+// those. The operators are retained by reference; channels come from the
+// machine's immutable caches, so no copy is taken.
 func NewChannelTable(ops []Matrix) *ChannelTable {
-	if len(ops) == 0 {
-		panic("qphys: NewChannelTable requires at least one operator")
+	if len(ops) < 2 || len(ops) > maxKraus1 {
+		panic(fmt.Sprintf("qphys: NewChannelTable requires 2..%d operators, got %d", maxKraus1, len(ops)))
 	}
 	ct := &ChannelTable{ops: ops}
 	for i := range ops {
@@ -88,7 +88,7 @@ func NewChannelTable(ops []Matrix) *ChannelTable {
 		ct.kd = append(ct.kd, kd)
 		ct.kc = append(ct.kc, kc)
 		switch {
-		case k.Data[1] == 0 && k.Data[2] == 0:
+		case k.Data[1] == 0 && k.Data[2] == 0 && imag(k.Data[0]) == 0 && imag(k.Data[3]) == 0:
 			ct.kind = append(ct.kind, chanDiag)
 			ct.w0 = append(ct.w0, norm2(k.Data[0]))
 			ct.w1 = append(ct.w1, norm2(k.Data[3]))
@@ -101,17 +101,10 @@ func NewChannelTable(ops []Matrix) *ChannelTable {
 			ct.e0 = append(ct.e0, k.Data[1])
 			ct.e1 = append(ct.e1, k.Data[2])
 		default:
-			ct.kind = append(ct.kind, chanDense)
-			ct.w0 = append(ct.w0, 0)
-			ct.w1 = append(ct.w1, 0)
-			ct.e0 = append(ct.e0, 0)
-			ct.e1 = append(ct.e1, 0)
+			panic(fmt.Sprintf("qphys: NewChannelTable operator %d is neither real-diagonal nor anti-diagonal", i))
 		}
-		i := len(ct.e0) - 1
-		ct.realc = append(ct.realc, imag(ct.e0[i]) == 0 && imag(ct.e1[i]) == 0)
 	}
 	ct.fkind = ct.kind[0]
-	ct.freal = ct.realc[0]
 	ct.fw0, ct.fw1 = ct.w0[0], ct.w1[0]
 	ct.fr0, ct.fr1 = real(ct.e0[0]), real(ct.e1[0])
 	return ct
@@ -140,28 +133,21 @@ func (t *Trajectory) ApplyChannel(ct *ChannelTable, q int) {
 
 // ApplyChannelCarry applies the compiled channel to qubit q. It is
 // bit-identical to ApplyKraus1(ct.Ops(), q): same PRNG consumption (one
-// variate per multi-operator channel, none for a single operator), same
-// pricing arithmetic, same application arithmetic.
+// variate), same pricing arithmetic, same application arithmetic.
 //
 // in, when Valid, must hold qubit q's populations exactly as a fresh
 // population pass over the current state would compute them (i.e. the
 // carry produced by the immediately preceding fused kernel); the pass is
-// then skipped. When nextQ ≥ 0 and the sampled operator is diagonal, the
-// application pass additionally accumulates qubit nextQ's populations —
-// in ascending index order per accumulator, matching a standalone pass
-// bit for bit — and returns them as a Valid carry. All other outcomes
-// (single-operator, anti-diagonal, dense, zero-weight) return an invalid
-// carry and the next step pays its own pass.
+// then skipped. When nextQ ≥ 0, the application pass additionally
+// accumulates qubit nextQ's populations — in ascending index order per
+// accumulator, matching a standalone pass bit for bit — and returns them
+// as a Valid carry: for any nextQ after a diagonal selection, for q only
+// after an anti-diagonal one. Every other outcome (an anti-diagonal
+// selection asked for another qubit, a zero-weight draw) returns an
+// invalid carry, and the next step pays its own pass.
 func (t *Trajectory) ApplyChannelCarry(ct *ChannelTable, q int, in PopCarry, nextQ int) PopCarry {
 	if q < 0 || q >= t.nq {
 		panic(fmt.Sprintf("qphys: ApplyChannelCarry qubit %d out of range 0..%d", q, t.nq-1))
-	}
-	ops := ct.ops
-	if len(ops) == 1 {
-		// A single operator of a physical channel must be (a phase times)
-		// a unitary; ApplyKraus1 applies it directly without a variate.
-		t.Apply1(ops[0], q)
-		return PopCarry{}
 	}
 	mask := 1 << (t.nq - 1 - q)
 	psi := t.Psi
@@ -182,39 +168,28 @@ func (t *Trajectory) ApplyChannelCarry(ct *ChannelTable, q int, in PopCarry, nex
 	return t.applyChannelSampled(ct, q, mask, p0, p1, r, nextQ)
 }
 
-// Sentinel selections from priceChannel, below the valid operator
-// indices: the pricing met a dense operator (the caller must fall back
-// to the general per-operator-pass path with the same variate), or no
-// operator had positive weight (the channel is a no-op for this draw).
-const (
-	chanChoseDense = -2
-	chanChoseNone  = -1
-)
+// chanChoseNone is priceChannel's selection when no operator had
+// positive weight: the channel is a no-op for this draw.
+const chanChoseNone = -1
 
 // priceChannel reproduces the operator selection of the un-compiled
 // trajectory channel path bit for bit: given the two populations and
 // the draw, it returns the chosen operator index and its Born weight
-// (the normalization p the application divides by), or one of the
-// sentinels above. Pure — it reads only the table — so the batched
-// executor prices every lane with exactly the scalar decision.
+// (the normalization p the application divides by), or chanChoseNone.
+// Pure — it reads only the table — so the batched executor prices every
+// lane with exactly the scalar decision.
 func priceChannel(ct *ChannelTable, p0, p1, r float64) (chosen int, lastP float64) {
 	// Fast path for the overwhelmingly common draw: the first operator
 	// (the no-jump branch of a decoherence channel) absorbs almost all of
 	// the Born weight. cum accumulates from exactly 0.0, so r < w0·p0 +
 	// w1·p1 reproduces the general loop's first-iteration decision bit
 	// for bit.
-	if ct.fkind != chanDense {
-		if p := ct.fw0*p0 + ct.fw1*p1; r < p {
-			return 0, p
-		}
+	if p := ct.fw0*p0 + ct.fw1*p1; r < p {
+		return 0, p
 	}
 	cum := 0.0
-	chosen = chanChoseNone
 	lastPositive := -1
 	for ki := range ct.ops {
-		if ct.kind[ki] == chanDense {
-			return chanChoseDense, 0
-		}
 		// Identical arithmetic to the un-compiled pricing for both
 		// operator classes: IEEE addition is commutative, so
 		// w0·p0 + w1·p1 matches the anti-diagonal path's
@@ -240,59 +215,22 @@ func priceChannel(ct *ChannelTable, p0, p1, r float64) (chosen int, lastP float6
 // ApplyChannelCarry, entered with the populations and the variate already
 // in hand — the compiled-schedule executor (RunSchedule) jumps here
 // directly when its first-operator fast path does not apply, and the
-// lockstep executor runs it per lane for its rare selections. A real
-// diagonal selection is applied by scaleDiagReal, the kernel the fast
-// path calls too. Deterministic in (state, ct, q, p0, p1, r), so
-// re-entering with the same inputs reproduces the same selection bit for
-// bit.
+// one-qubit lane kernel runs it per lane for its jumps. A diagonal
+// selection is applied by scaleDiagReal, the kernel the fast path calls
+// too. Deterministic in (state, ct, q, p0, p1, r), so re-entering with
+// the same inputs reproduces the same selection bit for bit.
 func (t *Trajectory) applyChannelSampled(ct *ChannelTable, q, mask int, p0, p1, r float64, nextQ int) PopCarry {
-	ops := ct.ops
-	psi := t.Psi
 	chosen, lastP := priceChannel(ct, p0, p1, r)
-	if chosen == chanChoseDense {
-		// ApplyKraus1 falls back to the general per-operator-pass path
-		// with the same variate the moment it prices a dense operator;
-		// the partial pricing before it mutated nothing.
-		t.applyKrausDense(ops, mask, r)
-		return PopCarry{}
-	}
 	if chosen == chanChoseNone {
 		return PopCarry{}
 	}
 	rinv := 1 / math.Sqrt(lastP)
-	inv := complex(rinv, 0)
 	if ct.kind[chosen] == chanDiag {
-		if ct.realc[chosen] {
-			// Real coefficients (every DecoherenceChannel operator): scale
-			// each amplitude's parts with two real multiplies. Identical to
-			// the complex multiply except for the sign of zeros, which no
-			// |a|² term, comparison, or downstream decision can observe.
-			return t.scaleDiagReal(q, mask, real(ct.e0[chosen])*rinv, real(ct.e1[chosen])*rinv, nextQ)
-		}
-		c0, c1 := ct.e0[chosen]*inv, ct.e1[chosen]*inv
-		if nextQ == q {
-			var np0, np1 float64
-			for base := 0; base < len(psi); base += mask << 1 {
-				for i := base; i < base+mask; i++ {
-					v0 := psi[i] * c0
-					psi[i] = v0
-					np0 += real(v0)*real(v0) + imag(v0)*imag(v0)
-					v1 := psi[i+mask] * c1
-					psi[i+mask] = v1
-					np1 += real(v1)*real(v1) + imag(v1)*imag(v1)
-				}
-			}
-			return PopCarry{P0: np0, P1: np1, Valid: true}
-		}
-		for base := 0; base < len(psi); base += mask << 1 {
-			for i := base; i < base+mask; i++ {
-				psi[i] *= c0
-				psi[i+mask] *= c1
-			}
-		}
-		return PopCarry{}
+		return t.scaleDiagReal(q, mask, real(ct.e0[chosen])*rinv, real(ct.e1[chosen])*rinv, nextQ)
 	}
+	inv := complex(rinv, 0)
 	c01, c10 := ct.e0[chosen]*inv, ct.e1[chosen]*inv
+	psi := t.Psi
 	if nextQ == q {
 		// An anti-diagonal operator swaps the halves, so the pair loop's
 		// new lo values feed p0 ascending and new hi values feed p1
@@ -528,16 +466,10 @@ func (t *Trajectory) MeasureCarry(q int, p1, r float64, wantCarry bool) (int, Po
 
 // ApplyChannel applies the compiled channel to qubit q, bit-identical to
 // ApplyKraus1(ct.Ops(), q) with the per-call entry/conjugate table
-// construction hoisted into the table. Channels wider than the
-// allocation-free kernel bound fall back to ApplyKraus1's lifted path.
+// construction hoisted into the table.
 func (d *Density) ApplyChannel(ct *ChannelTable, q int) {
 	if q < 0 || q >= d.nq {
 		panic(fmt.Sprintf("qphys: ApplyChannel qubit %d out of range 0..%d", q, d.nq-1))
-	}
-	ops := ct.ops
-	if len(ops) > maxKraus1 {
-		d.ApplyKraus1(ops, q)
-		return
 	}
 	d.applyKraus1Tables(ct.kd, ct.kc, q)
 }

@@ -15,27 +15,22 @@ import (
 // the fused/hoisted kernels must stay pinned to the dense Embed-based
 // reference at 1e-12.
 
-// testChannels returns a representative set of axis-aligned channels —
-// everything DecoherenceChannel composes, plus depolarizing — and one
-// channel containing a dense operator (Hadamard-conjugated damping),
-// which must take the general fallback path.
+// testChannels returns a representative set of the channels a
+// ChannelTable accepts: everything DecoherenceChannel composes, plus
+// depolarizing (anti-diagonal operators with complex entries) and a
+// damping channel listed jump first, whose first operator is not
+// diagonal and so never takes the executors' first-operator fast path.
 func testChannels() map[string][]Matrix {
-	h := Hadamard()
-	ad := AmplitudeDamping(0.2)
-	dense := []Matrix{
-		h.Mul(ad[0]).Mul(h.Dagger()),
-		h.Mul(ad[1]).Mul(h.Dagger()),
-	}
+	ad := AmplitudeDamping(0.3)
 	return map[string][]Matrix{
-		"decoherence-short": DecoherenceChannel(20e-9, DefaultQubitParams()),
-		"decoherence-long":  DecoherenceChannel(8e-6, DefaultQubitParams()),
-		"decoherence-huge":  DecoherenceChannel(200e-6, DefaultQubitParams()),
-		"thermal":           DecoherenceChannel(1e-6, QubitParams{T1: 30e-6, T2: 20e-6, ThermalPopulation: 0.01}),
-		"depolarizing":      Depolarizing(0.1),
-		"damping":           AmplitudeDamping(0.3),
-		"dephasing":         PhaseDamping(0.4),
-		"single-op":         {RX(0.7)},
-		"dense":             dense,
+		"decoherence-short":  DecoherenceChannel(20e-9, DefaultQubitParams()),
+		"decoherence-long":   DecoherenceChannel(8e-6, DefaultQubitParams()),
+		"decoherence-huge":   DecoherenceChannel(200e-6, DefaultQubitParams()),
+		"thermal":            DecoherenceChannel(1e-6, QubitParams{T1: 30e-6, T2: 20e-6, ThermalPopulation: 0.01}),
+		"depolarizing":       Depolarizing(0.1),
+		"damping":            ad,
+		"dephasing":          PhaseDamping(0.4),
+		"damping-jump-first": {ad[1], ad[0]},
 	}
 }
 
@@ -92,11 +87,80 @@ func TestApplyChannelBitIdenticalToApplyKraus1(t *testing.T) {
 	}
 }
 
+// TestDecoherenceChannelCompiles pins the premise of compiled replay's
+// channel class: on a grid of finite parameters (dt from 1 ns to 1 ms;
+// T1, T2 and the thermal population each including 0), every
+// non-identity DecoherenceChannel — the only channel the machine records
+// — has 2 to maxKraus1 operators, NewChannelTable accepts it, and its
+// compiled application matches ApplyKraus1 bit for bit. The identity
+// case, {I}, is exactly the one the machine never records.
+func TestDecoherenceChannelCompiles(t *testing.T) {
+	for _, dt := range []float64{1e-9, 20e-9, 1e-6, 8e-6, 1e-4, 1e-3} {
+		for _, t1 := range []float64{0, 1e-7, 30e-6, 1e-3, 10} {
+			for _, t2 := range []float64{0, 1e-7, 20e-6, 60e-6, 1e-3, 10} {
+				for _, pth := range []float64{0, 0.01, 0.5, 1} {
+					p := QubitParams{T1: t1, T2: t2, ThermalPopulation: pth}
+					ops := DecoherenceChannel(dt, p)
+					ctx := fmt.Sprintf("dt=%g T1=%g T2=%g pth=%g", dt, t1, t2, pth)
+					if t1 <= 0 && t2 <= 0 {
+						if len(ops) != 1 || ops[0].MaxAbsDiff(Identity(2)) != 0 {
+							t.Fatalf("%s: want the identity channel {I}, got %d operators", ctx, len(ops))
+						}
+						continue
+					}
+					if len(ops) < 2 || len(ops) > maxKraus1 {
+						t.Fatalf("%s: %d operators, want 2..%d", ctx, len(ops), maxKraus1)
+					}
+					ct := NewChannelTable(ops)
+					ref := randomTrajectory(2, 3)
+					cmp := randomTrajectory(2, 3)
+					ref.ApplyKraus1(ops, 1)
+					cmp.ApplyChannel(ct, 1)
+					samePsi(t, ref, cmp, ctx)
+					sameRNG(t, ref, cmp, ctx)
+				}
+			}
+		}
+	}
+}
+
+// TestNewChannelTableRejectsUnsupported pins the other side of the
+// channel class: a dense operator, a complex-diagonal operator, a single
+// operator and more than maxKraus1 operators each panic, so no compiled
+// executor needs a path for them.
+func TestNewChannelTableRejectsUnsupported(t *testing.T) {
+	h := Hadamard()
+	ad := AmplitudeDamping(0.2)
+	pd := PhaseDamping(0.4)
+	wide := make([]Matrix, maxKraus1+1)
+	for i := range wide {
+		wide[i] = Identity(2).Scale(complex(math.Sqrt(1/float64(len(wide))), 0))
+	}
+	cases := map[string][]Matrix{
+		"dense":            {h.Mul(ad[0]).Mul(h.Dagger()), h.Mul(ad[1]).Mul(h.Dagger())},
+		"complex-diagonal": {RZ(0.9).Mul(pd[0]), pd[1]},
+		"single-op":        {RX(0.7)},
+		"wide":             wide,
+		"empty":            nil,
+		"two-qubit":        {Identity(4), Identity(4)},
+	}
+	for name, ops := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewChannelTable accepted an unsupported channel", name)
+				}
+			}()
+			NewChannelTable(ops)
+		}()
+	}
+}
+
 // TestApplyChannelCarryChain drives a chain of channel applications with
 // the carry threaded between steps — same-qubit, cross-qubit, and a
-// phase-safe CZ in the middle — against plain ApplyKraus1 calls. The
-// carry must change nothing, bit for bit, including when an anti-diagonal
-// or dense draw breaks it mid-chain.
+// CZ in the middle — against plain ApplyKraus1 calls. The carry must
+// change nothing, bit for bit, including when an anti-diagonal draw
+// breaks it mid-chain.
 func TestApplyChannelCarryChain(t *testing.T) {
 	chans := testChannels()
 	chain := []struct {
@@ -105,7 +169,7 @@ func TestApplyChannelCarryChain(t *testing.T) {
 	}{
 		{"decoherence-long", 0}, {"decoherence-long", 1}, {"decoherence-long", 4},
 		{"decoherence-huge", 2}, {"depolarizing", 3}, {"decoherence-short", 3},
-		{"dense", 0}, {"decoherence-short", 1},
+		{"damping-jump-first", 0}, {"decoherence-short", 1},
 	}
 	const n = 5
 	for seed := int64(1); seed <= 20; seed++ {
@@ -297,14 +361,14 @@ func TestRunScheduleMatchesSequential(t *testing.T) {
 		{Kind: SchedApply1RD, Q: 0, U: x180, CarryFor: 0},
 		{Kind: SchedChannel, Q: 0, Ch: deco("decoherence-short"), CarryFor: 1},
 		{Kind: SchedChannel, Q: 1, Ch: deco("decoherence-short"), CarryFor: 4},
-		{Kind: SchedCZ, Q: 1, Qb: 0, U: CZ(), PhaseSafe: true},
+		{Kind: SchedCZ, Q: 1, Qb: 0, U: CZ()},
 		{Kind: SchedChannel, Q: 4, Ch: deco("decoherence-long"), CarryFor: -1},
 		{Kind: SchedApply1, Q: 2, U: RZ(0.4).Mul(RX(0.3)), CarryFor: 2},
 		{Kind: SchedChannel, Q: 2, Ch: deco("depolarizing"), CarryFor: 3},
 		{Kind: SchedMeasure, Q: 3, CarryFor: 3},
 		{Kind: SchedChannel, Q: 3, Ch: deco("decoherence-short"), CarryFor: -1},
 		{Kind: SchedApply2, Q: 0, Qb: 2, U: Embedded2ForTest(), CarryFor: -1},
-		{Kind: SchedChannel, Q: 1, Ch: deco("dense"), CarryFor: 1},
+		{Kind: SchedChannel, Q: 1, Ch: deco("damping-jump-first"), CarryFor: 1},
 		{Kind: SchedMeasure, Q: 1, CarryFor: -1},
 		// Trailing channel carrying for the wrap-around consumer (step 0).
 		{Kind: SchedChannel, Q: 2, Ch: deco("decoherence-long"), CarryFor: 0},
@@ -344,7 +408,7 @@ func TestRunScheduleMatchesSequential(t *testing.T) {
 	}
 }
 
-// Embedded2ForTest returns a dense (non-phase-safe) two-qubit unitary.
+// Embedded2ForTest returns a dense two-qubit unitary.
 func Embedded2ForTest() Matrix {
 	return Identity(2).Kron(Hadamard())
 }
@@ -365,7 +429,7 @@ func TestCompiledKernelsDoNotAllocate(t *testing.T) {
 		{Kind: SchedChannel, Q: 1, Ch: ct, CarryFor: 1},
 		{Kind: SchedApply1RD, Q: 1, U: u, CarryFor: 1},
 		{Kind: SchedChannel, Q: 1, Ch: ct, CarryFor: -1},
-		{Kind: SchedCZ, Q: 0, Qb: 1, U: CZ(), PhaseSafe: true},
+		{Kind: SchedCZ, Q: 0, Qb: 1, U: CZ()},
 		{Kind: SchedMeasure, Q: 2, CarryFor: -1},
 	}
 	measure := func(q, outcome int) {}

@@ -15,7 +15,8 @@ import (
 
 // maxKraus1 is the largest operator count the allocation-free single-qubit
 // channel kernel handles on the stack; DecoherenceChannel produces at most
-// 8 operators. Larger sets fall back to the dense lifted path.
+// 8 operators. Larger sets fall back to the dense lifted path in
+// ApplyKraus1; NewChannelTable rejects them.
 const maxKraus1 = 16
 
 // Apply1 applies a single-qubit unitary to qubit q in place: for every

@@ -21,11 +21,14 @@ const (
 	// SchedApply1RD applies a single-qubit unitary with real diagonal
 	// entries (RealDiag2) — every pulse rotation.
 	SchedApply1RD
-	// SchedChannel applies a multi-operator axis-aligned channel (Ch).
+	// SchedChannel applies a compiled decoherence channel (Ch; see
+	// NewChannelTable for the channels a table accepts).
 	SchedChannel
 	// SchedCZ applies diag(1,1,1,−1) to (Q, Qb) via NegateBoth.
 	SchedCZ
-	// SchedApply2 applies a dense two-qubit unitary (U) to (Q, Qb).
+	// SchedApply2 applies a dense two-qubit unitary (U) to (Q, Qb). The
+	// machine records no two-qubit gate but the CZ, so no recorded
+	// schedule contains one; a population carry never passes through it.
 	SchedApply2
 	// SchedMeasure runs the projective measurement of Q; the measure
 	// callback completes the machine's measurement chain.
@@ -35,9 +38,11 @@ const (
 // SchedOp is one specialized, closure-free step of a compiled schedule.
 type SchedOp struct {
 	Kind uint8
-	// PhaseSafe marks an Apply2 step that preserves every |a|² bit for
-	// bit (diagonal, entries in {1,−1,i,−i}); a population carry passes
-	// through it. SchedCZ steps are phase-safe by construction.
+	// PhaseSafe is ignored: a SchedCZ step always passes a population
+	// carry through (negation keeps every |a|² bit) and a SchedApply2
+	// step never does.
+	//
+	// Deprecated: kept so existing schedule literals compile.
 	PhaseSafe bool
 	// CarryFor names the qubit whose populations this step should carry
 	// to the next population consumer (-1: none). The compiler only sets
@@ -54,10 +59,9 @@ type SchedOp struct {
 // must complete the rest of the machine's measurement chain
 // (discrimination sampling, recording, result delivery) and may consume
 // the same PRNG. A channel step's population pass and its check for the
-// hot case — pricing resolves to the first operator, diagonal with real
-// coefficients — are inline here, and the hot case's apply is one call to
-// scaleDiagReal, the kernel applyChannelSampled uses for the same
-// operator. Everything rarer re-enters applyChannelSampled with the same
+// hot case — pricing resolves to the first operator, which is diagonal —
+// are inline here, and the hot case's apply is one call to scaleDiagReal,
+// the kernel applyChannelSampled uses for the same operator. Everything rarer re-enters applyChannelSampled with the same
 // populations and variate, so the selection is reproduced bit for bit.
 //
 // in/inQ seed the population carry and the returned values hand the
@@ -93,11 +97,11 @@ func (t *Trajectory) RunSchedule(ops []SchedOp, in PopCarry, inQ int, measure fu
 			}
 			carryQ = nextQ
 			// Hot path: the first operator absorbs the draw and is
-			// diagonal with real coefficients. The selection comparison is
-			// exactly the general pricing loop's first iteration
-			// (cum = 0.0 + p), so the branch decision is bit-identical.
+			// diagonal. The selection comparison is exactly the general
+			// pricing loop's first iteration (cum = 0.0 + p), so the
+			// branch decision is bit-identical.
 			fp := ct.fw0*p0 + ct.fw1*p1
-			if !(ct.fkind == chanDiag && ct.freal) || r >= fp {
+			if ct.fkind != chanDiag || r >= fp {
 				carry = t.applyChannelSampled(ct, q, mask, p0, p1, r, nextQ)
 				continue
 			}
@@ -123,9 +127,7 @@ func (t *Trajectory) RunSchedule(ops []SchedOp, in PopCarry, inQ int, measure fu
 			t.NegateBoth(q, int(o.Qb))
 		case SchedApply2:
 			t.Apply2(o.U, q, int(o.Qb))
-			if !o.PhaseSafe {
-				carry.Valid = false
-			}
+			carry.Valid = false
 		case SchedMeasure:
 			in := carry
 			if carryQ != q {

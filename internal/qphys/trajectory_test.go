@@ -110,6 +110,58 @@ func TestTrajectoryRandomCircuitPinnedToDensity(t *testing.T) {
 	}
 }
 
+// TestTrajectoryApplyKraus1GeneralChannelsPinned pins the full-pipeline
+// channel kernel on the channels a ChannelTable rejects — a single
+// operator (applied as a unitary, no variate), a dense operator set (the
+// general per-operator-pass path) and a complex-diagonal set — to the
+// Embed reference: the variate selects operator k by the cumulative Born
+// weights p_k = tr(K_k ρ K_k†), and the state becomes K_k ρ K_k† / p_k.
+func TestTrajectoryApplyKraus1GeneralChannelsPinned(t *testing.T) {
+	h := Hadamard()
+	ad := AmplitudeDamping(0.2)
+	pd := PhaseDamping(0.4)
+	channels := map[string][]Matrix{
+		"single-op":        {RX(0.7)},
+		"dense":            {h.Mul(ad[0]).Mul(h.Dagger()), h.Mul(ad[1]).Mul(h.Dagger())},
+		"complex-diagonal": {RZ(0.9).Mul(pd[0]), pd[1]},
+	}
+	for name, ops := range channels {
+		for n := 1; n <= 3; n++ {
+			for q := 0; q < n; q++ {
+				for seed := int64(1); seed <= 20; seed++ {
+					src := prng.New(seed)
+					tr := NewTrajectorySource(n, src)
+					rho := randomTrajectoryState(tr, rand.New(rand.NewSource(seed+500))).Rho
+					probe := *src
+					r := -1.0 // a single operator draws no variate
+					if len(ops) > 1 {
+						r = probe.Float64()
+					}
+					tr.ApplyKraus1(ops, q)
+					var want Matrix
+					cum := 0.0
+					for _, k := range ops {
+						lk := Embed(k, q, n)
+						rk := lk.Mul(rho).Mul(lk.Dagger())
+						p := real(rk.Trace())
+						cum += p
+						want = rk.Scale(complex(1/p, 0))
+						if r < cum {
+							break
+						}
+					}
+					if diff := tr.DensityMatrix().MaxAbsDiff(want); diff > 1e-12 {
+						t.Fatalf("%s n=%d q=%d seed=%d: ApplyKraus1 deviates from the Embed reference by %v", name, n, q, seed, diff)
+					}
+					if got, want := src.Float64(), probe.Float64(); got != want {
+						t.Fatalf("%s n=%d q=%d seed=%d: ApplyKraus1 consumed the wrong number of variates", name, n, q, seed)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTrajectoryKrausSamplingIsExactInExpectation(t *testing.T) {
 	// Amplitude damping γ = 0.3 on |1⟩: the exact channel leaves
 	// P(|1⟩) = 0.7; the trajectory mean over many seeds must converge.

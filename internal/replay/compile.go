@@ -10,18 +10,25 @@
 //   - Every recorded operation lowers to exactly one step that applies
 //     the same operator — the schedule is never rewritten, reordered, or
 //     merged, so compiled replay performs the full pipeline's arithmetic.
-//     Unitaries with real diagonal entries (every pulse rotation) are
-//     classified for the cheaper Apply1RD kernel.
-//   - Each decoherence channel's axis-aligned Kraus pricing coefficients
-//     and operator tables are hoisted once per schedule into a
-//     qphys.ChannelTable, deduplicated by the machine cache's Kraus-slice
-//     identity. The PRNG draw order per step is unchanged.
+//     Compilation covers exactly the operation classes the machine
+//     records: single-qubit unitaries (pulse rotations and detuning
+//     phases; those with real diagonal entries, every pulse rotation,
+//     take the cheaper Apply1RD kernel), decoherence idles, the flux CZ
+//     (SchedCZ) and measurements.
+//   - Each decoherence channel's Kraus pricing coefficients and operator
+//     tables are hoisted once per schedule into a qphys.ChannelTable,
+//     deduplicated by the machine cache's Kraus-slice identity. A
+//     recorded idle always carries 4 or 8 real-diagonal or anti-diagonal
+//     operators (qphys.DecoherenceChannel; identity idles are never
+//     recorded), the one channel class a table accepts. The PRNG draw
+//     order per step is unchanged.
 //   - Population passes are chained: a channel application or measurement
 //     asks the nearest preceding state-modifying step to accumulate its
 //     populations during that step's own application pass, in the exact
 //     addition order a standalone pass would use. Carries flow through
-//     phase-safe two-qubit gates (CZ), which preserve every |a|² bit for
-//     bit.
+//     the CZ, which preserves every |a|² bit for bit; any other
+//     two-qubit gate (none is recorded) lowers to SchedApply2 and breaks
+//     the chain.
 //   - The executors are devirtualized: the trajectory backend runs the
 //     whole shot in one qphys.RunSchedule pass (or, for lockstep lanes,
 //     qphys.TrajBatch.RunScheduleBatch); the density backend gets direct
@@ -231,11 +238,7 @@ func lowerSchedule(sched []op, tables map[*qphys.Matrix]*qphys.ChannelTable) *co
 			if o.u.N != 0 {
 				addUnitary(o.q, o.u)
 			}
-			if len(o.kraus) == 1 {
-				// ApplyKraus1 applies a single-operator channel as a plain
-				// unitary without drawing a variate, so it lowers like one.
-				addUnitary(o.q, o.kraus[0])
-			} else if o.kraus != nil {
+			if o.kraus != nil {
 				ct, ok := tables[&o.kraus[0]]
 				if !ok && tables != nil {
 					ct = qphys.NewChannelTable(o.kraus)
@@ -253,10 +256,7 @@ func lowerSchedule(sched []op, tables map[*qphys.Matrix]*qphys.ChannelTable) *co
 			if qphys.IsCZ(o.u) {
 				kind = qphys.SchedCZ
 			}
-			c.ops = append(c.ops, qphys.SchedOp{
-				Kind: kind, Q: int16(o.q), Qb: int16(o.qb), U: o.u,
-				CarryFor: -1, PhaseSafe: phaseSafeGate2(o.u),
-			})
+			c.ops = append(c.ops, qphys.SchedOp{Kind: kind, Q: int16(o.q), Qb: int16(o.qb), U: o.u, CarryFor: -1})
 			c.pulses++
 		case opMeasure:
 			c.ops = append(c.ops, qphys.SchedOp{Kind: qphys.SchedMeasure, Q: int16(o.q), CarryFor: -1})
@@ -274,14 +274,15 @@ func (c *compiled) linkCarries(wrap bool) {
 	// application prices from one population pass; a measurement samples
 	// from one) asks the nearest preceding state-modifying step to
 	// accumulate its populations during that step's own application pass.
-	// Phase-safe gate2 steps are transparent (they preserve |a|² bit for
-	// bit). Producer eligibility follows the kernels: a channel can carry
-	// any qubit; a unitary or a measurement only its own qubit — their
-	// passes are pair-ordered, and a cross-qubit carry would have to
-	// revisit half the state, the very pass it is meant to save (measured
-	// twice to cost more than a standalone pass; see ROADMAP). The
-	// executor still validates every carry at runtime: an anti-diagonal
-	// or dense operator draw produces none.
+	// CZ steps are transparent (they preserve |a|² bit for bit); any
+	// other two-qubit step is a producer that carries nothing. Producer
+	// eligibility follows the kernels: a channel can carry any qubit; a
+	// unitary or a measurement only its own qubit — their passes are
+	// pair-ordered, and a cross-qubit carry would have to revisit half
+	// the state, the very pass it is meant to save (measured twice to
+	// cost more than a standalone pass; see ROADMAP). The executor still
+	// validates every carry at runtime: an anti-diagonal draw asked to
+	// carry for another qubit, or a zero-weight draw, produces none.
 	last := -1
 	for i := range c.ops {
 		s := &c.ops[i]
@@ -326,37 +327,9 @@ func linkCarry(p, s *qphys.SchedOp) {
 }
 
 // carryTransparent reports whether step s leaves every |a|² bit
-// unchanged (a CZ or a phase-safe gate2), so a carry can pass over it.
+// unchanged (a CZ), so a carry can pass over it.
 func carryTransparent(s *qphys.SchedOp) bool {
-	return s.Kind == qphys.SchedCZ || (s.Kind == qphys.SchedApply2 && s.PhaseSafe)
-}
-
-// phaseSafeGate2 reports whether a two-qubit unitary is diagonal with
-// every diagonal entry in {1, −1, i, −i}. Such a gate multiplies each
-// amplitude by a unit that changes at most the sign or position of its
-// real/imaginary parts, so |a|² terms — squares summed with IEEE's
-// commutative addition — keep the same bits, and a population carry
-// accumulated before the gate equals a standalone pass run after it.
-func phaseSafeGate2(u qphys.Matrix) bool {
-	if u.N != 4 {
-		return false
-	}
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			v := u.Data[i*4+j]
-			if i != j {
-				if v != 0 {
-					return false
-				}
-				continue
-			}
-			re, im := real(v), imag(v)
-			if !(im == 0 && (re == 1 || re == -1)) && !(re == 0 && (im == 1 || im == -1)) {
-				return false
-			}
-		}
-	}
-	return true
+	return s.Kind == qphys.SchedCZ
 }
 
 // runDensity executes compiled steps against the devirtualized density

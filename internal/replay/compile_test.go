@@ -14,31 +14,40 @@ import (
 
 func TestCompileScheduleLowering(t *testing.T) {
 	kraus := qphys.DecoherenceChannel(8e-6, qphys.DefaultQubitParams())
-	single := []qphys.Matrix{qphys.RX(0.3)}
 	x90 := qphys.REquator(0, 1.5)
 	y180 := qphys.REquator(1.2, 3.1)
+	rz := qphys.RZ(0.3)
 	cz := qphys.CZ()
+	// A diagonal phase gate other than the CZ: it keeps every |a|², yet
+	// the machine never records it, so it lowers to a plain SchedApply2
+	// that no carry crosses.
+	cs := qphys.Identity(4)
+	cs.Set(3, 3, 1i)
 	sched := []op{
 		{kind: opPulse, q: 0, u: x90},
 		{kind: opPulse, q: 0, u: y180},           // adjacent same-qubit: its own step
-		{kind: opIdle, q: 0, kraus: single},      // single-operator channel: a unitary step
-		{kind: opIdle, q: 1, kraus: kraus},       // multi-operator channel
+		{kind: opIdle, q: 0, u: rz},              // detuning phase of an identity idle: a unitary step
+		{kind: opIdle, q: 1, kraus: kraus},       // channel
 		{kind: opIdle, q: 2, kraus: kraus},       // same cached slice: shared table
-		{kind: opGate2, q: 0, qb: 1, u: cz},      // CZ: phase-safe, NegateBoth
+		{kind: opGate2, q: 0, qb: 1, u: cz},      // CZ: NegateBoth
 		{kind: opIdle, q: 0, kraus: kraus},       // carry passes through the CZ
 		{kind: opPulse, q: 3, u: qphys.Matrix{}}, // timing-only pulse: counter only
 		{kind: opMeasure, q: 0},
+		{kind: opIdle, q: 1, kraus: kraus},  // producer before a non-CZ gate
+		{kind: opGate2, q: 1, qb: 2, u: cs}, // non-CZ: SchedApply2, breaks the chain
+		{kind: opIdle, q: 2, kraus: kraus},  // consumer after it: no carry across
 	}
 	c := compileSchedule(sched)
-	if c.pulses != 4 {
-		t.Errorf("pulses = %d, want 4 (3 pulses + 1 flux)", c.pulses)
+	if c.pulses != 5 {
+		t.Errorf("pulses = %d, want 5 (3 pulses + 2 flux)", c.pulses)
 	}
 	if c.nMD != 1 {
 		t.Errorf("nMD = %d, want 1", c.nMD)
 	}
 	// Every recorded operation with an effect lowers to exactly one step
 	// applying the recorded operator: nothing is merged.
-	kinds := []uint8{qphys.SchedApply1RD, qphys.SchedApply1RD, qphys.SchedApply1RD, qphys.SchedChannel, qphys.SchedChannel, qphys.SchedCZ, qphys.SchedChannel, qphys.SchedMeasure}
+	kinds := []uint8{qphys.SchedApply1RD, qphys.SchedApply1RD, qphys.SchedApply1, qphys.SchedChannel, qphys.SchedChannel,
+		qphys.SchedCZ, qphys.SchedChannel, qphys.SchedMeasure, qphys.SchedChannel, qphys.SchedApply2, qphys.SchedChannel}
 	if len(c.ops) != len(kinds) {
 		t.Fatalf("compiled to %d steps, want %d: %+v", len(c.ops), len(kinds), c.ops)
 	}
@@ -47,44 +56,24 @@ func TestCompileScheduleLowering(t *testing.T) {
 			t.Errorf("step %d kind = %d, want %d", i, c.ops[i].Kind, k)
 		}
 	}
-	for i, u := range []qphys.Matrix{x90, y180, single[0]} {
+	for i, u := range []qphys.Matrix{x90, y180, rz} {
 		if &c.ops[i].U.Data[0] != &u.Data[0] {
 			t.Errorf("step %d must apply the recorded operator itself", i)
 		}
 	}
-	if c.ops[3].Ch != c.ops[4].Ch || c.ops[3].Ch != c.ops[6].Ch {
+	if c.ops[3].Ch != c.ops[4].Ch || c.ops[3].Ch != c.ops[6].Ch || c.ops[3].Ch != c.ops[10].Ch {
 		t.Error("identical cached Kraus slices must share one ChannelTable")
 	}
 	// Carry links: channel(q1)→channel(q2); channel(q2)→channel(q0)
-	// through the phase-safe CZ; channel(q0)→measure(q0). No unitary
-	// step carries (none precedes a consumer on its own qubit), and no
-	// wrap-around link exists: the schedule starts with a unitary.
-	for i, want := range []int16{-1, -1, -1, 2, 0, -1, 0, -1} {
+	// through the CZ; channel(q0)→measure(q0). No unitary step carries
+	// (none precedes a consumer on its own qubit), the measurement cannot
+	// carry for another qubit, channel(q1) cannot reach channel(q2) across
+	// the non-CZ gate, and no wrap-around link exists: the schedule
+	// starts with a unitary.
+	for i, want := range []int16{-1, -1, -1, 2, 0, -1, 0, -1, -1, -1, -1} {
 		if got := c.ops[i].CarryFor; got != want {
 			t.Errorf("step %d carries for %d, want %d", i, got, want)
 		}
-	}
-}
-
-func TestPhaseSafeGate2(t *testing.T) {
-	if !phaseSafeGate2(qphys.CZ()) {
-		t.Error("CZ must be phase-safe")
-	}
-	if !phaseSafeGate2(qphys.Identity(4)) {
-		t.Error("the identity must be phase-safe")
-	}
-	s := qphys.Identity(4)
-	s.Set(3, 3, 1i)
-	if !phaseSafeGate2(s) {
-		t.Error("diag(1,1,1,i) must be phase-safe")
-	}
-	g := qphys.Identity(4)
-	g.Set(3, 3, complex(0.6, 0.8))
-	if phaseSafeGate2(g) {
-		t.Error("a generic phase must not be phase-safe")
-	}
-	if phaseSafeGate2(qphys.Identity(2).Kron(qphys.Hadamard())) {
-		t.Error("a non-diagonal gate must not be phase-safe")
 	}
 }
 

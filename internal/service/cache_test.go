@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"reflect"
 	"strings"
@@ -466,4 +467,31 @@ func TestNeutralFieldsAreExecuteByteNeutral(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("batch_lanes=8 perturbed a sharded asm result:\nwant %s\ngot  %s", want, got)
 	}
+}
+
+// TestHugeEngineSettingsServeSameBytes submits requests whose
+// batch_lanes, shot_workers and workers are math.MaxInt to a live
+// server. The asm path plans its lane groups outside any job's panic
+// recovery, so an overflow there would take the server down; the
+// grouping clamps both counts to the shard count, and every job
+// completes with the bytes of batch_lanes 1.
+func TestHugeEngineSettingsServeSameBytes(t *testing.T) {
+	_, hs := startTestServer(t, Config{Workers: 1})
+	prog := "mov r15, 40\nQNopReg r15\nPulse {q0}, X90\nWait 4\nMPG {q0}, 300\nMD {q0}, r7\nhalt\n"
+	huge := []ExperimentRequest{
+		{Type: "asm", Seed: 14, Backend: "trajectory", Program: prog, Rounds: 600, BatchLanes: math.MaxInt},
+		{Type: "asm", Seed: 15, Backend: "trajectory", Program: prog, Rounds: 600, ShotWorkers: math.MaxInt},
+		{Type: "t1", Seed: 16, Backend: "trajectory", Rounds: 300, Workers: math.MaxInt, ShotWorkers: math.MaxInt, BatchLanes: math.MaxInt},
+	}
+	id, resp := submit(t, hs.URL, SubmitRequest{Experiments: huge})
+	if id == "" {
+		t.Fatalf("submit status %d, want 202", resp.StatusCode)
+	}
+	waitDone(t, hs.URL, id)
+	scalar := make([]ExperimentRequest, len(huge))
+	for i, r := range huge {
+		r.Workers, r.ShotWorkers, r.BatchLanes = 0, 0, 1
+		scalar[i] = r
+	}
+	assertResultsMatchDirect(t, hs.URL, id, scalar)
 }

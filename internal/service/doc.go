@@ -156,8 +156,10 @@
 // byte-identical results.
 //
 // Bounded memory: everything a client can grow is capped — request
-// bodies (maxBodyBytes), asm program size (maxProgramBytes), batch size
-// (Config.MaxBatch), retained terminal jobs and their results
+// bodies (maxBodyBytes), asm program size (maxProgramBytes), shots per
+// sweep point and RB sequences per length (maxRounds, maxTrials: the
+// shard plan and result tables are allocated in proportion before any
+// shot runs), batch size (Config.MaxBatch), retained terminal jobs and their results
 // (Config.MaxRetainedJobs, oldest evicted to 404), the Env's program
 // cache and pool shards, and each machine's compiled-schedule memo
 // (epoch-flushed on overflow; flushes cost recomputation, never

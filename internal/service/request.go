@@ -178,6 +178,15 @@ func scrubResultParams(res any) {
 // capped before, not after.
 const maxProgramBytes = 256 << 10
 
+// maxRounds and maxTrials bound a request's shot count per sweep point
+// and its RB sequences per length. The shard plan, the per-shard result
+// slots and RB's survival table are allocated in proportion before any
+// shot runs, so the counts must be capped at submit time.
+const (
+	maxRounds = 1 << 24
+	maxTrials = 1 << 16
+)
+
 // experimentTypes is the closed set of request types.
 var experimentTypes = map[string]bool{
 	"t1": true, "ramsey": true, "echo": true, "allxy": true, "rabi": true,
@@ -221,6 +230,8 @@ func (r ExperimentRequest) Validate(i int) []FieldError {
 	}
 	if r.Rounds < 0 {
 		add("rounds", "must be non-negative (0 selects the default)")
+	} else if r.Rounds > maxRounds {
+		add("rounds", "is %d, limit is %d", r.Rounds, maxRounds)
 	}
 	if r.Workers < 0 {
 		add("workers", "must be non-negative (0 selects one worker per CPU)")
@@ -254,6 +265,8 @@ func (r ExperimentRequest) Validate(i int) []FieldError {
 		}
 		if r.Trials < 0 {
 			add("trials", "must be non-negative (0 selects the default)")
+		} else if r.Trials > maxTrials {
+			add("trials", "is %d, limit is %d", r.Trials, maxTrials)
 		}
 	case "rabi":
 		if len(r.Scales) > 0 && len(r.Scales) < 8 {

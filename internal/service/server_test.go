@@ -266,6 +266,9 @@ func TestMalformedRequestsReturnStructured400(t *testing.T) {
 		{"asm with no program", `{"experiments": [{"type": "asm"}]}`, "invalid_fields", "program", 0},
 		{"asm that does not assemble", `{"experiments": [{"type": "asm", "program": "frob r1"}]}`, "invalid_fields", "program", 0},
 		{"negative rounds", `{"experiments": [{"type": "allxy", "rounds": -5}]}`, "invalid_fields", "rounds", 0},
+		{"rounds over the limit", `{"experiments": [{"type": "allxy", "rounds": 16777217}]}`, "invalid_fields", "rounds", 0},
+		{"huge rounds", `{"experiments": [{"type": "asm", "program": "halt", "rounds": 10000000000}]}`, "invalid_fields", "rounds", 0},
+		{"trials over the limit", `{"experiments": [{"type": "rb", "trials": 65537}]}`, "invalid_fields", "trials", 0},
 		{"qubit beyond density register", `{"experiments": [{"type": "t1", "qubit": 12}]}`, "invalid_fields", "qubit", 0},
 		{"negative T1", `{"experiments": [{"type": "t1", "t1_sec": -1}]}`, "invalid_fields", "t1_sec", 0},
 		{"negative batch_lanes", `{"experiments": [{"type": "repcode", "backend": "trajectory", "batch_lanes": -1}]}`, "invalid_fields", "batch_lanes", 0},
