@@ -197,7 +197,12 @@
 //     the concrete backend: *qphys.Trajectory runs one RunSchedule pass
 //     per shot with the hot channel path inlined, *qphys.Density gets
 //     direct concrete-type calls and hoisted operator/conjugate tables.
-//     A new backend needs its own executor before it can replay.
+//     A new backend needs its own executor before it can replay. On a
+//     one-qubit register RunSchedule keeps the two amplitudes and the
+//     population carry in locals for the whole shot, with the one-qubit
+//     lane kernel's expressions, and writes the register only around a
+//     channel jump, a measurement and the end of the shot; it is pinned
+//     bit for bit to the general body (TestRunSchedule1MatchesRunScheduleN).
 //   - Zero allocations per shot. All scratch (step slice, tables,
 //     measurement buffer) is allocated at compile time, and the compiled
 //     form is memoized on the machine (core.Machine.ReplayCache, keyed

@@ -27,9 +27,14 @@ type Clifford struct {
 }
 
 // cliffordGroup is the lazily built group table; cliffordOnce guards the
-// build so parallel sweep workers can share it.
+// build so parallel sweep workers can share it. cliffordMul and
+// cliffordInv are its multiplication and inverse tables, by element
+// index and up to global phase: cliffordMul[a][b] is the element of
+// U_a·U_b (b applied first, then a), and cliffordInv[a] that of U_a†.
 var (
 	cliffordGroup []Clifford
+	cliffordMul   [24][24]uint8
+	cliffordInv   [24]uint8
 	cliffordOnce  sync.Once
 )
 
@@ -104,35 +109,44 @@ func buildCliffordGroup() {
 		}
 		cliffordGroup[i] = Clifford{Index: i, Pulses: pulses, U: g.u}
 	}
-}
-
-// InverseClifford returns the group element whose unitary inverts the
-// product u (i.e. inv·u ∝ I).
-func InverseClifford(u qphys.Matrix) Clifford {
-	inv := u.Dagger()
-	for _, c := range CliffordGroup() {
-		if c.U.EqualUpToGlobalPhase(inv, 1e-9) {
-			return c
+	index := func(u qphys.Matrix) uint8 {
+		for i, g := range group {
+			if g.u.EqualUpToGlobalPhase(u, 1e-9) {
+				return uint8(i)
+			}
 		}
+		panic("expt: Clifford group is not closed")
 	}
-	panic("expt: matrix is not a Clifford")
+	for a, ga := range group {
+		for b, gb := range group {
+			cliffordMul[a][b] = index(ga.u.Mul(gb.u))
+		}
+		cliffordInv[a] = index(ga.u.Dagger())
+	}
 }
 
 // RandomCliffordSequence draws m uniformly random Cliffords plus the
 // recovery element that returns the qubit to |0⟩, and returns the full
 // pulse list (time order) and the total element count including recovery.
+// The running product is tracked as a group index through the
+// multiplication table, so it is exact at any length.
 func RandomCliffordSequence(m int, rng *rand.Rand) (pulses []string, elements []Clifford) {
 	group := CliffordGroup()
-	total := qphys.Identity(2)
+	elements = make([]Clifford, 0, max(m, 0)+1)
+	total := 0 // the identity: the closure starts from it
+	npulses := 0
 	for i := 0; i < m; i++ {
 		c := group[rng.Intn(len(group))]
 		elements = append(elements, c)
-		pulses = append(pulses, c.Pulses...)
-		total = c.U.Mul(total)
+		npulses += len(c.Pulses)
+		total = int(cliffordMul[c.Index][total])
 	}
-	rec := InverseClifford(total)
+	rec := group[cliffordInv[total]]
 	elements = append(elements, rec)
-	pulses = append(pulses, rec.Pulses...)
+	pulses = make([]string, 0, npulses+len(rec.Pulses))
+	for _, c := range elements {
+		pulses = append(pulses, c.Pulses...)
+	}
 	return pulses, elements
 }
 

@@ -95,10 +95,13 @@ func envKey(cfg core.Config) string {
 
 // maxPoolShards bounds the pool map: requests vary configs freely (every
 // distinct t1_sec, scale set, backend... is a new shard), so a
-// service-lifetime Env flushes all shards on overflow. Machines held
-// only by a flushed sync.Pool become garbage; the next request of any
-// config pays one construction again. Determinism is untouched — pools
-// only ever amortize cost.
+// service-lifetime Env flushes all shards on overflow. A pool keeps its
+// machines until that flush (each pool holds at most as many as it has
+// had out at once, see machinePool), so this is the global bound on
+// pooled machines; a flushed pool's machines become garbage once their
+// running points return them, and the next request of any config pays
+// one construction again. Determinism is untouched — pools only ever
+// amortize cost.
 const maxPoolShards = 64
 
 // poolFor returns the (possibly shared) machine pool for cfg, creating

@@ -2,8 +2,10 @@ package expt
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -204,12 +206,102 @@ func TestCliffordDecompositionsMatchUnitaries(t *testing.T) {
 	}
 }
 
+// TestInverseClifford pins the group's inverse table to U† and its
+// multiplication table to the matrix product, both up to global phase.
 func TestInverseClifford(t *testing.T) {
 	g := CliffordGroup()
 	for _, c := range g {
-		inv := InverseClifford(c.U)
-		if !inv.U.Mul(c.U).EqualUpToGlobalPhase(qphys.Identity(2), 1e-9) {
+		inv := g[cliffordInv[c.Index]]
+		if !inv.U.EqualUpToGlobalPhase(c.U.Dagger(), 1e-9) || !inv.U.Mul(c.U).EqualUpToGlobalPhase(qphys.Identity(2), 1e-9) {
 			t.Errorf("inverse of %d wrong", c.Index)
+		}
+		for _, b := range g {
+			if !g[cliffordMul[c.Index][b.Index]].U.EqualUpToGlobalPhase(c.U.Mul(b.U), 1e-9) {
+				t.Errorf("product %d·%d wrong", c.Index, b.Index)
+			}
+		}
+	}
+}
+
+// randomCliffordSequenceByMatrix is RandomCliffordSequence as it was
+// first written — the running product as a 2×2 matrix, the recovery
+// found by searching the group for its adjoint — kept as the reference
+// for the table-driven version.
+func randomCliffordSequenceByMatrix(m int, rng *rand.Rand) (pulses []string, elements []Clifford) {
+	group := CliffordGroup()
+	total := qphys.Identity(2)
+	for i := 0; i < m; i++ {
+		c := group[rng.Intn(len(group))]
+		elements = append(elements, c)
+		pulses = append(pulses, c.Pulses...)
+		total = c.U.Mul(total)
+	}
+	inv := total.Dagger()
+	for _, rec := range group {
+		if rec.U.EqualUpToGlobalPhase(inv, 1e-9) {
+			elements = append(elements, rec)
+			pulses = append(pulses, rec.Pulses...)
+			return pulses, elements
+		}
+	}
+	panic("product is not a Clifford")
+}
+
+// TestRandomCliffordSequenceMatchesMatrixProduct pins the table-driven
+// sequence generator to the matrix-product reference: the same pulses
+// and the same elements, for many seeds and lengths up to the service's
+// RB length limit (4096).
+func TestRandomCliffordSequenceMatchesMatrixProduct(t *testing.T) {
+	for _, m := range []int{0, 1, 2, 3, 5, 24, 128, 1000, 4096} {
+		seeds := 300
+		if m > 128 {
+			seeds = 30
+		}
+		for seed := 0; seed < seeds; seed++ {
+			s := DeriveSeed(int64(m), seed)
+			wantP, wantE := randomCliffordSequenceByMatrix(m, rand.New(rand.NewSource(s)))
+			gotP, gotE := RandomCliffordSequence(m, rand.New(rand.NewSource(s)))
+			if !slices.Equal(gotP, wantP) {
+				t.Fatalf("m=%d seed=%d: pulses differ from the matrix-product reference", m, seed)
+			}
+			if len(gotE) != len(wantE) {
+				t.Fatalf("m=%d seed=%d: %d elements, want %d", m, seed, len(gotE), len(wantE))
+			}
+			for i := range wantE {
+				if gotE[i].Index != wantE[i].Index || !slices.Equal(gotE[i].Pulses, wantE[i].Pulses) {
+					t.Fatalf("m=%d seed=%d: element %d is %d, want %d", m, seed, i, gotE[i].Index, wantE[i].Index)
+				}
+			}
+		}
+	}
+}
+
+// TestRBShotProgramMatchesFmt pins RBShotProgram's text to the fmt form
+// it replaced, byte for byte.
+func TestRBShotProgramMatchesFmt(t *testing.T) {
+	byFmt := func(p RBParams, pulses []string) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "mov r15, %d\n", p.InitCycles)
+		fmt.Fprintf(&b, "QNopReg r15\n")
+		for _, g := range pulses {
+			fmt.Fprintf(&b, "Pulse {q%d}, %s\nWait 4\n", p.Qubit, g)
+		}
+		fmt.Fprintf(&b, "MPG {q%d}, %d\n", p.Qubit, p.MeasureCycles)
+		fmt.Fprintf(&b, "MD {q%d}, r7\n", p.Qubit)
+		fmt.Fprintf(&b, "halt\n")
+		return b.String()
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, m := range []int{0, 1, 7, 128} {
+		pulses, _ := RandomCliffordSequence(m, rng)
+		for q := 0; q <= 2; q++ {
+			for _, cycles := range [][2]int{{40000, 300}, {0, 0}, {-1, 7}, {1, math.MaxInt}, {math.MinInt, -300}} {
+				p := DefaultRBParams()
+				p.Qubit, p.InitCycles, p.MeasureCycles = q, cycles[0], cycles[1]
+				if got, want := RBShotProgram(p, pulses), byFmt(p, pulses); got != want {
+					t.Fatalf("m=%d q=%d cycles=%v:\n%s\nwant\n%s", m, q, cycles, got, want)
+				}
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"quma/internal/core"
@@ -63,15 +64,33 @@ type RBResult struct {
 // — the program never consumes the measurement result, which is what
 // makes RB replay-safe.
 func RBShotProgram(p RBParams, pulses []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "mov r15, %d\n", p.InitCycles)
-	fmt.Fprintf(&b, "QNopReg r15\n")
+	q := strconv.Itoa(p.Qubit)
+	initCycles := strconv.Itoa(p.InitCycles)
+	measureCycles := strconv.Itoa(p.MeasureCycles)
+	size := len("mov r15, \nQNopReg r15\n") + len(initCycles) +
+		len("MPG {q}, \nMD {q}, r7\nhalt\n") + 2*len(q) + len(measureCycles)
 	for _, g := range pulses {
-		fmt.Fprintf(&b, "Pulse {q%d}, %s\nWait 4\n", p.Qubit, g)
+		size += len("Pulse {q}, \nWait 4\n") + len(q) + len(g)
 	}
-	fmt.Fprintf(&b, "MPG {q%d}, %d\n", p.Qubit, p.MeasureCycles)
-	fmt.Fprintf(&b, "MD {q%d}, r7\n", p.Qubit)
-	fmt.Fprintf(&b, "halt\n")
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString("mov r15, ")
+	b.WriteString(initCycles)
+	b.WriteString("\nQNopReg r15\n")
+	for _, g := range pulses {
+		b.WriteString("Pulse {q")
+		b.WriteString(q)
+		b.WriteString("}, ")
+		b.WriteString(g)
+		b.WriteString("\nWait 4\n")
+	}
+	b.WriteString("MPG {q")
+	b.WriteString(q)
+	b.WriteString("}, ")
+	b.WriteString(measureCycles)
+	b.WriteString("\nMD {q")
+	b.WriteString(q)
+	b.WriteString("}, r7\nhalt\n")
 	return b.String()
 }
 

@@ -275,10 +275,20 @@ type FaultHooks struct {
 // unconditionally on every point (see Machine.ResetState); and a machine
 // whose job panicked is never returned here — its state is unknowable,
 // so it is discarded and the pool rebuilds on the next get.
+//
+// The free list is a plain mutex-guarded LIFO stack, not a sync.Pool: a
+// pooled machine carries its compiled-replay memo (Machine.ReplayCache),
+// which lets it skip the pipeline lead of every program it has proven,
+// so losing one to a garbage collection — or to another P's private
+// slot — costs a core.New and a full-pipeline lead per program. The
+// stack keeps every returned machine until the Env flushes the pool
+// (maxPoolShards), and since get builds a machine only when the stack is
+// empty, it never holds more machines than the pool has had out at once.
 type machinePool struct {
 	cfg    core.Config
 	faults *FaultHooks
-	pool   sync.Pool
+	mu     sync.Mutex
+	free   []*core.Machine
 }
 
 func newMachinePool(cfg core.Config) *machinePool {
@@ -292,15 +302,26 @@ func (mp *machinePool) get(seed int64) (*core.Machine, error) {
 			return nil, err
 		}
 	}
-	if v := mp.pool.Get(); v != nil {
-		m := v.(*core.Machine)
+	mp.mu.Lock()
+	var m *core.Machine
+	if n := len(mp.free); n > 0 {
+		m = mp.free[n-1]
+		mp.free[n-1] = nil
+		mp.free = mp.free[:n-1]
+	}
+	mp.mu.Unlock()
+	if m != nil {
 		m.ResetState(seed)
 		return m, nil
 	}
 	return core.New(sweepConfig(mp.cfg, seed))
 }
 
-func (mp *machinePool) put(m *core.Machine) { mp.pool.Put(m) }
+func (mp *machinePool) put(m *core.Machine) {
+	mp.mu.Lock()
+	mp.free = append(mp.free, m)
+	mp.mu.Unlock()
+}
 
 // chunkRounds partitions `total` rounds into fixed-size chunks. The
 // partition depends only on (total, size), keeping chunked sweeps

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -108,9 +110,78 @@ func TestWarmShardsSkipLead(t *testing.T) {
 			skipped++
 		}
 	}
-	// A garbage collection may empty the machine pool between shards,
-	// so demand the skip on most shards, not all.
-	if steps[0] == 0 || skipped < len(steps[1:])/2 {
+	// One shot worker runs the shards back to back, and the pool hands
+	// each the machine the previous one returned.
+	if steps[0] == 0 || skipped != len(steps[1:]) {
 		t.Fatalf("per-shard instruction counts %v: the first shard must run the pipeline lead and later ones skip it", steps)
+	}
+}
+
+// TestPoolKeepsMachinesAcrossGC pins the machine pool's lifetime: the
+// machines an experiment returned survive garbage collections, and a
+// second RunRB on the same Env finds every program proven, so no lane
+// of it runs a single instruction (every lead replays from the memo)
+// and no machine is built.
+func TestPoolKeepsMachinesAcrossGC(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Backend = core.BackendTrajectory
+	p := DefaultRBParams()
+	p.Lengths = []int{1, 4, 16}
+	p.Trials = 2
+	p.Rounds = 300 // two shards per point
+	p.Workers, p.ShotWorkers = 1, 1
+	env := NewEnv()
+	run := func() []byte {
+		res, err := env.RunRB(context.Background(), cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	first := run()
+	mp := env.poolFor(cfg)
+	if len(env.pools) != 1 {
+		t.Fatalf("%d pools, want the experiment's one", len(env.pools))
+	}
+	pooled := slices.Clone(mp.free)
+	if len(pooled) == 0 {
+		t.Fatal("the experiment returned no machine to the pool")
+	}
+	runtime.GC()
+	runtime.GC()
+	if !slices.Equal(mp.free, pooled) {
+		t.Fatalf("pool holds %d machines after two collections, want the same %d", len(mp.free), len(pooled))
+	}
+
+	// With one worker every machine a point returns is still in the pool
+	// at the next get, so checking the free list before each get and at
+	// the end sees every lane's instruction count (cleared first, so a
+	// nonzero count is the second run's).
+	for _, m := range pooled {
+		m.Controller.Steps = 0
+	}
+	checkSteps := func(when string) {
+		mp.mu.Lock()
+		defer mp.mu.Unlock()
+		for i, m := range mp.free {
+			if m.Controller.Steps != 0 {
+				t.Errorf("%s: pooled machine %d ran %d instructions", when, i, m.Controller.Steps)
+			}
+		}
+	}
+	env.SetFaults(&FaultHooks{PoolGet: func() error {
+		checkSteps("before a get")
+		return nil
+	}})
+	if second := run(); !bytes.Equal(second, first) {
+		t.Fatalf("second run:\n%s\nfirst run:\n%s", second, first)
+	}
+	checkSteps("after the run")
+	if !slices.Equal(mp.free, pooled) {
+		t.Fatalf("second run left %d pooled machines, want the same %d", len(mp.free), len(pooled))
 	}
 }

@@ -13,7 +13,9 @@ import "math"
 // the arithmetic is RunSchedule's, expression for expression. Every
 // draw that does not select a diagonal first operator, and every
 // measurement, runs the scalar kernels on the scratch register, with the
-// lane's own draw, populations and PRNG.
+// lane's own draw, populations and PRNG. The scalar executor's one-qubit
+// body (Trajectory.runSchedule1, sched.go) runs a lone shot with these
+// same expressions, so a lane and a scalar shard agree term for term.
 
 // runSchedule1 is RunScheduleBatch for a one-qubit register. Every step
 // addresses qubit 0, so the carry target is 0 or none.

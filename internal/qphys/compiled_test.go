@@ -433,11 +433,17 @@ func TestCompiledKernelsDoNotAllocate(t *testing.T) {
 		{Kind: SchedMeasure, Q: 2, CarryFor: -1},
 	}
 	measure := func(q, outcome int) {}
-	carry, carryQ := PopCarry{}, -1
-	allocs := testing.AllocsPerRun(200, func() {
-		carry, carryQ = tr.RunSchedule(ops, carry, carryQ, measure)
-	})
-	if allocs != 0 {
-		t.Fatalf("RunSchedule allocates %v times per shot, want 0", allocs)
+	// The one-qubit register runs RunSchedule's register-resident body.
+	for _, c := range []struct {
+		tr  *Trajectory
+		ops []SchedOp
+	}{{tr, ops}, {randomTrajectory(1, 1), batchTestSchedule1()}} {
+		carry, carryQ := PopCarry{}, -1
+		allocs := testing.AllocsPerRun(200, func() {
+			carry, carryQ = c.tr.RunSchedule(c.ops, carry, carryQ, measure)
+		})
+		if allocs != 0 {
+			t.Fatalf("RunSchedule on %d qubits allocates %v times per shot, want 0", c.tr.NumQubits(), allocs)
+		}
 	}
 }

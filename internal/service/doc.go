@@ -159,7 +159,10 @@
 // bodies (maxBodyBytes), asm program size (maxProgramBytes), shots per
 // sweep point and RB sequences per length (maxRounds, maxTrials: the
 // shard plan and result tables are allocated in proportion before any
-// shot runs), batch size (Config.MaxBatch), retained terminal jobs and their results
+// shot runs), RB sequence lengths and their count (maxRBLength,
+// maxRBLengths: each point builds its sequence and program text in
+// proportion to its length), batch size (Config.MaxBatch), retained
+// terminal jobs and their results
 // (Config.MaxRetainedJobs, oldest evicted to 404), the Env's program
 // cache and pool shards, and each machine's compiled-schedule memo
 // (epoch-flushed on overflow; flushes cost recomputation, never

@@ -187,6 +187,16 @@ const (
 	maxTrials = 1 << 16
 )
 
+// maxRBLength and maxRBLengths bound an rb request's Clifford sequence
+// lengths and how many it lists. Each (length, trial) point builds its
+// random sequence and program text inside the job, in proportion to the
+// length (about 44 bytes of assembly per Clifford), so a point's program
+// at maxRBLength stays near 180 KiB, inside maxProgramBytes.
+const (
+	maxRBLength  = 4096
+	maxRBLengths = 64
+)
+
 // experimentTypes is the closed set of request types.
 var experimentTypes = map[string]bool{
 	"t1": true, "ramsey": true, "echo": true, "allxy": true, "rabi": true,
@@ -262,6 +272,14 @@ func (r ExperimentRequest) Validate(i int) []FieldError {
 	case "rb":
 		if len(r.Lengths) > 0 && len(r.Lengths) < 3 {
 			add("lengths", "need at least 3 sequence lengths, got %d", len(r.Lengths))
+		} else if len(r.Lengths) > maxRBLengths {
+			add("lengths", "has %d sequence lengths, limit is %d", len(r.Lengths), maxRBLengths)
+		}
+		for j, m := range r.Lengths {
+			if m < 0 || m > maxRBLength {
+				add("lengths", "length %d is %d, must be in 0..%d", j, m, maxRBLength)
+				break
+			}
 		}
 		if r.Trials < 0 {
 			add("trials", "must be non-negative (0 selects the default)")

@@ -269,6 +269,10 @@ func TestMalformedRequestsReturnStructured400(t *testing.T) {
 		{"rounds over the limit", `{"experiments": [{"type": "allxy", "rounds": 16777217}]}`, "invalid_fields", "rounds", 0},
 		{"huge rounds", `{"experiments": [{"type": "asm", "program": "halt", "rounds": 10000000000}]}`, "invalid_fields", "rounds", 0},
 		{"trials over the limit", `{"experiments": [{"type": "rb", "trials": 65537}]}`, "invalid_fields", "trials", 0},
+		{"rb length over the limit", `{"experiments": [{"type": "rb", "lengths": [1, 4, 4097]}]}`, "invalid_fields", "lengths", 0},
+		{"rb huge length", `{"experiments": [{"type": "rb", "lengths": [1, 10000000000, 8]}]}`, "invalid_fields", "lengths", 0},
+		{"rb negative length", `{"experiments": [{"type": "rb", "lengths": [1, -4, 8]}]}`, "invalid_fields", "lengths", 0},
+		{"rb too many lengths", `{"experiments": [{"type": "rb", "lengths": [` + strings.Repeat("1, ", 64) + `1]}]}`, "invalid_fields", "lengths", 0},
 		{"qubit beyond density register", `{"experiments": [{"type": "t1", "qubit": 12}]}`, "invalid_fields", "qubit", 0},
 		{"negative T1", `{"experiments": [{"type": "t1", "t1_sec": -1}]}`, "invalid_fields", "t1_sec", 0},
 		{"negative batch_lanes", `{"experiments": [{"type": "repcode", "backend": "trajectory", "batch_lanes": -1}]}`, "invalid_fields", "batch_lanes", 0},
@@ -309,6 +313,34 @@ func TestMalformedRequestsReturnStructured400(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRBLengthLimits pins the rb length bounds at their edges: lengths
+// 0..maxRBLength and up to maxRBLengths of them validate, one past
+// either limit does not, and the message names the limit.
+func TestRBLengthLimits(t *testing.T) {
+	many := make([]int, maxRBLengths)
+	for i := range many {
+		many[i] = i
+	}
+	for _, lengths := range [][]int{{0, 1, maxRBLength}, many} {
+		if errs := (ExperimentRequest{Type: "rb", Lengths: lengths}).Validate(0); len(errs) != 0 {
+			t.Errorf("lengths %v rejected: %+v", lengths, errs)
+		}
+	}
+	for _, tc := range []struct {
+		lengths []int
+		limit   int
+	}{
+		{[]int{1, 2, maxRBLength + 1}, maxRBLength},
+		{[]int{-1, 2, 3}, maxRBLength},
+		{append(many, 1), maxRBLengths},
+	} {
+		errs := ExperimentRequest{Type: "rb", Lengths: tc.lengths}.Validate(0)
+		if len(errs) != 1 || errs[0].Field != "lengths" || !strings.Contains(errs[0].Message, fmt.Sprint(tc.limit)) {
+			t.Errorf("lengths %v: errors %+v, want one lengths error naming %d", tc.lengths, errs, tc.limit)
+		}
 	}
 }
 
