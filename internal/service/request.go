@@ -191,7 +191,7 @@ const (
 // lengths and how many it lists. Each (length, trial) point builds its
 // random sequence and program text inside the job, in proportion to the
 // length (about 44 bytes of assembly per Clifford), so a point's program
-// at maxRBLength stays near 180 KiB, inside maxProgramBytes.
+// at maxRBLength stays near 177 KiB, inside maxProgramBytes.
 const (
 	maxRBLength  = 4096
 	maxRBLengths = 64
