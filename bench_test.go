@@ -1069,9 +1069,10 @@ func laneBenchSource(nq int) string {
 // cost per shot of one shot shard per lane through replay.RunBatch, at
 // each register size and lane count. lanes-1 is the scalar executor;
 // more lanes run the replayed shots in lockstep. Lanes 3 and 6 are
-// widths auto grouping produces (6 shards on 2 workers), and lane 3 is
-// odd, so its span passes run the pure-Go bodies. Lead shots are
-// included, as they are in a sharded sweep point.
+// widths auto grouping produces (6 shards on 2 workers); the odd widths
+// 3, 5 and 7 run the span passes' pure-Go bodies, so they price the
+// SIMD tiers against the Go bodies at neighbouring widths. Lead shots
+// are included, as they are in a sharded sweep point.
 func BenchmarkReplayLanes(b *testing.B) {
 	shots := 1024
 	if testing.Short() {
@@ -1082,7 +1083,7 @@ func BenchmarkReplayLanes(b *testing.B) {
 		cfg := core.DefaultConfig()
 		cfg.Backend = core.BackendTrajectory
 		cfg.NumQubits = nq
-		for _, lanes := range []int{1, 2, 3, 4, 6, 8} {
+		for _, lanes := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
 			b.Run(fmt.Sprintf("nq%d/lanes-%d", nq, lanes), func(b *testing.B) {
 				bl := make([]replay.BatchLane, lanes)
 				for l := range bl {

@@ -276,6 +276,26 @@ func TestRandomCliffordSequenceMatchesMatrixProduct(t *testing.T) {
 	}
 }
 
+// TestRBSequenceRngMatchesMathRand pins RunRB's pooled sequence
+// generator: one generator reseeded per point draws the same Clifford
+// sequences as a fresh math/rand generator per point, at the lengths
+// and seeds RunRB derives.
+func TestRBSequenceRngMatchesMathRand(t *testing.T) {
+	rng := rbSeqRngs.Get().(*rand.Rand)
+	defer rbSeqRngs.Put(rng)
+	for _, m := range []int{0, 1, 8, 128, 4096} {
+		for i := 0; i < 40; i++ {
+			s := DeriveSeed(int64(m)+17, i)
+			want, _ := RandomCliffordSequence(m, rand.New(rand.NewSource(s)))
+			rng.Seed(s)
+			got, _ := RandomCliffordSequence(m, rng)
+			if !slices.Equal(got, want) {
+				t.Fatalf("m=%d point %d: pooled generator's sequence differs from math/rand's", m, i)
+			}
+		}
+	}
+}
+
 // TestRBShotProgramMatchesFmt pins RBShotProgram's text to the fmt form
 // it replaced, byte for byte.
 func TestRBShotProgramMatchesFmt(t *testing.T) {

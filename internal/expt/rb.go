@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 
 	"quma/internal/core"
 	"quma/internal/fit"
+	"quma/internal/prng"
 	"quma/internal/replay"
 )
 
@@ -94,6 +96,13 @@ func RBShotProgram(p RBParams, pulses []string) string {
 	return b.String()
 }
 
+// rbSeqRngs holds the sequence generators RunRB reseeds per point: a
+// rand.Rand over a prng.Source, math/rand's generator ported verbatim,
+// so a reseeded one draws exactly the sequence a fresh
+// rand.New(rand.NewSource(seed)) would, without allocating and
+// discarding a generator per point.
+var rbSeqRngs = sync.Pool{New: func() any { return rand.New(new(prng.Source)) }}
+
 // RunRB executes randomized benchmarking on the parallel sweep engine —
 // every (length, trial) pair runs its own random sequence on its own
 // pooled machine, with the sequence drawn from DeriveSeed(p.Seed, pair),
@@ -116,8 +125,10 @@ func (e *Env) RunRB(ctx context.Context, cfg core.Config, p RBParams) (*RBResult
 	pool := e.poolFor(cfg)
 	err := runPool(ctx, njobs, p.Workers, func(i int) error {
 		length := p.Lengths[i/p.Trials]
-		seqRng := rand.New(rand.NewSource(DeriveSeed(p.Seed, i)))
+		seqRng := rbSeqRngs.Get().(*rand.Rand)
+		seqRng.Seed(DeriveSeed(p.Seed, i))
 		pulses, _ := RandomCliffordSequence(length, seqRng)
+		rbSeqRngs.Put(seqRng)
 		prog, err := e.progs.get(RBShotProgram(p, pulses))
 		if err != nil {
 			return err

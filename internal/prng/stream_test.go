@@ -97,6 +97,50 @@ func TestSetNextContinuesTheStream(t *testing.T) {
 	}
 }
 
+// schrageSeedrand is math/rand's seeding step, Schrage's method in
+// 32-bit arithmetic: the reference seedrand's 64-bit form must match.
+func schrageSeedrand(x int32) int32 {
+	const (
+		A = 48271
+		Q = 44488
+		R = 3399
+	)
+	hi := x / Q
+	lo := x % Q
+	x = A*lo - R*hi
+	if x < 0 {
+		x += int32max
+	}
+	return x
+}
+
+// TestSeedrandMatchesSchrage pins seedrand to the Schrage form on its
+// domain [1, 2^31-2]: at the edges of both forms (1, 2, the Schrage
+// quotient boundary Q-1 and Q, the top two values) and on a strided
+// sweep of the rest.
+func TestSeedrandMatchesSchrage(t *testing.T) {
+	check := func(x int32) {
+		if got, want := seedrand(x), schrageSeedrand(x); got != want {
+			t.Fatalf("seedrand(%d) = %d, Schrage form %d", x, got, want)
+		}
+	}
+	for _, x := range []int32{1, 2, 44487, 44488, int32max - 2, int32max - 1} {
+		check(x)
+	}
+	for x := int64(1); x < int32max; x += 9973 {
+		check(int32(x))
+	}
+}
+
+// BenchmarkSourceSeed times one Seed: the seeding steps and the fill of
+// the 607-word register, the cost every ResetState pays.
+func BenchmarkSourceSeed(b *testing.B) {
+	src := New(1)
+	for i := 0; i < b.N; i++ {
+		src.Seed(int64(i))
+	}
+}
+
 // FuzzSource drives the same comparison as TestSourceMatchesMathRand
 // from fuzzer bytes: the seed, then one byte per draw choosing the
 // method, where a byte with its top bit set reseeds both generators

@@ -2,6 +2,7 @@ package qphys
 
 import (
 	"fmt"
+	"math"
 
 	"quma/internal/prng"
 )
@@ -81,9 +82,6 @@ type TrajBatch struct {
 	c01, c10 []complex128 // anti-diagonal coefficients per lane
 	ckind    []uint8      // per-lane channel classification
 	mk0, mk1 []uint64     // 2L: collapse keep-masks (lo half, hi half)
-	lastP    []float64    // L: selected weights, batched reciprocal-root input
-	rinv     []float64    // L: 1/√lastP, one vector call per op
-	chosen   []int        // L: selected operator index per lane
 	anti     []int        // lanes that drew an anti-diagonal jump
 	outc     []int
 }
@@ -132,9 +130,6 @@ func NewTrajBatch(lanes []*Trajectory) *TrajBatch {
 		ckind:   make([]uint8, L),
 		mk0:     make([]uint64, 2*L),
 		mk1:     make([]uint64, 2*L),
-		lastP:   make([]float64, L),
-		rinv:    make([]float64, L),
-		chosen:  make([]int, L),
 		anti:    make([]int, L),
 		outc:    make([]int, L),
 	}
@@ -270,14 +265,16 @@ func (b *TrajBatch) probExcitedBatch(q, mask int) {
 }
 
 // channelBatch is the batched SchedChannel step: per lane the same
-// variate draw, population sourcing, and operator selection as the
-// scalar executor, via the shared pricing helper. Lanes whose selection
-// is a diagonal operator — the no-jump branch and dephasing jumps, i.e.
-// almost every draw — are applied in one vectorized flat pass with
-// per-lane coefficients (including the fused carry pass when the
-// schedule wants one); lanes that drew an anti-diagonal jump run the
-// scalar tail's anti kernel strided over their own column. Lanes outside
-// the flat pass are scaled by an exact 1.0 there (a bitwise no-op).
+// variate draw, population sourcing, operator selection (via the shared
+// pricing helper) and 1/√p normalization as the scalar executor, all in
+// one pass over the lanes that writes each lane's coefficients. Lanes
+// whose selection is a diagonal operator — the no-jump branch and
+// dephasing jumps, i.e. almost every draw — are applied in one
+// vectorized flat pass with per-lane coefficients (including the fused
+// carry pass when the schedule wants one); lanes that drew an
+// anti-diagonal jump run the scalar tail's anti kernel strided over
+// their own column. Lanes outside the flat pass are scaled by an exact
+// 1.0 there (a bitwise no-op).
 func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 	L := b.L
 	amp := b.amp
@@ -295,14 +292,16 @@ func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 
 	// One pass per lane: draw the variate, source the populations
 	// (carry or pass — the same precedence as the scalar executor),
-	// select the operator (the inline check is priceChannel's first
-	// iteration, kept inline to spare the call for the common draw),
-	// and classify the application.
+	// select the operator, classify the application and write its
+	// coefficients — 1/√p and the products that use it are the scalar
+	// executor's expressions. Every lane's carry is dropped here; the
+	// flat pass's lanes get theirs back below when the schedule asks for
+	// one, and anti lanes set their own.
 	r0, r1 := b.r0, b.r1
 	srcs, carry, ckind := b.srcs, b.carry, b.ckind
 	pp0, pp1 := b.pp0, b.pp1
-	lastPs, chosens := b.lastP, b.chosen
 	carryHit := b.carryQ == q
+	fast := ct.fkind == chanDiag
 	nDiag, nAnti := 0, 0
 	for l := 0; l < L; l++ {
 		rv := srcs[l].Float64()
@@ -312,53 +311,41 @@ func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 		} else {
 			pl0, pl1 = pp0[2*l], pp1[2*l]
 		}
-		var chosen int
-		var lastP float64
-		if fp := ct.fw0*pl0 + ct.fw1*pl1; rv < fp {
-			chosen, lastP = 0, fp
-		} else {
-			chosen, lastP = priceChannel(ct, pl0, pl1, rv)
+		carry[l] = PopCarry{}
+		// Hot path, as in RunSchedule: the first operator absorbs the
+		// draw and is diagonal. The comparison is priceChannel's first
+		// iteration, so the decision is bit-identical.
+		if fp := ct.fw0*pl0 + ct.fw1*pl1; fast && rv < fp {
+			rinv := 1 / math.Sqrt(fp)
+			c0, c1 := ct.fr0*rinv, ct.fr1*rinv
+			r0[2*l], r0[2*l+1] = c0, c0
+			r1[2*l], r1[2*l+1] = c1, c1
+			ckind[l] = ckDiag
+			nDiag++
+			continue
 		}
+		chosen, lastP := priceChannel(ct, pl0, pl1, rv)
+		// Coefficient 1.0 makes the flat pass a bitwise no-op for a lane
+		// outside it: the scalar path applies nothing on a none selection,
+		// and an anti lane runs its own walk below.
+		c0, c1 := 1.0, 1.0
 		switch {
 		case chosen == chanChoseNone:
 			ckind[l] = ckNone
-			lastP = 1
 		case ct.kind[chosen] == chanDiag:
 			ckind[l] = ckDiag
 			nDiag++
+			rinv := 1 / math.Sqrt(lastP)
+			c0, c1 = real(ct.e0[chosen])*rinv, real(ct.e1[chosen])*rinv
 		default:
 			ckind[l] = ckAnti
+			inv := complex(1/math.Sqrt(lastP), 0)
+			b.c01[l], b.c10[l] = ct.e0[chosen]*inv, ct.e1[chosen]*inv
 			b.anti[nAnti] = l
 			nAnti++
 		}
-		lastPs[l] = lastP
-		chosens[l] = chosen
-	}
-	// One vector reciprocal-root serves every selected lane; each
-	// element is bit-identical to the scalar 1/√lastP (correctly
-	// rounded VSQRTPD/VDIVPD), so deferring it out of the selection
-	// loop changes no bytes — it only replaces L serial SQRTSD+DIVSD
-	// chains with one vector op. Unselected lanes were pinned to 1.
-	recipSqrtVec(b.rinv, lastPs)
-	for l := 0; l < L; l++ {
-		switch ckind[l] {
-		case ckDiag:
-			rinv := b.rinv[l]
-			chosen := chosens[l]
-			cr0, cr1 := real(ct.e0[chosen])*rinv, real(ct.e1[chosen])*rinv
-			r0[2*l], r0[2*l+1] = cr0, cr0
-			r1[2*l], r1[2*l+1] = cr1, cr1
-		case ckAnti:
-			inv := complex(b.rinv[l], 0)
-			chosen := chosens[l]
-			b.c01[l], b.c10[l] = ct.e0[chosen]*inv, ct.e1[chosen]*inv
-			r0[2*l], r0[2*l+1], r1[2*l], r1[2*l+1] = 1, 1, 1, 1
-		default:
-			// Coefficient 1.0 makes the flat pass a bitwise no-op for
-			// this lane; the scalar path applies nothing on a none
-			// selection and drops the carry.
-			r0[2*l], r0[2*l+1], r1[2*l], r1[2*l+1] = 1, 1, 1, 1
-		}
+		r0[2*l], r0[2*l+1] = c0, c0
+		r1[2*l], r1[2*l+1] = c1, c1
 	}
 	b.carryQ = nextQ
 
@@ -391,24 +378,12 @@ func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 		default:
 			spanScaleBlocks(amp, r0, r1, mL)
 		}
-	}
-
-	// Carry writeback for the flat-pass lanes; anti lanes set their own
-	// below.
-	if nextQ >= 0 {
-		np0, np1 := b.np0, b.np1
-		for l := 0; l < L; l++ {
-			switch ckind[l] {
-			case ckDiag:
-				carry[l] = PopCarry{P0: np0[2*l], P1: np1[2*l], Valid: true}
-			case ckNone:
-				carry[l] = PopCarry{}
-			}
-		}
-	} else {
-		for l := 0; l < L; l++ {
-			if k := ckind[l]; k == ckDiag || k == ckNone {
-				carry[l] = PopCarry{}
+		if nextQ >= 0 {
+			np0, np1 := b.np0, b.np1
+			for l := 0; l < L; l++ {
+				if ckind[l] == ckDiag {
+					carry[l] = PopCarry{P0: np0[2*l], P1: np1[2*l], Valid: true}
+				}
 			}
 		}
 	}
@@ -572,13 +547,13 @@ func (b *TrajBatch) apply2Batch(u Matrix, qa, qb int) {
 
 // measureBatch is the batched SchedMeasure step: per lane the same
 // population sourcing, clamp, projection draw, collapse arithmetic, and
-// degenerate zero-probability reset as the scalar executor. The
-// projection draws happen for every lane in lane order first, then the
-// collapse runs strided per lane (outcome branch hoisted out of the
-// loop, register accumulator — MeasureCarry's exact loops on the
-// lane-minor layout), then the measure callback fires per lane in lane
-// order (each callback may consume its own lane's PRNG — the per-lane
-// draw order stays projection → callback, as in scalar execution).
+// degenerate zero-probability reset as the scalar executor. One pass
+// over the lanes, in lane order, draws each projection and writes that
+// lane's collapse scale (1/√p) and keep-masks; then one masked pass
+// collapses every lane (MeasureCarry's arithmetic on the lane-minor
+// layout); then the measure callback fires per lane in lane order (each
+// callback may consume its own lane's PRNG — the per-lane draw order
+// stays projection → callback, as in scalar execution).
 func (b *TrajBatch) measureBatch(q int, wantCarry bool, measure func(lane, q, outcome int)) {
 	L := b.L
 	amp := b.amp
@@ -591,14 +566,14 @@ func (b *TrajBatch) measureBatch(q int, wantCarry bool, measure func(lane, q, ou
 		b.probExcitedBatch(q, mask)
 	}
 
-	// Per lane in lane order: source p1, clamp, draw the projection
-	// variate, classify. All lane draws happen before any amplitude
-	// work; per lane the draw still precedes its own collapse, as in
-	// the scalar executor.
+	// One pass per lane in lane order: source p1, clamp, draw the
+	// projection variate, classify, and write the lane's collapse scale
+	// and keep-masks. All lane draws happen before any amplitude work;
+	// per lane the draw still precedes its own collapse, as in the scalar
+	// executor.
 	carry, srcs, outc, ckind := b.carry, b.srcs, b.outc, b.ckind
 	cc := b.r0
 	mk0, mk1 := b.mk0, b.mk1
-	lastPs := b.lastP
 	carryHit := b.carryQ == q
 	for l := 0; l < L; l++ {
 		var p1 float64
@@ -615,44 +590,33 @@ func (b *TrajBatch) measureBatch(q int, wantCarry bool, measure func(lane, q, ou
 			p = p1
 		}
 		outc[l] = outcome
+		// Degenerate projection (p < 1e-15): the scalar path resets to
+		// the basis state consistent with the outcome. A zero scale and
+		// all-zero keep-masks in both halves make the batched pass write
+		// the reset's exact +0 everywhere; the basis amplitude is
+		// restored after the pass. Bitwise-equal to the scalar Reset +
+		// Apply1(PauliX), which produces exact (+0,+0) everywhere and
+		// 1+0i at the flipped index.
+		var c float64
+		var keep0, keep1 uint64
 		if p < 1e-15 {
 			ckind[l] = 1
-			p = 1
 		} else {
 			ckind[l] = 0
+			c = 1 / math.Sqrt(p)
+			if outcome == 0 {
+				keep0 = ^uint64(0)
+			} else {
+				keep1 = ^uint64(0)
+			}
 		}
-		lastPs[l] = p
-	}
-	// Batched reciprocal-roots, bit-identical per element to the scalar
-	// 1/√p (degenerate lanes were pinned to 1 and ignore theirs).
-	recipSqrtVec(b.rinv, lastPs)
-	for l := 0; l < L; l++ {
-		if ckind[l] != 0 {
-			// Degenerate projection: the scalar path resets to the basis
-			// state consistent with the outcome. An all-zero keep-mask
-			// in both halves makes the batched pass write the reset's
-			// exact +0 everywhere; the basis amplitude is restored after
-			// the pass. Bitwise-equal to the scalar Reset +
-			// Apply1(PauliX), which produces exact (+0,+0) everywhere
-			// and 1+0i at the flipped index.
-			cc[2*l], cc[2*l+1] = 0, 0
-			mk0[2*l], mk0[2*l+1] = 0, 0
-			mk1[2*l], mk1[2*l+1] = 0, 0
-			continue
-		}
-		rinv := b.rinv[l]
-		cc[2*l], cc[2*l+1] = rinv, rinv
-		if outc[l] == 0 {
-			mk0[2*l], mk0[2*l+1] = ^uint64(0), ^uint64(0)
-			mk1[2*l], mk1[2*l+1] = 0, 0
-		} else {
-			mk0[2*l], mk0[2*l+1] = 0, 0
-			mk1[2*l], mk1[2*l+1] = ^uint64(0), ^uint64(0)
-		}
+		cc[2*l], cc[2*l+1] = c, c
+		mk0[2*l], mk0[2*l+1] = keep0, keep0
+		mk1[2*l], mk1[2*l+1] = keep1, keep1
 	}
 
 	// One contiguous masked pass collapses every lane: the kept half is
-	// scaled by rinv (the scalar multiply, bit for bit), the discarded
+	// scaled by 1/√p (the scalar multiply, bit for bit), the discarded
 	// half becomes the scalar's literal +0, and each lane's new kept
 	// population accumulates in ascending index order.
 	np0 := b.np0

@@ -245,26 +245,5 @@ func spanNegBothBlocks(span []complex128, hiL, loL int) {
 	}
 }
 
-// recipSqrtVec fills dst[i] = 1/√src[i]. The SIMD bodies use the
-// correctly-rounded VSQRTPD/VDIVPD, so every element is bit-identical
-// to the scalar expression; inputs that are zero, negative, or stale
-// produce Inf/NaN exactly as the scalar expression would, which
-// callers rely on only to the extent that they read slots they
-// populated. A single-ZMM-row call pays more in transition stalls than
-// the extra YMM iteration costs, so length 8 takes the YMM body.
-func recipSqrtVec(dst, src []float64) {
-	if useSIMD512 && len(dst)&7 == 0 && len(dst) > 8 {
-		recipSqrtVec8ASM(dst, src)
-		return
-	}
-	if useSIMD && len(dst)&3 == 0 {
-		recipSqrtVec4ASM(dst, src)
-		return
-	}
-	for i, x := range src {
-		dst[i] = 1 / math.Sqrt(x)
-	}
-}
-
 // simdDisabled reports the environment kill switch, read once at init.
 func simdDisabled() bool { return os.Getenv("QUMA_NOSIMD") != "" }

@@ -8,13 +8,15 @@ package qphys
 // pins (channels with fast and slow paths, anti-diagonal jumps,
 // rotating-frame unitaries with carry chains, CZ, dense two-qubit
 // gates, measurements with and without carries) and compares under ==,
-// plus targeted pins for the degenerate measurement reset and the
-// zero-allocation steady state. A one-qubit schedule covers the lane
+// plus targeted pins for the degenerate measurement reset, for steps
+// whose lanes take different branches, and for the zero-allocation
+// steady state. A one-qubit schedule covers the lane
 // kernel (batch1.go) the same way.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"quma/internal/prng"
@@ -157,7 +159,8 @@ func runLanesLikeReplay(lanes []*Trajectory, counts []int, ops []SchedOp, out []
 }
 
 // TestRunScheduleBatchMatchesScalarPerLane is the tentpole kernel pin:
-// for every lane width, at five qubits (span passes) and one (lane
+// for every lane width 1–8 and 16 (odd widths take the Go bodies, 8 the
+// 8-lane ZMM bodies), at five qubits (span passes) and one (lane
 // kernel), under every span-kernel tier the host has, each lane of the
 // batch must track its scalar RunSchedule twin bit for bit —
 // amplitudes, outcomes, and PRNG position — across multiple shots with
@@ -171,7 +174,7 @@ func TestRunScheduleBatchMatchesScalarPerLane(t *testing.T) {
 	}{{5, batchTestSchedule()}, {1, batchTestSchedule1()}}
 	for _, sc := range schedules {
 		for _, simd := range simdModes() {
-			for _, L := range []int{1, 2, 3, 4, 6, 8} {
+			for _, L := range []int{1, 2, 3, 4, 5, 6, 7, 8, 16} {
 				for base := int64(1); base <= 6; base++ {
 					counts := make([]int, L)
 					refs := make([]*Trajectory, L)
@@ -316,6 +319,122 @@ func TestMeasureBatchDegenerateMatchesScalar(t *testing.T) {
 			}
 			for l := range refs {
 				samePsi(t, refs[l], lanes[l], fmt.Sprintf("%s lane=%d", ctx, l))
+			}
+		}
+	}
+}
+
+// TestBatchStepsMixLaneClasses pins the channel and measurement steps
+// when the lanes of one step take different branches: a channel step
+// whose lanes mix a none selection (a zero-norm register, on which no
+// operator has positive weight), an anti-diagonal jump (a scripted draw
+// just below 1) and diagonal selections, then a measurement whose lanes
+// mix degenerate projections (p < 1e-15, a scripted zero draw) with
+// ordinary ones, then a channel that consumes the measurement's carry.
+// Every carry form, lane width and span-kernel tier is run; each lane
+// must track its scalar twin bit for bit, and the test checks that each
+// scripted branch was taken.
+func TestBatchStepsMixLaneClasses(t *testing.T) {
+	const n, q = 3, 1
+	const (
+		roleNone       = iota // zero-norm register
+		roleAnti              // channel draw 1-2^-53: the damping jump
+		roleDiag              // random state, unscripted draws
+		roleDegenerate        // p1 ≈ 1e-18 and a zero measurement draw
+		roles
+	)
+	damping := NewChannelTable(testChannels()["damping"])
+	almostOne := uint64(math.MaxInt64) - 1023
+	prep := func(role int, seed int64) *Trajectory {
+		tr := randomTrajectory(n, seed)
+		switch role {
+		case roleNone, roleDegenerate:
+			for i := range tr.Psi {
+				tr.Psi[i] = 0
+			}
+			if role == roleDegenerate {
+				tr.Psi[0] = 1
+				tr.Psi[1<<(n-1-q)] = 1e-9
+			}
+		case roleAnti:
+			tr.src.SetNext(almostOne)
+		}
+		return tr
+	}
+	for _, simd := range simdModes() {
+		for _, L := range []int{4, 5, 8, 16} {
+			for _, chCarry := range []int16{-1, q, 0} {
+				for _, msCarry := range []int16{-1, q} {
+					steps := [][]SchedOp{
+						{{Kind: SchedChannel, Q: q, Ch: damping, CarryFor: chCarry}},
+						{{Kind: SchedMeasure, Q: q, CarryFor: msCarry}},
+						{{Kind: SchedChannel, Q: q, Ch: damping, CarryFor: -1}},
+					}
+					refs := make([]*Trajectory, L)
+					lanes := make([]*Trajectory, L)
+					for l := range lanes {
+						refs[l] = prep(l%roles, int64(50+l))
+						lanes[l] = prep(l%roles, int64(50+l))
+					}
+					ctx := fmt.Sprintf("simd=%s L=%d channel carry=%d measure carry=%d", simd, L, chCarry, msCarry)
+
+					var refOut, batchOut []int
+					carries := make([]PopCarry, L)
+					carryQs := make([]int, L)
+					for l := range carryQs {
+						carryQs[l] = -1
+					}
+					b := NewTrajBatch(lanes)
+					for s, ops := range steps {
+						if s == 1 {
+							for l := range lanes {
+								if l%roles == roleDegenerate {
+									refs[l].src.SetNext(0)
+									lanes[l].src.SetNext(0)
+								}
+							}
+						}
+						for l, r := range refs {
+							ll := l
+							carries[l], carryQs[l] = r.RunSchedule(ops, carries[l], carryQs[l], func(_, outcome int) {
+								refOut = append(refOut, ll<<4|outcome)
+							})
+						}
+						withSIMD(simd, func() {
+							b.RunScheduleBatch(ops, func(lane, _, outcome int) {
+								batchOut = append(batchOut, lane<<4|outcome)
+							})
+						})
+						for l := range lanes {
+							var want uint8
+							switch role := l % roles; {
+							case s == 0 && role == roleNone:
+								want = ckNone
+							case s == 0 && role == roleAnti:
+								want = ckAnti
+							case s == 0 && role == roleDegenerate:
+								want = ckDiag
+							case s == 1 && role == roleDegenerate:
+								want = 1 // measureBatch's degenerate-projection mark
+							case s == 1:
+								want = 0
+							default:
+								continue
+							}
+							if b.ckind[l] != want {
+								t.Fatalf("%s step %d lane %d: class %d, want %d", ctx, s, l, b.ckind[l], want)
+							}
+						}
+					}
+					b.Scatter()
+					if !slices.Equal(refOut, batchOut) {
+						t.Fatalf("%s: outcome records %x, scalar %x", ctx, batchOut, refOut)
+					}
+					for l := range lanes {
+						samePsi(t, refs[l], lanes[l], fmt.Sprintf("%s lane=%d", ctx, l))
+						sameRNG(t, refs[l], lanes[l], fmt.Sprintf("%s lane=%d", ctx, l))
+					}
+				}
 			}
 		}
 	}

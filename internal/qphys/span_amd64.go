@@ -68,9 +68,3 @@ func spanApply1RDBlocksAVX512(span []complex128, maskL int, r00, r11, u01re, u01
 
 //go:noescape
 func spanScaleBlocksZ8(span []complex128, cA, cB []float64, blkC int)
-
-//go:noescape
-func recipSqrtVec8ASM(dst, src []float64)
-
-//go:noescape
-func recipSqrtVec4ASM(dst, src []float64)

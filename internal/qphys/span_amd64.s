@@ -4,10 +4,10 @@
 
 // SIMD bodies of the span primitives (batch_span.go), in three tiers:
 // AVX2 (YMM, the *ASM bodies), AVX-512 (ZMM, the *AVX512 bodies) and
-// 8-lane ZMM specializations (the *Z8 bodies), plus the vector
-// reciprocal root. The wrappers in batch_span.go pick the tier per call
-// and hold each body's preconditions. The bit-identity obligations are
-// spelled out there; in short: every arithmetic instruction is an
+// 8-lane ZMM specializations (the *Z8 bodies). The wrappers in
+// batch_span.go pick the tier per call and hold each body's
+// preconditions. The bit-identity obligations are spelled out there;
+// in short: every arithmetic instruction is an
 // IEEE-754 binary64 operation in the prevailing round-to-nearest mode,
 // matching the gc compiler's scalar lowering one rounding for one
 // rounding (no FMA contraction anywhere), and the only reorderings are
@@ -912,64 +912,5 @@ z8scB:
 	JMP     z8scA
 
 z8scdone:
-	VZEROUPPER
-	RET
-
-DATA  one64<>+0(SB)/8, $1.0
-GLOBL one64<>(SB), RODATA, $8
-
-// func recipSqrtVec8ASM(dst, src []float64)
-//
-// dst[i] = 1 / sqrt(src[i]), 8 elements per iteration (len a multiple
-// of 8). VSQRTPD and VDIVPD are correctly rounded — each element is
-// bit-identical to Go's 1 / math.Sqrt(x) (SQRTSD then DIVSD). Used to
-// batch the per-lane reciprocal-roots of the channel and measurement
-// decision loops, whose serial SQRTSD+DIVSD chains otherwise bound
-// them.
-TEXT ·recipSqrtVec8ASM(SB), NOSPLIT, $0-48
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         src_base+24(FP), SI
-	MOVQ         dst_len+8(FP), BX
-	SHLQ         $3, BX
-	ADDQ         SI, BX
-	VBROADCASTSD one64<>(SB), Z1
-
-rs8loop:
-	CMPQ    SI, BX
-	JGE     rs8done
-	VSQRTPD (SI), Z0
-	VDIVPD  Z0, Z1, Z0
-	VMOVUPD Z0, (DI)
-	ADDQ    $64, SI
-	ADDQ    $64, DI
-	JMP     rs8loop
-
-rs8done:
-	VZEROUPPER
-	RET
-
-// func recipSqrtVec4ASM(dst, src []float64)
-//
-// AVX2 form of recipSqrtVec8ASM: 4 elements per iteration, len a
-// multiple of 4. Same correctly-rounded operations, same bits.
-TEXT ·recipSqrtVec4ASM(SB), NOSPLIT, $0-48
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         src_base+24(FP), SI
-	MOVQ         dst_len+8(FP), BX
-	SHLQ         $3, BX
-	ADDQ         SI, BX
-	VBROADCASTSD one64<>(SB), Y1
-
-rs4loop:
-	CMPQ    SI, BX
-	JGE     rs4done
-	VSQRTPD (SI), Y0
-	VDIVPD  Y0, Y1, Y0
-	VMOVUPD Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	JMP     rs4loop
-
-rs4done:
 	VZEROUPPER
 	RET

@@ -75,11 +75,3 @@ func spanApply1RDBlocksAVX512(span []complex128, maskL int, r00, r11, u01re, u01
 func spanScaleBlocksZ8(span []complex128, cA, cB []float64, blkC int) {
 	panic("qphys: SIMD span kernel on unsupported architecture")
 }
-
-func recipSqrtVec8ASM(dst, src []float64) {
-	panic("qphys: SIMD span kernel on unsupported architecture")
-}
-
-func recipSqrtVec4ASM(dst, src []float64) {
-	panic("qphys: SIMD span kernel on unsupported architecture")
-}
