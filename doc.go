@@ -312,9 +312,12 @@
 // result bytes are identical to the scalar sharded path (and to the
 // pre-sharding builds) per lane by construction, not by tolerance.
 // A lane that draws an anti-diagonal jump applies it on its own strided
-// column for that step and stays in the batch; compiled replay covers
-// only the operations the machine records, so no other per-lane event
-// exists, and steady state allocates nothing per shot. A one-qubit register
+// column (one AVX2 pair kernel) before the step's flat pass and stays in
+// the batch; that pass hands every lane its population carry, jumping
+// lanes included, so a jump costs the next step no extra population
+// pass. Compiled replay covers only the operations the machine records,
+// so no other per-lane event exists, and steady state allocates nothing
+// per shot. A one-qubit register
 // skips the span passes: there each step is two amplitudes per lane and
 // a shot is bound by one serial draw → √ → ÷ → scale chain per idle,
 // so the executor runs one plain loop over the lanes per step and lets

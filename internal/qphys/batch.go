@@ -31,21 +31,24 @@ import (
 // accumulator is pinned to the scalar pass), each lane's PRNG draws in
 // the same order, and every control-flow decision (operator selection,
 // measurement outcome, degenerate-projection reset) taken per lane from
-// the same comparisons. Lanes are classified per channel op by the
+// the same comparisons. Each lane's channel operator is selected by the
 // shared pricing helper (priceChannel — the scalar decision verbatim):
-// diagonal selections ride the vectorized flat pass with per-lane
-// coefficients, and anti-diagonal jumps run a strided per-lane port of
-// the scalar tail on their own column. A channel table holds no other
-// operator class (NewChannelTable), so no lane leaves the batch. A dense
-// two-qubit step, which the machine never records (its only two-qubit
-// gate is the CZ, a SchedCZ step), runs the scalar Apply2 per lane on a
-// gathered copy. Populations come from each lane's carry; when any lane
-// lacks a valid one, one whole-block pass recomputes them for every lane.
+// an anti-diagonal jump is applied at once, by a strided walk of the
+// lane's own column (spanAntiLane), and then one vectorized flat pass
+// applies every diagonal selection with per-lane coefficients, scales
+// the other lanes by an exact 1.0, and — when the schedule wants a
+// carry — hands every lane its carry. A channel table holds no other
+// operator class (NewChannelTable), so no lane leaves the batch. A
+// dense two-qubit step, which the machine never records (its only
+// two-qubit gate is the CZ, a SchedCZ step), runs the scalar Apply2 per
+// lane on a gathered copy. Populations come from each lane's carry;
+// when any lane lacks a valid one — the schedule broke the chain, or a
+// degenerate measurement reset broke one lane's — one whole-block pass
+// recomputes them for every lane.
 //
-// Each rare event (an anti jump, a lane whose carry broke while its
-// siblings' held) has exactly one path, and no step here looks at the
-// host's SIMD support: the span wrappers in batch_span.go pick a kernel
-// body per call.
+// Each rare event (an anti jump, a degenerate measurement) has exactly
+// one path, and no step here looks at the host's SIMD support: the span
+// wrappers in batch_span.go pick a kernel body per call.
 type TrajBatch struct {
 	nq int
 	L  int
@@ -76,22 +79,12 @@ type TrajBatch struct {
 	// duplicated per-lane layout of the span primitives: lane l's value
 	// sits at [2l] (and, when a SIMD kernel produced it, equally at
 	// [2l+1]); readers always use slot 2l.
-	pp0, pp1 []float64    // 2L: population-pass results
-	r0, r1   []float64    // 2L: flat-pass scale coefficients
-	np0, np1 []float64    // 2L: fused-pass accumulators
-	c01, c10 []complex128 // anti-diagonal coefficients per lane
-	ckind    []uint8      // per-lane channel classification
-	mk0, mk1 []uint64     // 2L: collapse keep-masks (lo half, hi half)
-	anti     []int        // lanes that drew an anti-diagonal jump
+	pp0, pp1 []float64 // 2L: population-pass results
+	r0, r1   []float64 // 2L: flat-pass scale coefficients
+	np0, np1 []float64 // 2L: fused-pass accumulators
+	mk0, mk1 []uint64  // 2L: collapse keep-masks (lo half, hi half)
 	outc     []int
 }
-
-// Per-lane channel classification for one batched channel op.
-const (
-	ckDiag uint8 = iota // diagonal-real operator: coefficients in the flat pass
-	ckNone              // no positive weight: state untouched, carry invalidated
-	ckAnti              // anti-diagonal operator: strided per-lane apply
-)
 
 // NewTrajBatch binds L scalar trajectory registers into one lockstep
 // batch, gathering their amplitudes into the SoA block. The lanes must
@@ -125,12 +118,8 @@ func NewTrajBatch(lanes []*Trajectory) *TrajBatch {
 		r1:      make([]float64, 2*L),
 		np0:     make([]float64, 2*L),
 		np1:     make([]float64, 2*L),
-		c01:     make([]complex128, L),
-		c10:     make([]complex128, L),
-		ckind:   make([]uint8, L),
 		mk0:     make([]uint64, 2*L),
 		mk1:     make([]uint64, 2*L),
-		anti:    make([]int, L),
 		outc:    make([]int, L),
 	}
 	for l, t := range lanes {
@@ -267,14 +256,17 @@ func (b *TrajBatch) probExcitedBatch(q, mask int) {
 // channelBatch is the batched SchedChannel step: per lane the same
 // variate draw, population sourcing, operator selection (via the shared
 // pricing helper) and 1/√p normalization as the scalar executor, all in
-// one pass over the lanes that writes each lane's coefficients. Lanes
-// whose selection is a diagonal operator — the no-jump branch and
-// dephasing jumps, i.e. almost every draw — are applied in one
-// vectorized flat pass with per-lane coefficients (including the fused
-// carry pass when the schedule wants one); lanes that drew an
-// anti-diagonal jump run the scalar tail's anti kernel strided over
-// their own column. Lanes outside the flat pass are scaled by an exact
-// 1.0 there (a bitwise no-op).
+// one pass over the lanes that writes each lane's coefficients. A lane
+// that drew an anti-diagonal jump runs the scalar tail's anti kernel
+// strided over its own column (spanAntiLane) right there, before any
+// flat work. Then one vectorized flat pass applies every diagonal
+// selection — the no-jump branch and dephasing jumps, i.e. almost every
+// draw — with per-lane coefficients, scaling anti and none lanes by an
+// exact 1.0 (a bitwise no-op). When the schedule wants a carry the pass
+// is the fused apply+carry pass and runs whatever the lanes drew, so it
+// hands every lane its carry: for an anti or none lane the populations
+// of its final state, bit-equal to the fresh pass the scalar executor's
+// next consumer runs.
 func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 	L := b.L
 	amp := b.amp
@@ -283,26 +275,25 @@ func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 
 	// Populations: one whole-block pass whenever any lane lacks a valid
 	// carry for q — the schedule broke the chain for every lane, or a
-	// lane's own history (an anti jump with a cross-qubit carry target)
-	// broke its own. Valid lanes read their carry, not the pass output,
-	// so recomputing their slots is harmless.
+	// degenerate measurement reset broke one lane's. Valid lanes read
+	// their carry, not the pass output, so recomputing their slots is
+	// harmless.
 	if b.carryMissing(q) {
 		b.popPass(q, mask)
 	}
 
 	// One pass per lane: draw the variate, source the populations
 	// (carry or pass — the same precedence as the scalar executor),
-	// select the operator, classify the application and write its
-	// coefficients — 1/√p and the products that use it are the scalar
-	// executor's expressions. Every lane's carry is dropped here; the
-	// flat pass's lanes get theirs back below when the schedule asks for
-	// one, and anti lanes set their own.
+	// select the operator and apply an anti jump or write the flat
+	// pass's coefficients — 1/√p and the products that use it are the
+	// scalar executor's expressions. A lane's walk touches only its own
+	// column, so it cannot disturb a later lane's populations.
 	r0, r1 := b.r0, b.r1
-	srcs, carry, ckind := b.srcs, b.carry, b.ckind
+	srcs, carry := b.srcs, b.carry
 	pp0, pp1 := b.pp0, b.pp1
 	carryHit := b.carryQ == q
 	fast := ct.fkind == chanDiag
-	nDiag, nAnti := 0, 0
+	scale := false
 	for l := 0; l < L; l++ {
 		rv := srcs[l].Float64()
 		var pl0, pl1 float64
@@ -311,7 +302,6 @@ func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 		} else {
 			pl0, pl1 = pp0[2*l], pp1[2*l]
 		}
-		carry[l] = PopCarry{}
 		// Hot path, as in RunSchedule: the first operator absorbs the
 		// draw and is diagonal. The comparison is priceChannel's first
 		// iteration, so the decision is bit-identical.
@@ -320,114 +310,54 @@ func (b *TrajBatch) channelBatch(ct *ChannelTable, q, nextQ int) {
 			c0, c1 := ct.fr0*rinv, ct.fr1*rinv
 			r0[2*l], r0[2*l+1] = c0, c0
 			r1[2*l], r1[2*l+1] = c1, c1
-			ckind[l] = ckDiag
-			nDiag++
+			scale = true
 			continue
 		}
 		chosen, lastP := priceChannel(ct, pl0, pl1, rv)
 		// Coefficient 1.0 makes the flat pass a bitwise no-op for a lane
 		// outside it: the scalar path applies nothing on a none selection,
-		// and an anti lane runs its own walk below.
+		// and an anti lane has just run its own walk.
 		c0, c1 := 1.0, 1.0
 		switch {
 		case chosen == chanChoseNone:
-			ckind[l] = ckNone
 		case ct.kind[chosen] == chanDiag:
-			ckind[l] = ckDiag
-			nDiag++
+			scale = true
 			rinv := 1 / math.Sqrt(lastP)
 			c0, c1 = real(ct.e0[chosen])*rinv, real(ct.e1[chosen])*rinv
 		default:
-			ckind[l] = ckAnti
 			inv := complex(1/math.Sqrt(lastP), 0)
-			b.c01[l], b.c10[l] = ct.e0[chosen]*inv, ct.e1[chosen]*inv
-			b.anti[nAnti] = l
-			nAnti++
+			spanAntiLane(amp, l, L, mL, ct.e0[chosen]*inv, ct.e1[chosen]*inv)
 		}
 		r0[2*l], r0[2*l+1] = c0, c0
 		r1[2*l], r1[2*l+1] = c1, c1
 	}
 	b.carryQ = nextQ
 
-	if nDiag > 0 {
-		switch {
-		case nextQ == q:
-			// Fused apply + same-qubit population pass: coefficient and
-			// accumulator pairs both swap at q's half-block period. Per
-			// lane, lo amplitudes feed p0 and hi feed p1, each ascending
-			// — the two accumulators are independent, so the interleaved
-			// scalar order and the block order are bitwise the same sums.
-			np0, np1 := b.np0, b.np1
-			for i := range np0 {
-				np0[i], np1[i] = 0, 0
-			}
-			spanScaleAccBlocks(amp, r0, r1, np0, np1, mL, mL)
-		case nextQ >= 0:
-			// Fused apply + other-qubit population pass: the coefficient
-			// pair swaps at q's period, the accumulator pair at nextQ's —
-			// one whole-block walk covers all three mask-nesting
-			// sub-cases of the scalar kernel, visiting every index in
-			// globally ascending order so each accumulator's addition
-			// order matches a standalone pass.
-			nmask := 1 << (b.nq - 1 - nextQ)
-			np0, np1 := b.np0, b.np1
-			for i := range np0 {
-				np0[i], np1[i] = 0, 0
-			}
-			spanScaleAccBlocks(amp, r0, r1, np0, np1, mL, nmask*L)
-		default:
+	if nextQ < 0 {
+		// No carry: the stale carries sit behind carryQ = -1, which no
+		// reader matches, until a step rewrites every lane's.
+		if scale {
 			spanScaleBlocks(amp, r0, r1, mL)
 		}
-		if nextQ >= 0 {
-			np0, np1 := b.np0, b.np1
-			for l := 0; l < L; l++ {
-				if ckind[l] == ckDiag {
-					carry[l] = PopCarry{P0: np0[2*l], P1: np1[2*l], Valid: true}
-				}
-			}
-		}
-	}
-
-	// Anti lanes: a strided walk of each jumping lane's own column,
-	// touching only that lane's cache lines.
-	for s := 0; s < nAnti; s++ {
-		b.antiApplyLane(b.anti[s], q, mask, nextQ)
-	}
-}
-
-// antiApplyLane applies lane l's chosen anti-diagonal operator to its
-// strided column — the scalar tail's anti kernel verbatim on the
-// lane-minor layout, fused same-qubit carry included.
-func (b *TrajBatch) antiApplyLane(l, q, mask, nextQ int) {
-	L := b.L
-	amp := b.amp
-	mL := mask * L
-	dim := 1 << b.nq
-	c01, c10 := b.c01[l], b.c10[l]
-	if nextQ == q {
-		// An anti-diagonal operator swaps the halves, so the pair loop's
-		// new lo values feed p0 ascending and new hi values feed p1
-		// ascending — the same-qubit carry stays exact.
-		var np0, np1 float64
-		for base := 0; base < dim; base += mask << 1 {
-			for i := base; i < base+mask; i++ {
-				p := i*L + l
-				v0, v1 := c01*amp[p+mL], c10*amp[p]
-				amp[p], amp[p+mL] = v0, v1
-				np0 += real(v0)*real(v0) + imag(v0)*imag(v0)
-				np1 += real(v1)*real(v1) + imag(v1)*imag(v1)
-			}
-		}
-		b.carry[l] = PopCarry{P0: np0, P1: np1, Valid: true}
 		return
 	}
-	for base := 0; base < dim; base += mask << 1 {
-		for i := base; i < base+mask; i++ {
-			p := i*L + l
-			amp[p], amp[p+mL] = c01*amp[p+mL], c10*amp[p]
-		}
+	// Fused apply + population pass of nextQ. For nextQ = q coefficient
+	// and accumulator pairs both swap at q's half-block period: per lane,
+	// lo amplitudes feed p0 and hi feed p1, each ascending — the two
+	// accumulators are independent, so the interleaved scalar order and
+	// the block order are bitwise the same sums. For another qubit the
+	// accumulator pair swaps at nextQ's period; one whole-block walk
+	// covers all three mask-nesting sub-cases of the scalar kernel,
+	// visiting every index in globally ascending order so each
+	// accumulator's addition order matches a standalone pass.
+	np0, np1 := b.np0, b.np1
+	for i := range np0 {
+		np0[i], np1[i] = 0, 0
 	}
-	b.carry[l] = PopCarry{}
+	spanScaleAccBlocks(amp, r0, r1, np0, np1, mL, (1<<(b.nq-1-nextQ))*L)
+	for l := 0; l < L; l++ {
+		carry[l] = PopCarry{P0: np0[2*l], P1: np1[2*l], Valid: true}
+	}
 }
 
 // apply1Batch is Apply1 over every lane: the matrix is uniform across
@@ -571,7 +501,7 @@ func (b *TrajBatch) measureBatch(q int, wantCarry bool, measure func(lane, q, ou
 	// and keep-masks. All lane draws happen before any amplitude work;
 	// per lane the draw still precedes its own collapse, as in the scalar
 	// executor.
-	carry, srcs, outc, ckind := b.carry, b.srcs, b.outc, b.ckind
+	carry, srcs, outc := b.carry, b.srcs, b.outc
 	cc := b.r0
 	mk0, mk1 := b.mk0, b.mk1
 	carryHit := b.carryQ == q
@@ -596,13 +526,11 @@ func (b *TrajBatch) measureBatch(q int, wantCarry bool, measure func(lane, q, ou
 		// the reset's exact +0 everywhere; the basis amplitude is
 		// restored after the pass. Bitwise-equal to the scalar Reset +
 		// Apply1(PauliX), which produces exact (+0,+0) everywhere and
-		// 1+0i at the flipped index.
+		// 1+0i at the flipped index. The zero scale is also the lane's
+		// mark: an ordinary projection's 1/√p is never zero.
 		var c float64
 		var keep0, keep1 uint64
-		if p < 1e-15 {
-			ckind[l] = 1
-		} else {
-			ckind[l] = 0
+		if p >= 1e-15 {
 			c = 1 / math.Sqrt(p)
 			if outcome == 0 {
 				keep0 = ^uint64(0)
@@ -626,7 +554,7 @@ func (b *TrajBatch) measureBatch(q int, wantCarry bool, measure func(lane, q, ou
 	spanCollapseBlocks(amp, cc, mk0, mk1, np0, mL)
 
 	for l := 0; l < L; l++ {
-		if ckind[l] != 0 {
+		if cc[2*l] == 0 {
 			idx := 0
 			if outc[l] == 1 {
 				idx = mask

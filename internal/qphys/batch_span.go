@@ -29,6 +29,10 @@ package qphys
 // pair pins that stream (its swap becomes a no-op), which covers every
 // mask-nesting sub-case of the scalar kernels with one code path.
 //
+// spanAntiLane is the one primitive that walks a single lane: an
+// anti-diagonal jump is a per-lane event, so it visits only lane l's
+// strided column and takes that lane's operator entries as arguments.
+//
 // spanApply1RDBlocks and spanNegBothBlocks are also the scalar
 // executor's kernels: Trajectory.Apply1RD and NegateBoth call them at
 // one lane (L = 1), so both executors share each loop and its SIMD
@@ -36,14 +40,15 @@ package qphys
 //
 // Each primitive has a pure-Go body, the bit-for-bit reference, and
 // SIMD bodies in span_amd64.s: AVX2 for every primitive, AVX-512 for
-// all but negBoth, and 8-lane ZMM specializations of the scale, acc,
-// scale+acc and collapse passes. The host's tiers are resolved once at
-// package init (useSIMD, useSIMD512); per call each wrapper checks its
-// bodies' lane-count preconditions, widest tier first, and otherwise
-// takes the Go body (odd L always does). These wrappers are the only
-// readers of the tier flags — the executor in batch.go never asks
-// which body runs. The assembly is constrained to be
-// bitwise-identical to the Go bodies: every float op is an IEEE-754
+// all but negBoth and the anti walk, and 8-lane ZMM specializations of
+// the scale, acc, scale+acc and collapse passes. The host's tiers are
+// resolved once at package init (useSIMD, useSIMD512); per call each
+// wrapper checks its bodies' lane-count preconditions, widest tier
+// first, and otherwise takes the Go body (odd L always does, except in
+// the anti walk, whose AVX2 body has no lane-count precondition). These
+// wrappers are the only readers of the tier flags — the executor in
+// batch.go never asks which body runs. The assembly is constrained to
+// be bitwise-identical to the Go bodies: every float op is an IEEE-754
 // binary64 mul/add/sub in round-to-nearest with no FMA contraction
 // (VMULPD/VADDPD/VADDSUBPD — the gc compiler never contracts on amd64
 // either), and sums the Go body forms as a+b may be formed as b+a
@@ -179,6 +184,25 @@ func spanApply1RDBlocks(span []complex128, maskL int, r00, r11 float64, u01, u10
 			y := u10 * a0
 			lo[j] = complex(real(a0)*r00+real(x), imag(a0)*r00+imag(x))
 			hi[j] = complex(real(y)+real(a1)*r11, imag(y)+imag(a1)*r11)
+		}
+	}
+}
+
+// spanAntiLane applies an anti-diagonal 2×2 operator to lane l alone:
+// in each 2·mL-element group, the lane's elements p in the lo half
+// (every L-th, starting at l) pair with p+mL, and the pair becomes
+// (c01·a1, c10·a0) — the scalar channel tail's anti kernel on one
+// strided column of the lane-minor layout. The AVX2 body walks the same
+// pairs in the same order, one pair per YMM, and has no lane-count
+// precondition.
+func spanAntiLane(span []complex128, l, L, mL int, c01, c10 complex128) {
+	if useSIMD {
+		spanAntiLaneASM(span, l, L, mL, real(c01), imag(c01), real(c10), imag(c10))
+		return
+	}
+	for base := l; base < len(span); base += mL << 1 {
+		for p := base; p < base+mL; p += L {
+			span[p], span[p+mL] = c01*span[p+mL], c10*span[p]
 		}
 	}
 }

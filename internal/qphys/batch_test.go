@@ -328,19 +328,23 @@ func TestMeasureBatchDegenerateMatchesScalar(t *testing.T) {
 // when the lanes of one step take different branches: a channel step
 // whose lanes mix a none selection (a zero-norm register, on which no
 // operator has positive weight), an anti-diagonal jump (a scripted draw
-// just below 1) and diagonal selections, then a measurement whose lanes
-// mix degenerate projections (p < 1e-15, a scripted zero draw) with
+// just below 1) and diagonal selections, then a measurement of the
+// channel's carry target (q itself when there is none) whose lanes mix
+// degenerate projections (p < 1e-15, a scripted zero draw) with
 // ordinary ones, then a channel that consumes the measurement's carry.
-// Every carry form, lane width and span-kernel tier is run; each lane
-// must track its scalar twin bit for bit, and the test checks that each
-// scripted branch was taken.
+// Every carry form (same-qubit, cross-qubit, none), lane width and
+// span-kernel tier is run; each lane must track its scalar twin bit for
+// bit, and the test checks that each scripted branch was taken. When
+// the channel carries, every lane — anti and none lanes included — must
+// leave it with a valid carry bit-equal to a fresh population pass of
+// its own column, so the measurement runs no pass of its own.
 func TestBatchStepsMixLaneClasses(t *testing.T) {
-	const n, q = 3, 1
+	const n, q, qx = 3, 1, 0 // qx: the cross-qubit carry target
 	const (
 		roleNone       = iota // zero-norm register
 		roleAnti              // channel draw 1-2^-53: the damping jump
 		roleDiag              // random state, unscripted draws
-		roleDegenerate        // p1 ≈ 1e-18 and a zero measurement draw
+		roleDegenerate        // p1 ≈ 1e-18 on q and qx, a zero measurement draw
 		roles
 	)
 	damping := NewChannelTable(testChannels()["damping"])
@@ -354,21 +358,50 @@ func TestBatchStepsMixLaneClasses(t *testing.T) {
 			}
 			if role == roleDegenerate {
 				tr.Psi[0] = 1
-				tr.Psi[1<<(n-1-q)] = 1e-9
+				tr.Psi[1<<(n-1-q)|1<<(n-1-qx)] = 1e-9
 			}
 		case roleAnti:
 			tr.src.SetNext(almostOne)
 		}
 		return tr
 	}
+	// pops is a fresh population pass of qubit k over psi.
+	pops := func(psi []complex128, k int) (p0, p1 float64) {
+		mask := 1 << (n - 1 - k)
+		for i, a := range psi {
+			if i&mask == 0 {
+				p0 += real(a)*real(a) + imag(a)*imag(a)
+			} else {
+				p1 += real(a)*real(a) + imag(a)*imag(a)
+			}
+		}
+		return p0, p1
+	}
+	// roleOf prices tr's next draw for the channel step without
+	// consuming it (the source is copied) and names the branch.
+	roleOf := func(tr *Trajectory) int {
+		src := *tr.src
+		p0, p1 := pops(tr.Psi, q)
+		switch chosen, _ := priceChannel(damping, p0, p1, src.Float64()); {
+		case chosen == chanChoseNone:
+			return roleNone
+		case damping.kind[chosen] == chanAnti:
+			return roleAnti
+		}
+		return roleDiag
+	}
 	for _, simd := range simdModes() {
-		for _, L := range []int{4, 5, 8, 16} {
-			for _, chCarry := range []int16{-1, q, 0} {
-				for _, msCarry := range []int16{-1, q} {
+		for _, L := range []int{3, 4, 5, 8, 16} {
+			for _, chCarry := range []int16{-1, q, qx} {
+				mq := int16(q)
+				if chCarry >= 0 {
+					mq = chCarry
+				}
+				for _, msCarry := range []int16{-1, mq} {
 					steps := [][]SchedOp{
 						{{Kind: SchedChannel, Q: q, Ch: damping, CarryFor: chCarry}},
-						{{Kind: SchedMeasure, Q: q, CarryFor: msCarry}},
-						{{Kind: SchedChannel, Q: q, Ch: damping, CarryFor: -1}},
+						{{Kind: SchedMeasure, Q: mq, CarryFor: msCarry}},
+						{{Kind: SchedChannel, Q: mq, Ch: damping, CarryFor: -1}},
 					}
 					refs := make([]*Trajectory, L)
 					lanes := make([]*Trajectory, L)
@@ -377,6 +410,18 @@ func TestBatchStepsMixLaneClasses(t *testing.T) {
 						lanes[l] = prep(l%roles, int64(50+l))
 					}
 					ctx := fmt.Sprintf("simd=%s L=%d channel carry=%d measure carry=%d", simd, L, chCarry, msCarry)
+					for l, r := range refs {
+						want := l % roles
+						switch want {
+						case roleDiag:
+							continue // unscripted draw
+						case roleDegenerate:
+							want = roleDiag
+						}
+						if got := roleOf(r); got != want {
+							t.Fatalf("%s lane %d: channel branch %d, want %d", ctx, l, got, want)
+						}
+					}
 
 					var refOut, batchOut []int
 					carries := make([]PopCarry, L)
@@ -405,24 +450,25 @@ func TestBatchStepsMixLaneClasses(t *testing.T) {
 								batchOut = append(batchOut, lane<<4|outcome)
 							})
 						})
-						for l := range lanes {
-							var want uint8
-							switch role := l % roles; {
-							case s == 0 && role == roleNone:
-								want = ckNone
-							case s == 0 && role == roleAnti:
-								want = ckAnti
-							case s == 0 && role == roleDegenerate:
-								want = ckDiag
-							case s == 1 && role == roleDegenerate:
-								want = 1 // measureBatch's degenerate-projection mark
-							case s == 1:
-								want = 0
-							default:
-								continue
+						switch {
+						case s == 0 && chCarry >= 0:
+							if b.carryMissing(int(mq)) {
+								t.Fatalf("%s: a lane left the channel without a carry", ctx)
 							}
-							if b.ckind[l] != want {
-								t.Fatalf("%s step %d lane %d: class %d, want %d", ctx, s, l, b.ckind[l], want)
+							for l := range lanes {
+								b.gatherLane(l)
+								p0, p1 := pops(b.scratch.Psi, int(chCarry))
+								if c := b.carry[l]; !sameFloatBits(c.P0, p0) || !sameFloatBits(c.P1, p1) {
+									t.Fatalf("%s lane %d: carry (%v, %v), fresh pass (%v, %v)", ctx, l, c.P0, c.P1, p0, p1)
+								}
+							}
+						case s == 1:
+							// measureBatch marks a degenerate projection with a
+							// zero collapse scale.
+							for l := range lanes {
+								if deg := b.r0[2*l] == 0; deg != (l%roles == roleDegenerate) {
+									t.Fatalf("%s lane %d: degenerate projection %v", ctx, l, deg)
+								}
 							}
 						}
 					}

@@ -5,8 +5,8 @@ package qphys
 // useSIMD selects the AVX2 span kernels. Resolved once at package init:
 // the CPU must implement AVX2 with OS-enabled YMM state (CPUID +
 // XGETBV), and the QUMA_NOSIMD kill switch must be unset. The per-call
-// wrappers additionally require an even lane count; everything else
-// takes the bit-identical pure-Go bodies.
+// wrappers of the whole-block kernels additionally require an even lane
+// count; everything else takes the bit-identical pure-Go bodies.
 var useSIMD = cpuSupportsAVX2() && !simdDisabled()
 
 // useSIMD512 additionally selects the AVX-512 (ZMM) bodies of the
@@ -38,6 +38,9 @@ func spanApply1RDBlocksASM(span []complex128, maskL int, r00, r11, u01re, u01im,
 
 //go:noescape
 func spanNegBothBlocksASM(span []complex128, hiL, loL int)
+
+//go:noescape
+func spanAntiLaneASM(span []complex128, l, L, mL int, c01re, c01im, c10re, c10im float64)
 
 //go:noescape
 func spanCollapseBlocksASM(span []complex128, cc []float64, mA, mB []uint64, acc []float64, blk int)

@@ -25,7 +25,9 @@
 // amplitudes, congruent with 4 float64 of a duplicated array. The
 // even-L gate in the wrappers guarantees the 32-byte step divides both
 // swap periods and the wrap length, so a vector never straddles a
-// boundary.
+// boundary. The one-lane anti walk (spanAntiLaneASM) is the exception:
+// its YMM holds the two members of one amplitude pair, loaded from
+// and stored to their own 16-byte slots, so it takes any lane count.
 
 // func cpuSupportsAVX2() bool
 TEXT ·cpuSupportsAVX2(SB), NOSPLIT, $0-1
@@ -334,6 +336,60 @@ nbnextouter:
 	JMP  nbouter
 
 nbdone:
+	VZEROUPPER
+	RET
+
+// func spanAntiLaneASM(span []complex128, l, L, mL int, c01re, c01im, c10re, c10im float64)
+//
+// One amplitude pair per iteration, walking lane l's column: a0 at p
+// and a1 at p+mL are loaded as one YMM in swapped order, [a1 | a0],
+// and multiplied by [c01 | c10] the way the gc compiler lowers a
+// complex128 multiply. VPERMILPD swaps each element's parts, two
+// VMULPDs form [cre·are, cre·aim] and [cim·aim, cim·are], and
+// VADDSUBPD combines them into [cre·are − cim·aim, cre·aim + cim·are],
+// one rounding each. The low half (c01·a1) goes back to p, the high
+// half (c10·a0) to p+mL. Byte offsets of the lane and the strides are
+// all multiples of 16, so any lane count works.
+TEXT ·spanAntiLaneASM(SB), NOSPLIT, $0-80
+	MOVQ         span_base+0(FP), SI
+	MOVQ         span_len+8(FP), BX
+	SHLQ         $4, BX
+	ADDQ         SI, BX
+	MOVQ         l+24(FP), AX
+	SHLQ         $4, AX
+	ADDQ         AX, SI
+	MOVQ         L+32(FP), R10
+	SHLQ         $4, R10
+	MOVQ         mL+40(FP), R11
+	SHLQ         $4, R11
+	VBROADCASTSD c01re+48(FP), Y8
+	VBROADCASTSD c10re+64(FP), Y0
+	VBLENDPD     $0x0C, Y0, Y8, Y8    // [c01re, c01re, c10re, c10re]
+	VBROADCASTSD c01im+56(FP), Y9
+	VBROADCASTSD c10im+72(FP), Y0
+	VBLENDPD     $0x0C, Y0, Y9, Y9    // [c01im, c01im, c10im, c10im]
+
+alouter:
+	CMPQ SI, BX
+	JGE  aldone
+	LEAQ (SI)(R11*1), DI              // end of the group's lo half
+
+alinner:
+	VMOVUPD      (SI)(R11*1), X0      // a1
+	VINSERTF128  $1, (SI), Y0, Y0     // [a1 | a0]
+	VPERMILPD    $5, Y0, Y1           // [a1im, a1re | a0im, a0re]
+	VMULPD       Y0, Y8, Y2
+	VMULPD       Y1, Y9, Y3
+	VADDSUBPD    Y3, Y2, Y2           // [c01·a1 | c10·a0]
+	VMOVUPD      X2, (SI)
+	VEXTRACTF128 $1, Y2, (SI)(R11*1)
+	ADDQ         R10, SI
+	CMPQ         SI, DI
+	JLT          alinner
+	ADDQ         R11, SI
+	JMP          alouter
+
+aldone:
 	VZEROUPPER
 	RET
 

@@ -104,11 +104,13 @@ func sameFloatBits(a, b float64) bool { return math.Float64bits(a) == math.Float
 // FuzzSpanKernels pins every span primitive's SIMD bodies to its pure-Go
 // body: fuzzer bytes choose an even lane count 2–16, a register size,
 // the swap periods, amplitudes, coefficients, keep-masks and whether an
-// accumulator or coefficient pair is one pinned slice. Each primitive
-// runs through its wrapper on every tier the host has, so each body
-// sees only inputs its wrapper admits, and must leave the span and
-// every accumulator's slot 2l (the slot readers use) bit-identical to
-// the Go body's. The seed corpus lives in
+// accumulator or coefficient pair is one pinned slice, and for the
+// one-lane anti walk a lane, a lane count (odd ones included) and
+// operator entries whose parts may be zeros of either sign. Each
+// primitive runs through its wrapper on every tier the host has, so
+// each body sees only inputs its wrapper admits, and must leave the
+// span and every accumulator's slot 2l (the slot readers use)
+// bit-identical to the Go body's. The seed corpus lives in
 // testdata/fuzz/FuzzSpanKernels.
 func FuzzSpanKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -157,6 +159,27 @@ func FuzzSpanKernels(f *testing.F) {
 			kernels = append(kernels, spanFuzzKernel{"negBoth", func(s *spanFuzzState) { spanNegBothBlocks(s.span, hi*L, lo*L) }})
 		}
 
+		// The anti row draws after every other input, so a corpus entry
+		// feeds the rows above the same values it always did. It may view
+		// the span as a register one qubit larger with half the lanes,
+		// which gives it odd lane counts too.
+		antiL, antiNq := L, nq
+		if in.byte()&1 != 0 {
+			antiL, antiNq = L/2, nq+1
+		}
+		lane := int(in.byte()) % antiL
+		antiML := antiL << (in.byte() % byte(antiNq))
+		zeros := in.byte()
+		var parts [4]float64
+		for i := range parts {
+			parts[i] = in.float()
+			if zeros&(1<<i) != 0 {
+				parts[i] = math.Copysign(0, parts[i])
+			}
+		}
+		c01, c10 := complex(parts[0], parts[1]), complex(parts[2], parts[3])
+		kernels = append(kernels, spanFuzzKernel{"anti", func(s *spanFuzzState) { spanAntiLane(s.span, lane, antiL, antiML, c01, c10) }})
+
 		for _, k := range kernels {
 			ref := base.clone()
 			withSIMD(simdOff, func() { k.run(ref) })
@@ -166,8 +189,8 @@ func FuzzSpanKernels(f *testing.F) {
 				}
 				got := base.clone()
 				withSIMD(mode, func() { k.run(got) })
-				ctx := fmt.Sprintf("%s simd=%s L=%d nq=%d blkC=%d blkA=%d pinA=%v pinC=%v",
-					k.name, mode, L, nq, blkC, blkA, pinA, pinC)
+				ctx := fmt.Sprintf("%s simd=%s L=%d nq=%d blkC=%d blkA=%d pinA=%v pinC=%v anti(L=%d lane=%d mL=%d c01=%v c10=%v)",
+					k.name, mode, L, nq, blkC, blkA, pinA, pinC, antiL, lane, antiML, c01, c10)
 				for i := range ref.span {
 					if !sameFloatBits(real(got.span[i]), real(ref.span[i])) || !sameFloatBits(imag(got.span[i]), imag(ref.span[i])) {
 						t.Fatalf("%s: span[%d] = %v, Go body %v", ctx, i, got.span[i], ref.span[i])

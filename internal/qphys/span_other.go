@@ -36,6 +36,10 @@ func spanNegBothBlocksASM(span []complex128, hiL, loL int) {
 	panic("qphys: SIMD span kernel on unsupported architecture")
 }
 
+func spanAntiLaneASM(span []complex128, l, L, mL int, c01re, c01im, c10re, c10im float64) {
+	panic("qphys: SIMD span kernel on unsupported architecture")
+}
+
 func spanCollapseBlocksASM(span []complex128, cc []float64, mA, mB []uint64, acc []float64, blk int) {
 	panic("qphys: SIMD span kernel on unsupported architecture")
 }

@@ -280,9 +280,11 @@ func (c *compiled) linkCarries(wrap bool) {
 	// unitary or a measurement only its own qubit — their passes are
 	// pair-ordered, and a cross-qubit carry would have to revisit half
 	// the state, the very pass it is meant to save (measured twice to
-	// cost more than a standalone pass; see ROADMAP). The executor still
-	// validates every carry at runtime: an anti-diagonal draw asked to
-	// carry for another qubit, or a zero-weight draw, produces none.
+	// cost more than a standalone pass; see ROADMAP). The scalar executor
+	// still validates every carry at runtime: an anti-diagonal draw asked
+	// to carry for another qubit, or a zero-weight draw, produces none
+	// (the lockstep executor's flat pass carries every lane, bit-equal to
+	// the pass the scalar executor then runs).
 	last := -1
 	for i := range c.ops {
 		s := &c.ops[i]
