@@ -185,7 +185,10 @@
 //     machine cache's Kraus-slice identity. A table accepts only the
 //     channel class the machine records (real-diagonal and anti-diagonal
 //     operators, 2 to 16 of them), so the compiled executors carry no
-//     dense or complex-diagonal path.
+//     dense or complex-diagonal path. Likewise the flux CZ is the one
+//     two-qubit step (qphys.SchedCZ): lowering panics on any other
+//     recorded two-qubit operator, and every executor panics, naming
+//     the kind, on a step kind it does not compile.
 //   - Population carries. A kernel that already sweeps the state
 //     (channel application, same-qubit unitary, projection) accumulates
 //     the next consumer's populations in exactly the addition order a

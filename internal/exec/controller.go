@@ -215,30 +215,44 @@ func (c *Controller) Step() error {
 	if c.ICache != nil {
 		c.ICache.Fetch(c.PC)
 	}
-	in := c.prog.Instrs[c.PC]
-	c.Steps++
-	nextPC := c.PC + 1
+	target, err := c.execute(c.prog.Instrs[c.PC])
+	if err != nil {
+		return err
+	}
+	if target >= 0 {
+		c.PC = target
+	} else {
+		c.PC++
+	}
+	return nil
+}
 
+// execute is the per-instruction datapath shared by Step and the VLIW
+// issue slots: it retires in and returns the branch target, or -1 when
+// control falls through. c.PC only labels diagnostics here.
+func (c *Controller) execute(in isa.Instruction) (int, error) {
+	c.Steps++
+	target := -1
 	switch in.Op {
 	case isa.OpNop:
 	case isa.OpHalt:
 		c.halted = true
 		if err := c.drain(); err != nil {
-			return err
+			return -1, err
 		}
 	case isa.OpMov:
 		c.setReg(in.Rd, in.Imm)
 	case isa.OpMovReg:
 		if err := c.syncIfRead(in.Rs); err != nil {
-			return err
+			return -1, err
 		}
 		c.setReg(in.Rd, c.Regs[in.Rs])
 	case isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpOr, isa.OpXor:
 		if err := c.syncIfRead(in.Rs); err != nil {
-			return err
+			return -1, err
 		}
 		if err := c.syncIfRead(in.Rt); err != nil {
-			return err
+			return -1, err
 		}
 		a, b := c.Regs[in.Rs], c.Regs[in.Rt]
 		switch in.Op {
@@ -255,16 +269,16 @@ func (c *Controller) Step() error {
 		}
 	case isa.OpAddi:
 		if err := c.syncIfRead(in.Rs); err != nil {
-			return err
+			return -1, err
 		}
 		c.setReg(in.Rd, c.Regs[in.Rs]+in.Imm)
 	case isa.OpLoad:
 		if err := c.syncIfRead(in.Rs); err != nil {
-			return err
+			return -1, err
 		}
 		addr := c.Regs[in.Rs] + in.Imm
 		if addr < 0 || addr >= int64(len(c.Mem)) {
-			return fmt.Errorf("exec: load address %d out of range at PC %d", addr, c.PC)
+			return -1, fmt.Errorf("exec: load address %d out of range at PC %d", addr, c.PC)
 		}
 		// Memory cells are not tracked per address, so any load may be
 		// consuming cross-shot state.
@@ -274,22 +288,22 @@ func (c *Controller) Step() error {
 		c.setReg(in.Rd, c.Mem[addr])
 	case isa.OpStore:
 		if err := c.syncIfRead(in.Rs); err != nil {
-			return err
+			return -1, err
 		}
 		if err := c.syncIfRead(in.Rd); err != nil {
-			return err
+			return -1, err
 		}
 		addr := c.Regs[in.Rd] + in.Imm
 		if addr < 0 || addr >= int64(len(c.Mem)) {
-			return fmt.Errorf("exec: store address %d out of range at PC %d", addr, c.PC)
+			return -1, fmt.Errorf("exec: store address %d out of range at PC %d", addr, c.PC)
 		}
 		c.Mem[addr] = c.Regs[in.Rs]
 	case isa.OpBeq, isa.OpBne, isa.OpBlt:
 		if err := c.syncIfRead(in.Rs); err != nil {
-			return err
+			return -1, err
 		}
 		if err := c.syncIfRead(in.Rt); err != nil {
-			return err
+			return -1, err
 		}
 		a, b := c.Regs[in.Rs], c.Regs[in.Rt]
 		taken := false
@@ -302,14 +316,14 @@ func (c *Controller) Step() error {
 			taken = a < b
 		}
 		if taken {
-			nextPC = int(in.Imm)
+			target = int(in.Imm)
 		}
 	case isa.OpJmp:
-		nextPC = int(in.Imm)
+		target = int(in.Imm)
 
 	case isa.OpHostLoad:
 		if in.Imm < 0 || in.Imm >= int64(len(c.HostMem)) {
-			return fmt.Errorf("exec: host load address %d out of range at PC %d", in.Imm, c.PC)
+			return -1, fmt.Errorf("exec: host load address %d out of range at PC %d", in.Imm, c.PC)
 		}
 		if c.unsafeReason == "" {
 			c.unsafeReason = fmt.Sprintf("host-memory load at PC %d", c.PC)
@@ -317,10 +331,10 @@ func (c *Controller) Step() error {
 		c.setReg(in.Rd, c.HostMem[in.Imm])
 	case isa.OpHostStore:
 		if err := c.syncIfRead(in.Rs); err != nil {
-			return err
+			return -1, err
 		}
 		if in.Imm < 0 || in.Imm >= int64(len(c.HostMem)) {
-			return fmt.Errorf("exec: host store address %d out of range at PC %d", in.Imm, c.PC)
+			return -1, fmt.Errorf("exec: host store address %d out of range at PC %d", in.Imm, c.PC)
 		}
 		c.HostMem[in.Imm] = c.Regs[in.Rs]
 
@@ -329,35 +343,33 @@ func (c *Controller) Step() error {
 		// is what lets one static instruction produce run-time-computed
 		// timing (paper Section 5.3.2).
 		if err := c.syncIfRead(in.Rs); err != nil {
-			return err
+			return -1, err
 		}
 		v := c.Regs[in.Rs]
 		if v < 0 {
-			return fmt.Errorf("exec: %s read negative interval %d", in, v)
+			return -1, fmt.Errorf("exec: %s read negative interval %d", in, v)
 		}
 		c.QMB.Wait(clock.Cycle(v))
 
 	default:
 		if !in.Op.IsQuantum() {
-			return fmt.Errorf("exec: unhandled opcode %s at PC %d", in.Op, c.PC)
+			return -1, fmt.Errorf("exec: unhandled opcode %s at PC %d", in.Op, c.PC)
 		}
 		var err error
 		c.expanded, err = c.CS.AppendExpand(c.expanded[:0], in)
 		if err != nil {
-			return fmt.Errorf("exec: PC %d: %w", c.PC, err)
+			return -1, fmt.Errorf("exec: PC %d: %w", c.PC, err)
 		}
 		for _, mi := range c.expanded {
 			if mi.Op == isa.OpMD {
 				c.pendingMD[mi.Rd]++
 			}
 			if err := c.QMB.Submit(mi); err != nil {
-				return fmt.Errorf("exec: PC %d: %w", c.PC, err)
+				return -1, fmt.Errorf("exec: PC %d: %w", c.PC, err)
 			}
 		}
 	}
-
-	c.PC = nextPC
-	return nil
+	return target, nil
 }
 
 // Run executes until halt or maxSteps instructions (DefaultMaxSteps when

@@ -173,8 +173,11 @@ func BundleProgram(p *isa.Program, width int) (*BundledProgram, error) {
 	return bp, nil
 }
 
-// VLIWController issues one bundle per step on top of the scalar
-// controller's datapath.
+// VLIWController issues one bundle per step through the scalar
+// controller's datapath (Controller.execute): every slot retires as Step
+// would retire it, and a halt slot halts the wrapped controller. Bundles
+// are not fetched through the controller's ICache, which models the
+// scalar instruction stream.
 type VLIWController struct {
 	*Controller
 	BP *BundledProgram
@@ -182,24 +185,22 @@ type VLIWController struct {
 	BPC int
 	// BundlesIssued counts issue steps.
 	BundlesIssued uint64
-	vhalted       bool
 }
 
 // NewVLIWController wraps a scalar controller (its program slot is
-// unused; the bundled program drives execution).
+// unused; the bundled program drives execution) and clears its halt
+// state.
 func NewVLIWController(c *Controller, bp *BundledProgram) *VLIWController {
+	c.halted = false
 	return &VLIWController{Controller: c, BP: bp}
 }
-
-// Halted reports whether the bundled program has stopped.
-func (v *VLIWController) Halted() bool { return v.vhalted }
 
 // StepBundle issues the current bundle: every slot executes with the
 // hazard guarantees making sequential slot execution equivalent to
 // parallel issue. Branches (always the last slot) redirect the bundle
 // PC.
 func (v *VLIWController) StepBundle() error {
-	if v.vhalted {
+	if v.halted {
 		return fmt.Errorf("exec: stepping a halted VLIW controller")
 	}
 	if v.BPC < 0 || v.BPC >= len(v.BP.Bundles) {
@@ -209,9 +210,7 @@ func (v *VLIWController) StepBundle() error {
 	next := v.BPC + 1
 	v.BundlesIssued++
 	for _, in := range bundle {
-		// Reuse the scalar datapath by running the instruction through a
-		// one-instruction program window.
-		taken, err := v.execSlot(in)
+		taken, err := v.execute(in)
 		if err != nil {
 			return err
 		}
@@ -223,65 +222,13 @@ func (v *VLIWController) StepBundle() error {
 	return nil
 }
 
-// execSlot executes one slot; it returns the branch target bundle index
-// (or -1).
-func (v *VLIWController) execSlot(in isa.Instruction) (int, error) {
-	c := v.Controller
-	switch in.Op {
-	case isa.OpBeq, isa.OpBne, isa.OpBlt:
-		if err := c.syncIfRead(in.Rs); err != nil {
-			return -1, err
-		}
-		if err := c.syncIfRead(in.Rt); err != nil {
-			return -1, err
-		}
-		a, b := c.Regs[in.Rs], c.Regs[in.Rt]
-		taken := false
-		switch in.Op {
-		case isa.OpBeq:
-			taken = a == b
-		case isa.OpBne:
-			taken = a != b
-		case isa.OpBlt:
-			taken = a < b
-		}
-		c.Steps++
-		if taken {
-			return int(in.Imm), nil
-		}
-		return -1, nil
-	case isa.OpJmp:
-		c.Steps++
-		return int(in.Imm), nil
-	case isa.OpHalt:
-		c.Steps++
-		v.vhalted = true
-		if err := c.drain(); err != nil {
-			return -1, err
-		}
-		return -1, nil
-	default:
-		// Non-control-flow slots run through the scalar Step by loading
-		// a transient single-instruction program.
-		saved := c.prog
-		savedPC, savedHalt := c.PC, c.halted
-		c.prog = &isa.Program{Instrs: []isa.Instruction{in}}
-		c.PC = 0
-		c.halted = false
-		err := c.Step()
-		c.prog = saved
-		c.PC, c.halted = savedPC, savedHalt
-		return -1, err
-	}
-}
-
 // Run issues bundles until halt or maxBundles.
 func (v *VLIWController) Run(maxBundles uint64) error {
 	if maxBundles == 0 {
 		maxBundles = DefaultMaxSteps
 	}
 	start := v.BundlesIssued
-	for !v.vhalted {
+	for !v.halted {
 		if v.BundlesIssued-start >= maxBundles {
 			return fmt.Errorf("exec: exceeded %d bundles without halting", maxBundles)
 		}

@@ -136,8 +136,9 @@ halt
 	}
 }
 
-// vliwRig builds scalar and VLIW controllers over the same program and
-// returns their pulse logs.
+// runBoth runs the same program on a scalar controller and on a VLIW
+// controller of the given width, each with an instruction cache
+// installed, and returns both controllers and their pulse logs.
 func runBoth(t *testing.T, src string, width int) (scalar, vliw *Controller, logS, logV *[]string) {
 	t.Helper()
 	build := func() (*Controller, *[]string) {
@@ -148,6 +149,11 @@ func runBoth(t *testing.T, src string, width int) (scalar, vliw *Controller, log
 			}, nil, nil)
 		c := NewController(microcode.StandardControlStore(), qmb)
 		qmb.MDQ.OnFire = func(e MDEvent, td clock.Cycle) { c.WriteReg(e.Rd, 1) }
+		ic, err := NewICache(4, 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ICache = ic
 		return c, log
 	}
 	p := asm.MustAssemble(src)
@@ -198,6 +204,19 @@ halt
 		s, v, logS, logV := runBoth(t, src, width)
 		if s.Regs != v.Regs {
 			t.Errorf("width %d: register files differ:\n%v\n%v", width, s.Regs, v.Regs)
+		}
+		// A halt slot halts the wrapped controller, as a scalar halt does.
+		if !s.Halted() || !v.Halted() {
+			t.Errorf("width %d: Halted() scalar %v, VLIW's controller %v; want both true", width, s.Halted(), v.Halted())
+		}
+		if s.Steps != v.Steps {
+			t.Errorf("width %d: retired %d instructions, scalar %d", width, v.Steps, s.Steps)
+		}
+		// The cache models the scalar instruction stream; issue slots run
+		// the datapath without a fetch.
+		if s.ICache.Fetches() != s.Steps || v.ICache.Fetches() != 0 {
+			t.Errorf("width %d: fetches scalar %d (of %d steps), VLIW %d; want every scalar step and no VLIW fetch",
+				width, s.ICache.Fetches(), s.Steps, v.ICache.Fetches())
 		}
 		if len(*logS) != len(*logV) {
 			t.Fatalf("width %d: pulse counts differ %d vs %d", width, len(*logS), len(*logV))

@@ -38,13 +38,12 @@ import (
 // applies every diagonal selection with per-lane coefficients, scales
 // the other lanes by an exact 1.0, and — when the schedule wants a
 // carry — hands every lane its carry. A channel table holds no other
-// operator class (NewChannelTable), so no lane leaves the batch. A
-// dense two-qubit step, which the machine never records (its only
-// two-qubit gate is the CZ, a SchedCZ step), runs the scalar Apply2 per
-// lane on a gathered copy. Populations come from each lane's carry;
-// when any lane lacks a valid one — the schedule broke the chain, or a
-// degenerate measurement reset broke one lane's — one whole-block pass
-// recomputes them for every lane.
+// operator class (NewChannelTable), so no lane leaves the batch. The
+// one two-qubit step is the CZ (SchedCZ), the machine's only two-qubit
+// gate. Populations come from each lane's carry; when any lane lacks a
+// valid one — the schedule broke the chain, or a degenerate measurement
+// reset broke one lane's — one whole-block pass recomputes them for
+// every lane.
 //
 // Each rare event (an anti jump, a degenerate measurement) has exactly
 // one path, and no step here looks at the host's SIMD support: the span
@@ -68,10 +67,10 @@ type TrajBatch struct {
 	carry  []PopCarry
 	carryQ int
 
-	// scratch is a single-lane register on which the scalar kernels run
-	// for one lane (dense two-qubit steps; the one-qubit lane kernel's
-	// jumps and measurements); it has no generator — every variate is
-	// drawn from the lane's own source.
+	// scratch is a one-qubit register on which the one-qubit lane
+	// kernel (batch1.go) runs the scalar kernels for one lane's jumps
+	// and measurements; nil on larger batches. It has no generator —
+	// every variate is drawn from the lane's own source.
 	scratch *Trajectory
 
 	// Per-op scratch, allocated once so the steady-state shot loop
@@ -104,23 +103,25 @@ func NewTrajBatch(lanes []*Trajectory) *TrajBatch {
 	L := len(lanes)
 	dim := 1 << nq
 	b := &TrajBatch{
-		nq:      nq,
-		L:       L,
-		amp:     make([]complex128, dim*L),
-		lanes:   append([]*Trajectory(nil), lanes...),
-		srcs:    make([]*prng.Source, L),
-		carry:   make([]PopCarry, L),
-		carryQ:  -1,
-		scratch: &Trajectory{nq: nq, Psi: make([]complex128, dim)},
-		pp0:     make([]float64, 2*L),
-		pp1:     make([]float64, 2*L),
-		r0:      make([]float64, 2*L),
-		r1:      make([]float64, 2*L),
-		np0:     make([]float64, 2*L),
-		np1:     make([]float64, 2*L),
-		mk0:     make([]uint64, 2*L),
-		mk1:     make([]uint64, 2*L),
-		outc:    make([]int, L),
+		nq:     nq,
+		L:      L,
+		amp:    make([]complex128, dim*L),
+		lanes:  append([]*Trajectory(nil), lanes...),
+		srcs:   make([]*prng.Source, L),
+		carry:  make([]PopCarry, L),
+		carryQ: -1,
+		pp0:    make([]float64, 2*L),
+		pp1:    make([]float64, 2*L),
+		r0:     make([]float64, 2*L),
+		r1:     make([]float64, 2*L),
+		np0:    make([]float64, 2*L),
+		np1:    make([]float64, 2*L),
+		mk0:    make([]uint64, 2*L),
+		mk1:    make([]uint64, 2*L),
+		outc:   make([]int, L),
+	}
+	if nq == 1 {
+		b.scratch = &Trajectory{nq: 1, Psi: make([]complex128, 2)}
 	}
 	for l, t := range lanes {
 		b.srcs[l] = t.src
@@ -140,22 +141,6 @@ func (b *TrajBatch) Scatter() {
 		for i := range t.Psi {
 			t.Psi[i] = b.amp[i*b.L+l]
 		}
-	}
-}
-
-// gatherLane copies lane l's column into the scratch register.
-func (b *TrajBatch) gatherLane(l int) {
-	psi := b.scratch.Psi
-	for i := range psi {
-		psi[i] = b.amp[i*b.L+l]
-	}
-}
-
-// scatterLane copies the scratch register back into lane l's column.
-func (b *TrajBatch) scatterLane(l int) {
-	psi := b.scratch.Psi
-	for i := range psi {
-		b.amp[i*b.L+l] = psi[i]
 	}
 }
 
@@ -202,13 +187,10 @@ func (b *TrajBatch) RunScheduleBatch(ops []SchedOp, measure func(lane, q, outcom
 			}
 		case SchedCZ:
 			b.negateBothBatch(q, int(o.Qb))
-		case SchedApply2:
-			b.apply2Batch(o.U, q, int(o.Qb))
-			for l := range b.carry {
-				b.carry[l].Valid = false
-			}
 		case SchedMeasure:
 			b.measureBatch(q, int(o.CarryFor) == q, measure)
+		default:
+			rejectStep("RunScheduleBatch", o.Kind)
 		}
 	}
 }
@@ -464,15 +446,6 @@ func (b *TrajBatch) negateBothBatch(qa, qb int) {
 		hi, lo = lo, hi
 	}
 	spanNegBothBlocks(b.amp, hi*L, lo*L)
-}
-
-// apply2Batch runs the scalar Apply2 per lane on a gathered copy.
-func (b *TrajBatch) apply2Batch(u Matrix, qa, qb int) {
-	for l := 0; l < b.L; l++ {
-		b.gatherLane(l)
-		b.scratch.Apply2(u, qa, qb)
-		b.scatterLane(l)
-	}
 }
 
 // measureBatch is the batched SchedMeasure step: per lane the same

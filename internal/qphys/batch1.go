@@ -118,7 +118,7 @@ func (b *TrajBatch) runSchedule1(ops []SchedOp, measure func(lane, q, outcome in
 			}
 			b.carryQ = 0
 		default:
-			panic("qphys: two-qubit schedule step on a one-qubit batch")
+			rejectStep("RunScheduleBatch on a one-qubit batch", o.Kind)
 		}
 	}
 }

@@ -6,12 +6,11 @@ package qphys
 // compiled schedule on that lane's scalar Trajectory would. The suite
 // drives the same representative schedule as the scalar executor's
 // pins (channels with fast and slow paths, anti-diagonal jumps,
-// rotating-frame unitaries with carry chains, CZ, dense two-qubit
-// gates, measurements with and without carries) and compares under ==,
-// plus targeted pins for the degenerate measurement reset, for steps
-// whose lanes take different branches, and for the zero-allocation
-// steady state. A one-qubit schedule covers the lane
-// kernel (batch1.go) the same way.
+// rotating-frame unitaries with carry chains, CZ, measurements with
+// and without carries) and compares under ==, plus targeted pins for
+// the degenerate measurement reset, for steps whose lanes take
+// different branches, and for the zero-allocation steady state. A
+// one-qubit schedule covers the lane kernel (batch1.go) the same way.
 
 import (
 	"fmt"
@@ -41,7 +40,7 @@ func batchTestSchedule() []SchedOp {
 		{Kind: SchedChannel, Q: 2, Ch: deco("depolarizing"), CarryFor: 3},
 		{Kind: SchedMeasure, Q: 3, CarryFor: 3},
 		{Kind: SchedChannel, Q: 3, Ch: deco("decoherence-short"), CarryFor: -1},
-		{Kind: SchedApply2, Q: 0, Qb: 2, U: Embedded2ForTest(), CarryFor: -1},
+		{Kind: SchedApply1, Q: 2, U: Hadamard(), CarryFor: -1},
 		{Kind: SchedChannel, Q: 1, Ch: deco("damping-jump-first"), CarryFor: 1},
 		{Kind: SchedMeasure, Q: 1, CarryFor: -1},
 		{Kind: SchedChannel, Q: 2, Ch: deco("decoherence-long"), CarryFor: 0},
@@ -455,9 +454,9 @@ func TestBatchStepsMixLaneClasses(t *testing.T) {
 							if b.carryMissing(int(mq)) {
 								t.Fatalf("%s: a lane left the channel without a carry", ctx)
 							}
+							b.Scatter()
 							for l := range lanes {
-								b.gatherLane(l)
-								p0, p1 := pops(b.scratch.Psi, int(chCarry))
+								p0, p1 := pops(lanes[l].Psi, int(chCarry))
 								if c := b.carry[l]; !sameFloatBits(c.P0, p0) || !sameFloatBits(c.P1, p1) {
 									t.Fatalf("%s lane %d: carry (%v, %v), fresh pass (%v, %v)", ctx, l, c.P0, c.P1, p0, p1)
 								}
@@ -507,7 +506,8 @@ func TestNewTrajBatchRejectsMismatchedLanes(t *testing.T) {
 // TestRunScheduleBatchDoesNotAllocate pins the steady-state allocation
 // discipline: after construction, a batched shot performs no heap
 // allocations at any lane width (the scratch vectors are preallocated;
-// divergent lanes reuse the single scratch register).
+// the one-qubit lane kernel's divergent lanes reuse its single scratch
+// register).
 func TestRunScheduleBatchDoesNotAllocate(t *testing.T) {
 	schedules := []struct {
 		n   int

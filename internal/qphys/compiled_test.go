@@ -367,7 +367,7 @@ func TestRunScheduleMatchesSequential(t *testing.T) {
 		{Kind: SchedChannel, Q: 2, Ch: deco("depolarizing"), CarryFor: 3},
 		{Kind: SchedMeasure, Q: 3, CarryFor: 3},
 		{Kind: SchedChannel, Q: 3, Ch: deco("decoherence-short"), CarryFor: -1},
-		{Kind: SchedApply2, Q: 0, Qb: 2, U: Embedded2ForTest(), CarryFor: -1},
+		{Kind: SchedApply1, Q: 2, U: Hadamard(), CarryFor: -1},
 		{Kind: SchedChannel, Q: 1, Ch: deco("damping-jump-first"), CarryFor: 1},
 		{Kind: SchedMeasure, Q: 1, CarryFor: -1},
 		// Trailing channel carrying for the wrap-around consumer (step 0).
@@ -385,7 +385,7 @@ func TestRunScheduleMatchesSequential(t *testing.T) {
 					ref.Apply1(o.U, int(o.Q))
 				case SchedChannel:
 					ref.ApplyKraus1(o.Ch.Ops(), int(o.Q))
-				case SchedCZ, SchedApply2:
+				case SchedCZ:
 					ref.Apply2(o.U, int(o.Q), int(o.Qb))
 				case SchedMeasure:
 					refOut = append(refOut, ref.Measure(int(o.Q), rand.New(ref.src)))
@@ -406,11 +406,6 @@ func TestRunScheduleMatchesSequential(t *testing.T) {
 		samePsi(t, ref, cmp, fmt.Sprintf("schedule seed=%d", seed))
 		sameRNG(t, ref, cmp, fmt.Sprintf("schedule seed=%d", seed))
 	}
-}
-
-// Embedded2ForTest returns a dense two-qubit unitary.
-func Embedded2ForTest() Matrix {
-	return Identity(2).Kron(Hadamard())
 }
 
 func cAbs(c complex128) float64 {

@@ -1,6 +1,9 @@
 package qphys
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // sched.go — single-pass execution of a compiled shot schedule on the
 // trajectory backend. A schedule compiler (internal/replay) lowers a
@@ -27,7 +30,8 @@ import "math"
 // registers (TestRunSchedule1MatchesRunScheduleN).
 
 // SchedOp kinds. The compiler picks the most specialized kind that
-// applies; RunSchedule trusts the classification.
+// applies; RunSchedule trusts the classification. Every executor
+// panics on a kind it does not compile, naming it.
 const (
 	// SchedApply1 applies a dense single-qubit unitary (U) to Q.
 	SchedApply1 uint8 = iota
@@ -39,21 +43,28 @@ const (
 	SchedChannel
 	// SchedCZ applies diag(1,1,1,−1) to (Q, Qb) via NegateBoth.
 	SchedCZ
-	// SchedApply2 applies a dense two-qubit unitary (U) to (Q, Qb). The
-	// machine records no two-qubit gate but the CZ, so no recorded
-	// schedule contains one; a population carry never passes through it.
+	// SchedApply2 named a dense two-qubit unitary step. The machine
+	// records no two-qubit gate but the CZ, so the compiler never emits
+	// one, and every executor rejects it.
+	//
+	// Deprecated: no executor runs it; kept so existing schedule
+	// literals compile.
 	SchedApply2
 	// SchedMeasure runs the projective measurement of Q; the measure
 	// callback completes the machine's measurement chain.
 	SchedMeasure
 )
 
+// rejectStep panics on a step kind the named executor does not compile.
+func rejectStep(executor string, kind uint8) {
+	panic(fmt.Sprintf("qphys: %s cannot run schedule step kind %d", executor, kind))
+}
+
 // SchedOp is one specialized, closure-free step of a compiled schedule.
 type SchedOp struct {
 	Kind uint8
 	// PhaseSafe is ignored: a SchedCZ step always passes a population
-	// carry through (negation keeps every |a|² bit) and a SchedApply2
-	// step never does.
+	// carry through (negation keeps every |a|² bit).
 	//
 	// Deprecated: kept so existing schedule literals compile.
 	PhaseSafe bool
@@ -148,9 +159,6 @@ func (t *Trajectory) runScheduleN(ops []SchedOp, in PopCarry, inQ int, measure f
 			}
 		case SchedCZ:
 			t.NegateBoth(q, int(o.Qb))
-		case SchedApply2:
-			t.Apply2(o.U, q, int(o.Qb))
-			carry.Valid = false
 		case SchedMeasure:
 			in := carry
 			if carryQ != q {
@@ -164,6 +172,8 @@ func (t *Trajectory) runScheduleN(ops []SchedOp, in PopCarry, inQ int, measure f
 			outcome, carry = t.MeasureCarry(q, p1, src.Float64(), int(o.CarryFor) == q)
 			carryQ = q
 			measure(q, outcome)
+		default:
+			rejectStep("RunSchedule", o.Kind)
 		}
 	}
 	return carry, carryQ
@@ -252,7 +262,7 @@ func (t *Trajectory) runSchedule1(ops []SchedOp, in PopCarry, inQ int, measure f
 			measure(0, outcome)
 			a0, a1 = psi[0], psi[1]
 		default:
-			panic("qphys: two-qubit schedule step on a one-qubit register")
+			rejectStep("RunSchedule on a one-qubit register", o.Kind)
 		}
 	}
 	psi[0], psi[1] = a0, a1

@@ -26,9 +26,10 @@
 //     asks the nearest preceding state-modifying step to accumulate its
 //     populations during that step's own application pass, in the exact
 //     addition order a standalone pass would use. Carries flow through
-//     the CZ, which preserves every |a|² bit for bit; any other
-//     two-qubit gate (none is recorded) lowers to SchedApply2 and breaks
-//     the chain.
+//     the CZ, which preserves every |a|² bit for bit. The CZ is the
+//     machine's only two-qubit gate, so lowering panics on any other
+//     recorded two-qubit operator, as NewChannelTable does on a channel
+//     it does not compile.
 //   - The executors are devirtualized: the trajectory backend runs the
 //     whole shot in one qphys.RunSchedule pass (or, for lockstep lanes,
 //     qphys.TrajBatch.RunScheduleBatch); the density backend gets direct
@@ -252,11 +253,10 @@ func lowerSchedule(sched []op, tables map[*qphys.Matrix]*qphys.ChannelTable) *co
 			}
 			c.pulses++
 		case opGate2:
-			kind := qphys.SchedApply2
-			if qphys.IsCZ(o.u) {
-				kind = qphys.SchedCZ
+			if !qphys.IsCZ(o.u) {
+				panic(fmt.Sprintf("replay: recorded two-qubit gate on (q%d, q%d) is not the CZ; compiled replay has no step for it", o.q, o.qb))
 			}
-			c.ops = append(c.ops, qphys.SchedOp{Kind: kind, Q: int16(o.q), Qb: int16(o.qb), U: o.u, CarryFor: -1})
+			c.ops = append(c.ops, qphys.SchedOp{Kind: qphys.SchedCZ, Q: int16(o.q), Qb: int16(o.qb), U: o.u, CarryFor: -1})
 			c.pulses++
 		case opMeasure:
 			c.ops = append(c.ops, qphys.SchedOp{Kind: qphys.SchedMeasure, Q: int16(o.q), CarryFor: -1})
@@ -274,8 +274,7 @@ func (c *compiled) linkCarries(wrap bool) {
 	// application prices from one population pass; a measurement samples
 	// from one) asks the nearest preceding state-modifying step to
 	// accumulate its populations during that step's own application pass.
-	// CZ steps are transparent (they preserve |a|² bit for bit); any
-	// other two-qubit step is a producer that carries nothing. Producer
+	// CZ steps are transparent (they preserve |a|² bit for bit). Producer
 	// eligibility follows the kernels: a channel can carry any qubit; a
 	// unitary or a measurement only its own qubit — their passes are
 	// pair-ordered, and a cross-qubit carry would have to revisit half
@@ -347,10 +346,12 @@ func runDensity(m *core.Machine, d *qphys.Density, ops []qphys.SchedOp, md []MD)
 			d.Apply1(o.U, int(o.Q))
 		case qphys.SchedChannel:
 			d.ApplyChannel(o.Ch, int(o.Q))
-		case qphys.SchedCZ, qphys.SchedApply2:
+		case qphys.SchedCZ:
 			d.Apply2(o.U, int(o.Q), int(o.Qb))
 		case qphys.SchedMeasure:
 			md = append(md, MD{Qubit: int(o.Q), Result: m.MeasureQubit(int(o.Q))})
+		default:
+			panic(fmt.Sprintf("replay: the density executor cannot run schedule step kind %d", o.Kind))
 		}
 	}
 	return md

@@ -2,10 +2,13 @@ package replay
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"quma/internal/asm"
 	"quma/internal/core"
+	"quma/internal/prng"
 	"quma/internal/qphys"
 )
 
@@ -18,11 +21,6 @@ func TestCompileScheduleLowering(t *testing.T) {
 	y180 := qphys.REquator(1.2, 3.1)
 	rz := qphys.RZ(0.3)
 	cz := qphys.CZ()
-	// A diagonal phase gate other than the CZ: it keeps every |a|², yet
-	// the machine never records it, so it lowers to a plain SchedApply2
-	// that no carry crosses.
-	cs := qphys.Identity(4)
-	cs.Set(3, 3, 1i)
 	sched := []op{
 		{kind: opPulse, q: 0, u: x90},
 		{kind: opPulse, q: 0, u: y180},           // adjacent same-qubit: its own step
@@ -33,13 +31,12 @@ func TestCompileScheduleLowering(t *testing.T) {
 		{kind: opIdle, q: 0, kraus: kraus},       // carry passes through the CZ
 		{kind: opPulse, q: 3, u: qphys.Matrix{}}, // timing-only pulse: counter only
 		{kind: opMeasure, q: 0},
-		{kind: opIdle, q: 1, kraus: kraus},  // producer before a non-CZ gate
-		{kind: opGate2, q: 1, qb: 2, u: cs}, // non-CZ: SchedApply2, breaks the chain
-		{kind: opIdle, q: 2, kraus: kraus},  // consumer after it: no carry across
+		{kind: opIdle, q: 1, kraus: kraus}, // the measurement cannot carry for it
+		{kind: opIdle, q: 2, kraus: kraus}, // channel(q1) carries for it
 	}
 	c := compileSchedule(sched)
-	if c.pulses != 5 {
-		t.Errorf("pulses = %d, want 5 (3 pulses + 2 flux)", c.pulses)
+	if c.pulses != 4 {
+		t.Errorf("pulses = %d, want 4 (3 pulses + 1 flux)", c.pulses)
 	}
 	if c.nMD != 1 {
 		t.Errorf("nMD = %d, want 1", c.nMD)
@@ -47,7 +44,7 @@ func TestCompileScheduleLowering(t *testing.T) {
 	// Every recorded operation with an effect lowers to exactly one step
 	// applying the recorded operator: nothing is merged.
 	kinds := []uint8{qphys.SchedApply1RD, qphys.SchedApply1RD, qphys.SchedApply1, qphys.SchedChannel, qphys.SchedChannel,
-		qphys.SchedCZ, qphys.SchedChannel, qphys.SchedMeasure, qphys.SchedChannel, qphys.SchedApply2, qphys.SchedChannel}
+		qphys.SchedCZ, qphys.SchedChannel, qphys.SchedMeasure, qphys.SchedChannel, qphys.SchedChannel}
 	if len(c.ops) != len(kinds) {
 		t.Fatalf("compiled to %d steps, want %d: %+v", len(c.ops), len(kinds), c.ops)
 	}
@@ -61,18 +58,74 @@ func TestCompileScheduleLowering(t *testing.T) {
 			t.Errorf("step %d must apply the recorded operator itself", i)
 		}
 	}
-	if c.ops[3].Ch != c.ops[4].Ch || c.ops[3].Ch != c.ops[6].Ch || c.ops[3].Ch != c.ops[10].Ch {
+	if c.ops[3].Ch != c.ops[4].Ch || c.ops[3].Ch != c.ops[6].Ch || c.ops[3].Ch != c.ops[9].Ch {
 		t.Error("identical cached Kraus slices must share one ChannelTable")
 	}
 	// Carry links: channel(q1)→channel(q2); channel(q2)→channel(q0)
-	// through the CZ; channel(q0)→measure(q0). No unitary step carries
-	// (none precedes a consumer on its own qubit), the measurement cannot
-	// carry for another qubit, channel(q1) cannot reach channel(q2) across
-	// the non-CZ gate, and no wrap-around link exists: the schedule
-	// starts with a unitary.
-	for i, want := range []int16{-1, -1, -1, 2, 0, -1, 0, -1, -1, -1, -1} {
+	// through the CZ; channel(q0)→measure(q0); channel(q1)→channel(q2)
+	// again at the end. No unitary step carries (none precedes a consumer
+	// on its own qubit), the measurement cannot carry for another qubit,
+	// and no wrap-around link exists: the schedule starts with a unitary.
+	for i, want := range []int16{-1, -1, -1, 2, 0, -1, 0, -1, 2, -1} {
 		if got := c.ops[i].CarryFor; got != want {
 			t.Errorf("step %d carries for %d, want %d", i, got, want)
+		}
+	}
+
+	// A diagonal phase gate other than the CZ keeps every |a|², yet the
+	// machine never records it, so compiled replay has no step for it:
+	// lowering panics instead of emitting one that no executor runs.
+	t.Run("non-CZ gate panics", func(t *testing.T) {
+		cs := qphys.Identity(4)
+		cs.Set(3, 3, 1i)
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "not the CZ") {
+				t.Errorf("lowering a non-CZ two-qubit gate: panic %q, want one naming the CZ rule", msg)
+			}
+		}()
+		compileSchedule([]op{{kind: opIdle, q: 1, kraus: kraus}, {kind: opGate2, q: 1, qb: 2, u: cs}})
+	})
+}
+
+// TestExecutorsRejectUncompiledSteps pins that every compiled executor
+// panics, naming the kind, on a step kind it does not compile: the
+// deprecated SchedApply2, which the compiler never emits, and a kind past
+// the end of the list. An executor that skipped such a step would replay
+// a shot that is not the recorded one.
+func TestExecutorsRejectUncompiledSteps(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Backend = core.BackendDensity
+	m, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dens := m.State.(*qphys.Density)
+	traj := func(n int) *qphys.Trajectory { return qphys.NewTrajectorySource(n, prng.New(1)) }
+	batch := func(n int) *qphys.TrajBatch {
+		return qphys.NewTrajBatch([]*qphys.Trajectory{traj(n), traj(n)})
+	}
+	executors := []struct {
+		name string
+		run  func(ops []qphys.SchedOp)
+	}{
+		{"scalar nq=1", func(ops []qphys.SchedOp) { traj(1).RunSchedule(ops, qphys.PopCarry{}, -1, func(q, outcome int) {}) }},
+		{"scalar nq=3", func(ops []qphys.SchedOp) { traj(3).RunSchedule(ops, qphys.PopCarry{}, -1, func(q, outcome int) {}) }},
+		{"lockstep nq=1", func(ops []qphys.SchedOp) { batch(1).RunScheduleBatch(ops, func(lane, q, outcome int) {}) }},
+		{"lockstep nq=3", func(ops []qphys.SchedOp) { batch(3).RunScheduleBatch(ops, func(lane, q, outcome int) {}) }},
+		{"density", func(ops []qphys.SchedOp) { runDensity(m, dens, ops, nil) }},
+	}
+	for _, ex := range executors {
+		for _, kind := range []uint8{qphys.SchedApply2, qphys.SchedMeasure + 1} {
+			t.Run(fmt.Sprintf("%s/kind=%d", ex.name, kind), func(t *testing.T) {
+				want := fmt.Sprintf("step kind %d", kind)
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, want) {
+						t.Errorf("panic %q, want one naming %q", msg, want)
+					}
+				}()
+				ex.run([]qphys.SchedOp{{Kind: kind, Q: 0, Qb: 0, U: qphys.Identity(4), CarryFor: -1}})
+			})
 		}
 	}
 }
