@@ -225,9 +225,10 @@
 // executes its own lead/detect shots (replayed from the memo when the
 // machine has already proven the program) plus its slice of the replay
 // loop,
-// and results merge in shard order (measurement streams buffered
-// per shard and delivered with global shot indices; collector averages
-// recomputed exactly from per-shard sums and counts). The result is
+// and results merge in shard order (per-shot callbacks run live in each
+// shard and write only shard-indexed slots, which the caller folds in
+// shard order; collector averages recomputed exactly from per-shard sums
+// and counts). The result is
 // bit-identical for any Engine.ShotWorkers value (0 = all CPUs), on both
 // backends, in every replay mode. Shot counts at or below ShotShardSize
 // keep the legacy single PRNG stream exactly; above it the stream layout

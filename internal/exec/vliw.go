@@ -38,6 +38,10 @@ type BundledProgram struct {
 	// bundleOf maps original instruction index → bundle index, used to
 	// re-target branches.
 	bundleOf []int
+	// firstPC[b] is the original instruction index of bundle b's first
+	// slot. Bundles keep program order, so slot s of bundle b is
+	// instruction firstPC[b]+s.
+	firstPC []int
 	// NumInstrs is the original instruction count.
 	NumInstrs int
 }
@@ -161,8 +165,12 @@ func BundleProgram(p *isa.Program, width int) (*BundledProgram, error) {
 	}
 	flush()
 
-	// Re-target branches to bundle indices.
+	// Record where each bundle starts, and re-target branches to bundle
+	// indices.
+	pc := 0
 	for bi := range bp.Bundles {
+		bp.firstPC = append(bp.firstPC, pc)
+		pc += len(bp.Bundles[bi])
 		for si := range bp.Bundles[bi] {
 			in := &bp.Bundles[bi][si]
 			if in.Op.IsBranch() {
@@ -177,7 +185,9 @@ func BundleProgram(p *isa.Program, width int) (*BundledProgram, error) {
 // controller's datapath (Controller.execute): every slot retires as Step
 // would retire it, and a halt slot halts the wrapped controller. Bundles
 // are not fetched through the controller's ICache, which models the
-// scalar instruction stream.
+// scalar instruction stream. Before each slot executes, the wrapped
+// controller's PC is set to the slot's original instruction index, so
+// errors and replay-unsafe reasons name the same PC as a scalar run.
 type VLIWController struct {
 	*Controller
 	BP *BundledProgram
@@ -209,7 +219,8 @@ func (v *VLIWController) StepBundle() error {
 	bundle := v.BP.Bundles[v.BPC]
 	next := v.BPC + 1
 	v.BundlesIssued++
-	for _, in := range bundle {
+	for s, in := range bundle {
+		v.PC = v.BP.firstPC[v.BPC] + s
 		taken, err := v.execute(in)
 		if err != nil {
 			return err

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"quma/internal/asm"
@@ -312,5 +313,61 @@ func TestVLIWRunawayGuard(t *testing.T) {
 	vc := NewVLIWController(NewController(microcode.StandardControlStore(), qmb), bp)
 	if err := vc.Run(100); err == nil {
 		t.Error("expected bundle-limit error")
+	}
+}
+
+// TestVLIWDiagnosticsNameProgramPC pins the PC a VLIW slot reports: the
+// slot's original instruction index, as on the scalar controller. The
+// failing load and the feedback branch sit in non-first slots at widths
+// 2 and 4, so a bundle-relative or stale PC would show.
+func TestVLIWDiagnosticsNameProgramPC(t *testing.T) {
+	src := `
+mov r4, 9999
+addi r1, r4, 1
+mov r2, 2
+mov r3, 3
+load r5, r4[0]
+halt
+`
+	p := asm.MustAssemble(src)
+	s := NewController(microcode.StandardControlStore(), NewQMB(nil, nil, nil))
+	if err := s.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	want := s.Run(0)
+	if want == nil || !strings.Contains(want.Error(), "at PC 4") {
+		t.Fatalf("scalar error = %v, want the load at PC 4", want)
+	}
+	for _, width := range []int{1, 2, 4} {
+		bp, err := BundleProgram(p, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vc := NewVLIWController(NewController(microcode.StandardControlStore(), NewQMB(nil, nil, nil)), bp)
+		if err := vc.Run(0); err == nil || err.Error() != want.Error() {
+			t.Errorf("width %d: error %v, want %q", width, err, want)
+		}
+	}
+
+	feedback := `
+mov r15, 100
+mov r6, 1
+QNopReg r15
+MPG {q0}, 300
+MD {q0}, r7
+Wait 300
+mov r1, 0
+beq r7, r6, Done
+Pulse {q0}, X180
+Wait 4
+Done:
+halt
+`
+	for _, width := range []int{1, 2, 4} {
+		s, v, _, _ := runBoth(t, feedback, width)
+		got, want := v.ReplayUnsafeReason(), s.ReplayUnsafeReason()
+		if !strings.Contains(want, "PC 7") || got != want {
+			t.Errorf("width %d: replay-unsafe reason %q, scalar %q (want the branch at PC 7)", width, got, want)
+		}
 	}
 }

@@ -175,11 +175,12 @@ type ProgramResult struct {
 // the engine's measurement stream. Up to ShotShardSize shots run on one
 // pooled machine seeded with cfg.Seed (the legacy single stream); larger
 // shot counts split across the fixed shard plan, one pooled machine per
-// shard seeded DeriveSeed(cfg.Seed, shard), merged in shard order — see
-// shotshard.go. The program must halt and must not rely on
-// classical register contents surviving into the caller (replayed shots
-// perform no classical execution); results come exclusively from the
-// measurement stream.
+// shard seeded DeriveSeed(cfg.Seed, shard). Each shard keeps its own
+// measurement bytes as they arrive, and the result is derived from them
+// in shard order — see shotshard.go. The program must halt and must not
+// rely on classical register contents surviving into the caller
+// (replayed shots perform no classical execution); results come
+// exclusively from the measurement stream.
 func (e *Env) RunProgram(ctx context.Context, cfg core.Config, p ProgramParams) (*ProgramResult, error) {
 	if p.Shots <= 0 {
 		return nil, fmt.Errorf("expt: program Shots must be positive, got %d", p.Shots)
@@ -188,39 +189,64 @@ func (e *Env) RunProgram(ctx context.Context, cfg core.Config, p ProgramParams) 
 	if err != nil {
 		return nil, err
 	}
-	res := &ProgramResult{Params: p, Shots: p.Shots}
-	h := fnv.New64a()
+	// Each shard keeps the bytes the stream hash covers: a (qubit,
+	// result) pair per measurement and 0xFF after each shot. Shards may
+	// run concurrently, so every shard writes only its own slot, and the
+	// slots are folded in shard order after the job.
+	plan := ShotShardPlan(p.Shots)
+	streams := make([][]byte, shardCount(plan))
 	pool := e.poolFor(cfg)
 	eng := Engine{ShotWorkers: p.ShotWorkers, BatchLanes: p.BatchLanes, Replay: p.Replay}
-	stats, err := runShotJobSharded(ctx, pool, cfg.Seed, prog, p.Shots, ShotShardPlan(p.Shots), eng, nil,
-		func(shot int, md []replay.MD) {
-			if shot > 0 && len(md) != res.MDPerShot {
-				res.MDVaries = true
+	stats, err := runShotJobSharded(ctx, pool, cfg.Seed, prog, p.Shots, plan, eng, nil,
+		func(k, _ int, md []replay.MD) {
+			s := streams[k]
+			if s == nil {
+				// Replay-safe shots repeat the first shot's measurement
+				// count, so it sizes the whole shard (at most
+				// ShotShardSize shots when there is a plan).
+				s = make([]byte, 0, (2*len(md)+1)*min(p.Shots, ShotShardSize))
 			}
-			for i, r := range md {
-				if i == len(res.Ones) {
-					// A shot reached a position no earlier shot did
-					// (feedback programs may branch around measurements).
-					res.Qubits = append(res.Qubits, r.Qubit)
-					res.Ones = append(res.Ones, 0)
-					if shot > 0 {
-						res.MDVaries = true
-					}
-				} else if res.Qubits[i] != r.Qubit {
-					res.MDVaries = true
-				}
-				res.Ones[i] += r.Result
-				h.Write([]byte{byte(r.Qubit), byte(r.Result)})
-			}
-			if len(md) > res.MDPerShot {
-				res.MDPerShot = len(md)
+			for _, r := range md {
+				s = append(s, byte(r.Qubit), byte(r.Result))
 			}
 			// Shot separator: streams that differ only in shot boundaries
 			// must hash differently.
-			h.Write([]byte{0xFF})
+			streams[k] = append(s, 0xFF)
 		}, nil)
 	if err != nil {
 		return nil, err
+	}
+	res := &ProgramResult{Params: p, Shots: p.Shots}
+	h := fnv.New64a()
+	// shot counts shots, i measurements within the current shot.
+	shot, i := 0, 0
+	for _, s := range streams {
+		h.Write(s)
+		for j := 0; j < len(s); j += 2 {
+			if s[j] == 0xFF {
+				if shot > 0 && i != res.MDPerShot {
+					res.MDVaries = true
+				}
+				res.MDPerShot = max(res.MDPerShot, i)
+				shot, i = shot+1, 0
+				j-- // the separator is one byte, not a pair
+				continue
+			}
+			qubit, result := int(s[j]), int(s[j+1])
+			if i == len(res.Ones) {
+				// A shot reached a position no earlier shot did
+				// (feedback programs may branch around measurements).
+				res.Qubits = append(res.Qubits, qubit)
+				res.Ones = append(res.Ones, 0)
+				if shot > 0 {
+					res.MDVaries = true
+				}
+			} else if res.Qubits[i] != qubit {
+				res.MDVaries = true
+			}
+			res.Ones[i] += result
+			i++
+		}
 	}
 	res.Replayed = stats.Replayed
 	res.Safe = stats.Safe

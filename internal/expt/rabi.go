@@ -103,7 +103,7 @@ func (e *Env) RunRabi(ctx context.Context, cfg core.Config, p RabiParams) (*Rabi
 		if err != nil {
 			return err
 		}
-		var ones int
+		ones := make([]int, ShotShardCount(p.Rounds))
 		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, ShotShardPlan(p.Rounds), p.Engine,
 			func(m *core.Machine) error {
 				m.UOp.DefinePrimitive("RABI", RabiCodeword)
@@ -115,15 +115,15 @@ func (e *Env) RunRabi(ctx context.Context, cfg core.Config, p RabiParams) (*Rabi
 				}
 				return nil
 			},
-			func(_ int, md []replay.MD) {
+			func(k, _ int, md []replay.MD) {
 				if len(md) > 0 && md[0].Result == 1 {
-					ones++
+					ones[k]++
 				}
 			}, nil)
 		if err != nil {
 			return err
 		}
-		res.Excited[i] = float64(ones) / float64(p.Rounds)
+		res.Excited[i] = float64(sum(ones)) / float64(p.Rounds)
 		return nil
 	})
 	if err != nil {

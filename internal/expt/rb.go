@@ -133,17 +133,17 @@ func (e *Env) RunRB(ctx context.Context, cfg core.Config, p RBParams) (*RBResult
 		if err != nil {
 			return err
 		}
-		var ones int
+		ones := make([]int, ShotShardCount(p.Rounds))
 		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, ShotShardPlan(p.Rounds), p.Engine, nil,
-			func(_ int, md []replay.MD) {
+			func(k, _ int, md []replay.MD) {
 				if len(md) > 0 && md[0].Result == 1 {
-					ones++
+					ones[k]++
 				}
 			}, nil)
 		if err != nil {
 			return fmt.Errorf("expt: RB m=%d trial %d: %w", length, i%p.Trials, err)
 		}
-		surv[i] = 1 - float64(ones)/float64(p.Rounds)
+		surv[i] = 1 - float64(sum(ones))/float64(p.Rounds)
 		return nil
 	})
 	if err != nil {

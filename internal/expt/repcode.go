@@ -311,17 +311,17 @@ func runChunkedVariants(ctx context.Context, env *Env, cfg core.Config, rounds i
 		if err != nil {
 			return err
 		}
-		var errs int64
+		errs := make([]int, shardCount(plan))
 		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, v+1), prog, rounds, plan, eng, nil,
-			func(_ int, md []replay.MD) {
+			func(k, _ int, md []replay.MD) {
 				if variants[v].isError(md) {
-					errs++
+					errs[k]++
 				}
 			}, nil)
 		if err != nil {
 			return err
 		}
-		out[v] = float64(errs) / float64(rounds)
+		out[v] = float64(sum(errs)) / float64(rounds)
 		return nil
 	})
 	if err != nil {

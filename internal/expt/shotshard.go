@@ -23,13 +23,14 @@ package expt
 //     threshold changes sampled results (never their statistics — the
 //     conformance suite pins sharded vs unsharded agreement at 5σ).
 //     Below the threshold the legacy single stream is kept bit-for-bit.
-//   - Per-shot callbacks are buffered per shard and delivered after the
-//     last shard completes, in shard order, with global shot indices
-//     (the engine numbers each shard's shots from its global offset via
-//     replay.BatchLane.BaseShot) — so order-sensitive consumers (the
-//     RunProgram stream hash) observe one deterministic merged stream.
-//     A plan of one shard (the legacy stream included) delivers live:
-//     its order is already global.
+//   - Per-shot callbacks run live inside each shard's engine loop, with
+//     the shard index and the global shot index (the engine numbers each
+//     shard's shots from its global offset via replay.BatchLane.BaseShot),
+//     under finishShard's rule: shards may run concurrently, so a
+//     callback writes only shard-indexed slots, and the caller merges
+//     them in shard order after the job. Order-sensitive consumers (the
+//     RunProgram stream hash) fold their slots in shard order; the runner
+//     keeps no measurement stream.
 //   - Cancellation and failure: the first failing shard cancels its
 //     siblings' context (they abort within the engine's bounded-
 //     staleness window); a shard panic is recovered into *PanicError at
@@ -43,7 +44,7 @@ package expt
 //     through replay.RunBatch — one compiled schedule, per-lane
 //     machines/seeds/PRNG streams (lane k IS shard k: same
 //     DeriveSeed(pointSeed, k), same BaseShot, same shot count, same
-//     buffered stream slot). Lanes of unequal size run in lockstep as
+//     callback shard index). Lanes of unequal size run in lockstep as
 //     far as the shortest; the survivors go on. Engine.BatchLanes sets
 //     the grouping (ShardLaneGroups). Because the plan, the seeds, and
 //     the merge order are untouched, changing the lane grouping can
@@ -105,15 +106,6 @@ func shardCount(plan []int) int {
 // ShotShardSize.
 func ShotShardCount(shots int) int {
 	return shardCount(ShotShardPlan(shots))
-}
-
-// shardStream buffers one shard's per-shot measurement streams: the
-// flattened MD records plus per-shot lengths, appended live by the
-// shard's engine callback and replayed to the caller's OnShot after all
-// shards complete.
-type shardStream struct {
-	md   []replay.MD
-	lens []int
 }
 
 // LaneGroups partitions the shards of a plan into lockstep batch
@@ -224,18 +216,19 @@ func RunShots(ctx context.Context, cfg core.Config, prog *isa.Program, shots int
 // bit-identity contract.
 //
 // setup runs on every shard's machine (the pooled-machine rule for
-// machine customization). onShot, when non-nil, receives every shot in
-// global order: live when the plan has one shard, whose order is already
-// global, and otherwise after the last shard completes — lockstep lanes
-// interleave their shots, so even a single multi-lane group buffers. The
-// fault-injection Shot hook, by contrast, fires live inside each shard's
-// loop, so injected panics and slowness land mid-shard. finishShard runs
-// per shard, with that shard's machine still in hand, as its group
-// completes — callers must write only shard-indexed slots from it. The
-// returned stats are the shard-order merge (replay.Stats.Merge).
+// machine customization). onShot, when non-nil, runs live inside each
+// shard's engine loop after every shot, with the shard index and the
+// global shot index, followed by the fault-injection Shot hook (so
+// injected panics and slowness land mid-shard). finishShard runs per
+// shard, with that shard's machine still in hand, as its group
+// completes. Both may run concurrently for different shards (lockstep
+// lanes also interleave their shots), so callers write only
+// shard-indexed slots from them and merge those in shard order after
+// the job. The returned stats are the shard-order merge
+// (replay.Stats.Merge).
 func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, prog *isa.Program, shots int, plan []int, eng Engine,
 	setup func(*core.Machine) error,
-	onShot func(int, []replay.MD),
+	onShot func(shard, shot int, md []replay.MD),
 	finishShard func(shard int, m *core.Machine, stats replay.Stats) error) (replay.Stats, error) {
 	var merged replay.Stats
 	seed := func(k int) int64 { return DeriveSeed(pointSeed, k) }
@@ -250,37 +243,24 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 	for k := 1; k < len(plan); k++ {
 		starts[k] = starts[k-1] + plan[k-1]
 	}
-	var bufs []shardStream
-	if onShot != nil && len(plan) > 1 {
-		bufs = make([]shardStream, len(plan))
+	var hook func(int)
+	if mp.faults != nil {
+		hook = mp.faults.Shot
 	}
-	// laneCallback is shard k's engine callback: the caller's onShot
-	// (live) or the shard's buffer slot, then the fault hook.
+	// laneCallback is shard k's engine callback: the caller's onShot,
+	// then the fault hook; nil when there is neither.
 	laneCallback := func(k int) func(int, []replay.MD) {
-		cb := onShot
-		if bufs != nil {
-			s := &bufs[k]
-			s.lens = make([]int, 0, plan[k])
-			cb = func(_ int, md []replay.MD) {
-				if s.md == nil {
-					// Replayed shots record the same measurements, so
-					// the first shot's count sizes the whole shard.
-					s.md = make([]replay.MD, 0, len(md)*plan[k])
-				}
-				s.md = append(s.md, md...)
-				s.lens = append(s.lens, len(md))
+		if onShot == nil && hook == nil {
+			return nil
+		}
+		return func(shot int, md []replay.MD) {
+			if onShot != nil {
+				onShot(k, shot, md)
+			}
+			if hook != nil {
+				hook(shot)
 			}
 		}
-		if h := mp.faults; h != nil && h.Shot != nil {
-			inner := cb
-			cb = func(shot int, md []replay.MD) {
-				if inner != nil {
-					inner(shot, md)
-				}
-				h.Shot(shot)
-			}
-		}
-		return cb
 	}
 	// The first failing shard cancels its siblings: they abort at the
 	// engine's next bounded-staleness check instead of finishing work
@@ -289,9 +269,9 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 	defer cancelShards()
 	statsv := make([]replay.Stats, len(plan))
 	// runGroup runs shards [g0, g1) as one replay.RunBatch call: lane j
-	// is shard g0+j, with its seed, global BaseShot, stream slot, and
-	// live fault hook, and finishShard sees each lane's machine before
-	// the machines return to the pool. The returns are deliberately not
+	// is shard g0+j, with its seed, global BaseShot and live callback,
+	// and finishShard sees each lane's machine before the machines
+	// return to the pool. The returns are deliberately not
 	// deferred (the group runner's unwind rule): a panic anywhere in the
 	// group — engine, callbacks, injected fault — unwinds past them, so
 	// every machine of the group, in an unknowable post-panic state, is
@@ -373,15 +353,6 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 	}
 	for k := range statsv {
 		merged.Merge(statsv[k])
-	}
-	// Deliver the buffered streams in shard order with global indices:
-	// one deterministic merged stream, independent of shard scheduling.
-	for k := range bufs {
-		off := 0
-		for i, n := range bufs[k].lens {
-			onShot(starts[k]+i, bufs[k].md[off:off+n:off+n])
-			off += n
-		}
 	}
 	return merged, nil
 }

@@ -78,10 +78,10 @@ func TestSweepBitIdenticalAcrossShotWorkers(t *testing.T) {
 	}
 }
 
-// TestRunProgramStreamIdenticalAcrossShotWorkers pins the buffered
-// shard-order stream merge: the FNV stream hash — sensitive to every
-// (shot, index, qubit, result) in order — must match across ShotWorkers
-// and replay modes for a sharded shot count (552 → 3 shards).
+// TestRunProgramStreamIdenticalAcrossShotWorkers pins the shard-order
+// fold of the per-shard stream bytes: the FNV stream hash — sensitive to
+// every (shot, index, qubit, result) in order — must match across
+// ShotWorkers and replay modes for a sharded shot count (552 → 3 shards).
 func TestRunProgramStreamIdenticalAcrossShotWorkers(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.NumQubits = 2
@@ -573,6 +573,143 @@ func BenchmarkBatchedRepCode(b *testing.B) {
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/shots, "ns/shot")
 			})
+		}
+	}
+}
+
+// TestRunProgramShardFoldMatchesReference pins RunProgram's shard-order
+// fold of the per-shard stream bytes against a reference built without
+// the shot-shard runner: each shard of the plan runs alone through
+// replay.Run on a fresh machine seeded DeriveSeed(seed, k), and the
+// shots are aggregated in shard order by the per-shot loop RunProgram
+// used when the runner delivered one merged stream. The feedback
+// program branches around a measurement, so shots differ in both the
+// number and the qubits of their measurements (MDVaries, ragged Ones).
+func TestRunProgramShardFoldMatchesReference(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Backend = core.BackendTrajectory
+	cfg.NumQubits = 2
+	cfg.Seed = 11
+	const shots = 700 // 3 shards: 256, 256, 188
+	src := `mov r15, 40
+mov r6, 1
+QNopReg r15
+Pulse {q0}, X90
+Wait 4
+MPG {q0}, 300
+MD {q0}, r7
+Wait 340
+beq r7, r6, One
+MPG {q1}, 300
+MD {q1}, r8
+Wait 340
+halt
+One:
+MPG {q0}, 300
+MD {q0}, r9
+Wait 340
+MPG {q1}, 300
+MD {q1}, r8
+Wait 340
+halt
+`
+	plan := ShotShardPlan(shots)
+	if len(plan) != 3 {
+		t.Fatalf("plan %v, want 3 shards", plan)
+	}
+	prog, err := newProgramCache().get(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeAuto} {
+		// The reference: shard by shard, then the pre-fold aggregation
+		// loop over one merged stream in shard order.
+		want := &ProgramResult{Shots: shots}
+		h := fnv.New64a()
+		var stats replay.Stats
+		shot := 0
+		for k, n := range plan {
+			c := cfg
+			c.Seed = DeriveSeed(cfg.Seed, k)
+			m, err := core.New(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := replay.Run(context.Background(), m, prog, replay.Options{Shots: n, Mode: mode, OnShot: func(_ int, md []replay.MD) {
+				if shot > 0 && len(md) != want.MDPerShot {
+					want.MDVaries = true
+				}
+				for i, r := range md {
+					if i == len(want.Ones) {
+						want.Qubits = append(want.Qubits, r.Qubit)
+						want.Ones = append(want.Ones, 0)
+						if shot > 0 {
+							want.MDVaries = true
+						}
+					} else if want.Qubits[i] != r.Qubit {
+						want.MDVaries = true
+					}
+					want.Ones[i] += r.Result
+					h.Write([]byte{byte(r.Qubit), byte(r.Result)})
+				}
+				if len(md) > want.MDPerShot {
+					want.MDPerShot = len(md)
+				}
+				h.Write([]byte{0xFF})
+				shot++
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats.Merge(st)
+		}
+		want.StreamHash = h.Sum64()
+		want.Replayed, want.Safe, want.Compiled = stats.Replayed, stats.Safe, stats.Compiled
+		if !want.MDVaries || len(want.Ones) != 3 || shot != shots {
+			t.Fatalf("mode=%s: reference ran %d shots, MDVaries %v, %d columns; want a varying stream of 3 columns", mode, shot, want.MDVaries, len(want.Ones))
+		}
+
+		for _, sw := range []int{1, 3} {
+			for _, lanes := range []int{0, 1} {
+				p := ProgramParams{Source: src, Shots: shots, Replay: mode, ShotWorkers: sw, BatchLanes: lanes}
+				got, err := NewEnv().RunProgram(context.Background(), cfg, p)
+				if err != nil {
+					t.Fatalf("mode=%s ShotWorkers=%d BatchLanes=%d: %v", mode, sw, lanes, err)
+				}
+				want.Params = p
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("mode=%s ShotWorkers=%d BatchLanes=%d:\n got %+v\nwant %+v", mode, sw, lanes, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRabiShardedIdenticalAcrossEngines runs a Rabi sweep whose Rounds
+// exceed ShotShardSize (two shards per point, so the per-shard count
+// slots are summed) at every ShotWorkers × BatchLanes combination and
+// demands identical results.
+func TestRabiShardedIdenticalAcrossEngines(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Backend = core.BackendTrajectory
+	p := DefaultRabiParams()
+	p.Rounds = ShotShardSize + 44
+	var baseline *RabiResult
+	for _, sw := range []int{1, 3} {
+		for _, lanes := range []int{0, 1, 2} {
+			p.ShotWorkers, p.BatchLanes = sw, lanes
+			res, err := NewEnv().RunRabi(context.Background(), cfg, p)
+			if err != nil {
+				t.Fatalf("ShotWorkers=%d BatchLanes=%d: %v", sw, lanes, err)
+			}
+			res.Params.ShotWorkers, res.Params.BatchLanes = 0, 0
+			if baseline == nil {
+				baseline = res
+				continue
+			}
+			if !reflect.DeepEqual(res, baseline) {
+				t.Errorf("ShotWorkers=%d BatchLanes=%d: %v, want %v", sw, lanes, res.Excited, baseline.Excited)
+			}
 		}
 	}
 }
