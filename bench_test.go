@@ -264,6 +264,31 @@ func BenchmarkRB(b *testing.B) {
 	b.ReportMetric(epc, "err/Clifford")
 }
 
+// BenchmarkColdRB times the cold path of randomized benchmarking: each
+// iteration builds a fresh expt.Env, so every sequence program is new to
+// its program cache and every pooled machine is new, and runs one
+// Env.RunRB with the parameters of qumabench's rb_sweep workload
+// (trajectory, lengths 1–128, 4 trials, 400 rounds, one worker, one shot
+// worker), whose setup_s is this cold experiment. -short (the CI bench
+// smoke) runs four lengths and two trials.
+func BenchmarkColdRB(b *testing.B) {
+	cfg := core.DefaultConfig()
+	cfg.Backend = core.BackendTrajectory
+	p := expt.DefaultRBParams()
+	p.Trials, p.Rounds = 4, 400
+	p.Workers, p.ShotWorkers = 1, 1
+	if testing.Short() {
+		p.Lengths, p.Trials = []int{1, 8, 32, 128}, 2
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i + 1)
+		if _, err := expt.NewEnv().RunRB(context.Background(), cfg, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkQuMAvsAPS2 exercises the §6 comparison (E10): the APS2-style
 // sequencer with TDM synchronization stalls vs QuMA's stall-free
 // label-based timing; metrics report the stall cycles per synchronized

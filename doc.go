@@ -104,17 +104,24 @@
 // channels, pulse rotations, flux unitaries, measurement chains — against
 // the state backend for all remaining shots.
 //
-// On a cold machine the lead shots are each run's (each shard's) fixed
-// price, and every shot of a feedback program pays the same full
-// pipeline. A pooled machine that has already proven a program skips the
-// pipeline lead at its next reset point: the memo entry keeps the
-// cold-start shot 0 recorded at a reset point, and the engine replays
-// shot 0 from it and shots 1–2 from the steady schedule, bit-identical
-// to the pipeline lead, with the same Stats (Lead still counts the
-// window). On such a hit the memo alone decides correctness, so it is
-// invalidated by UploadPulse, SetQubitParams and any µop redefinition,
-// and mutating a machine's exported components after construction is
-// unsupported (core.Machine.ReplayCache). In steady state
+// On a cold machine the lead shots are a run's fixed price, and every
+// shot of a feedback program pays the same full pipeline. The lead-skip
+// rule (internal/replay, warmEntry) lets a machine at its reset point,
+// in a run of more than three shots without an event timeline, skip the
+// pipeline lead when the program is proven for it: its own memo holds a
+// cold-start shot 0 it recorded at an earlier reset point, or another
+// lane of the same lockstep call holds such an entry and the two
+// machines are core.Machine.LeadEquivalent — configs equal up to Seed,
+// neither customized since core.New by UploadPulse, SetQubitParams,
+// Define or DefinePrimitive. The engine then replays shot 0 from the
+// cold shot and shots 1–2 from the steady schedule, bit-identical to
+// the pipeline lead, with the same Stats (Lead still counts the window),
+// and the lane keeps the entry as proven. So a cold lockstep group of
+// equivalent lanes runs one pipeline lead, and a pooled machine none at
+// all once it holds the entry. On such a hit the memo alone decides
+// correctness, so it is invalidated by UploadPulse, SetQubitParams and
+// any µop redefinition, and mutating a machine's exported components
+// after construction is unsupported (core.Machine.ReplayCache). In steady state
 // that pipeline and Machine.ResetState allocate nothing
 // (TestFullPipelineShotDoesNotAllocate): the microcode and µop units
 // expand into reused buffers, and a reset clears the controller, queues
@@ -223,8 +230,8 @@
 // so it is part of the determinism contract, not a scheduling detail:
 // shard k runs on its own pooled machine seeded DeriveSeed(pointSeed, k),
 // executes its own lead/detect shots (replayed from the memo when the
-// machine has already proven the program) plus its slice of the replay
-// loop,
+// program is proven for the machine, by itself or by a lead-equivalent
+// lane of its lockstep group) plus its slice of the replay loop,
 // and results merge in shard order (per-shot callbacks run live in each
 // shard and write only shard-indexed slots, which the caller folds in
 // shard order; collector averages recomputed exactly from per-shard sums

@@ -18,6 +18,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"quma/internal/asm"
 	"quma/internal/awg"
@@ -71,9 +72,10 @@ type Config struct {
 	// Backend selects the quantum-state substrate (empty = density).
 	Backend Backend
 	// Qubit holds per-qubit coherence/control parameters; missing entries
-	// default to qphys.DefaultQubitParams. After New the values are
-	// captured by the machine's decoherence-channel cache — change them
-	// via Machine.SetQubitParams, not by writing Cfg.Qubit directly.
+	// default to qphys.DefaultQubitParams. New copies the slice, so
+	// machines built from one Config never share it. After New the values
+	// are captured by the machine's decoherence-channel cache — change
+	// them via Machine.SetQubitParams, not by writing Cfg.Qubit directly.
 	Qubit []qphys.QubitParams
 	// Readout configures the measurement chain (shared calibration).
 	Readout readout.Params
@@ -185,10 +187,12 @@ type Machine struct {
 	// entry against the freshly recorded schedule before reuse, so a
 	// stale entry can only miss. At a reset point (TakeResetPoint) the
 	// memo decides correctness alone: the engine replays the lead shots
-	// of a program this machine has already proven without recording
-	// anything. Such a hit is valid only between the invalidation points
-	// — UploadPulse, SetQubitParams, and the µop unit's definition
-	// generation (uop.Unit.Generation), which the engine checks — so
+	// of a program this machine has already proven, or that a
+	// LeadEquivalent machine proved in the same engine call, without
+	// recording anything. Such a hit is valid only between the
+	// invalidation points — UploadPulse, SetQubitParams, and the µop
+	// unit's definition generation (uop.Unit.Generation), which the
+	// engine checks — so
 	// mutating the exported components directly after construction
 	// (m.UOp.Delay, m.CTPG[q].Upload, m.Controller.CS, m.MDU fields,
 	// m.Cfg) is unsupported, as it already is for the rotation and
@@ -197,6 +201,11 @@ type Machine struct {
 	// resetPoint reports that no program has run since New or
 	// ResetState (see TakeResetPoint).
 	resetPoint bool
+	// customized records an UploadPulse or SetQubitParams call since
+	// New, and newGen is the µop unit's definition generation when New
+	// returned; ResetState clears neither (see LeadEquivalent).
+	customized bool
+	newGen     uint64
 	// PulsesPlayed counts codeword-triggered playbacks.
 	PulsesPlayed uint64
 	// Measurements counts MD events executed.
@@ -243,6 +252,9 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Readout.IntegrationSamples == 0 {
 		cfg.Readout = readout.DefaultParams()
 	}
+	// The machine owns its parameters: SetQubitParams writes Cfg.Qubit,
+	// which must not reach the caller's Config or another machine.
+	cfg.Qubit = slices.Clone(cfg.Qubit)
 	for len(cfg.Qubit) < cfg.NumQubits {
 		cfg.Qubit = append(cfg.Qubit, qphys.DefaultQubitParams())
 	}
@@ -292,6 +304,7 @@ func New(cfg Config) (*Machine, error) {
 	m.Controller = exec.NewController(microcode.StandardControlStore(), m.QMB)
 	// MD needs the controller for write-back, so it is wired afterwards.
 	m.QMB.MDQ.OnFire = m.onMD
+	m.newGen = m.UOp.Generation()
 	return m, nil
 }
 
@@ -355,6 +368,34 @@ func (m *Machine) TakeResetPoint() bool {
 	return at
 }
 
+// LeadEquivalent reports whether m and o are interchangeable at a reset
+// point: their configs are equal up to Seed, and neither has been
+// customized since core.New returned — no UploadPulse, SetQubitParams,
+// or µop Define/DefinePrimitive. Such machines hold the same LUTs, µop
+// definitions, control store and calibration, and the queue-based
+// timing makes their classical pipelines deterministic, so from a reset
+// point a program issues the same quantum operations on both, up to
+// what the PRNG draws. A customization marks a machine for its whole
+// life, pooled resets included, because ResetState keeps it. The replay
+// engine lets a machine replay its lead shots from an entry an
+// equivalent machine proved (internal/replay).
+func (m *Machine) LeadEquivalent(o *Machine) bool {
+	return m.pristine() && o.pristine() && configEqualUpToSeed(&m.Cfg, &o.Cfg)
+}
+
+// pristine reports that no customization was made since New.
+func (m *Machine) pristine() bool {
+	return !m.customized && m.UOp.Generation() == m.newGen
+}
+
+// configEqualUpToSeed compares every Config field except Seed.
+func configEqualUpToSeed(a, b *Config) bool {
+	return a.NumQubits == b.NumQubits && a.Backend == b.Backend &&
+		slices.Equal(a.Qubit, b.Qubit) && a.Readout == b.Readout &&
+		a.AmplitudeError == b.AmplitudeError && a.SSBHz == b.SSBHz &&
+		a.CollectK == b.CollectK && a.TraceEvents == b.TraceEvents
+}
+
 // SetProbe installs (or removes, with nil) the quantum-operation stream
 // observer.
 func (m *Machine) SetProbe(p Probe) { m.probe = p }
@@ -410,6 +451,7 @@ func (m *Machine) UploadPulse(q int, cw awg.Codeword, name string, w pulse.Wavef
 	// Compiled replay schedules alias the invalidated rotation entries;
 	// they would fail validation forever, so drop them now.
 	m.ReplayCache = nil
+	m.customized = true
 	return nil
 }
 
@@ -431,6 +473,7 @@ func (m *Machine) SetQubitParams(q int, p qphys.QubitParams) error {
 	// Compiled replay schedules alias the invalidated Kraus sets; drop
 	// them (see UploadPulse).
 	m.ReplayCache = nil
+	m.customized = true
 	return nil
 }
 

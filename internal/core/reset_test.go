@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -343,5 +345,135 @@ func TestTakeResetPoint(t *testing.T) {
 	m.ResetState(5)
 	if !m.TakeResetPoint() {
 		t.Fatal("ResetState must set the mark")
+	}
+}
+
+// TestNewCopiesQubitParams pins that a machine owns its qubit
+// parameters: SetQubitParams on one machine reaches neither another
+// machine built from the same Config value nor the caller's Config, so
+// the other machine's Cfg and its decoherence at a new idle duration are
+// those of a machine built from a fresh copy.
+func TestNewCopiesQubitParams(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.NumQubits = 2
+	cfg.Qubit = []qphys.QubitParams{qphys.DefaultQubitParams(), qphys.DefaultQubitParams()}
+	fresh := cfg
+	fresh.Qubit = slices.Clone(cfg.Qubit)
+	m1, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.New(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := cfg.Qubit[0]
+	p.T1 /= 2
+	if err := m1.SetQubitParams(0, p); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cfg.Qubit, fresh.Qubit) {
+		t.Fatalf("the caller's Config.Qubit changed to %+v", cfg.Qubit)
+	}
+	if !reflect.DeepEqual(m2.Cfg, ref.Cfg) {
+		t.Fatalf("a sibling machine's Cfg changed:\n%+v\nfresh copy's\n%+v", m2.Cfg, ref.Cfg)
+	}
+	const src = "Pulse {q0}, X180\nWait 4\nWait 1237\nMPG {q0}, 300\nMD {q0}, r7\nhalt\n"
+	for _, m := range []*core.Machine{m2, ref} {
+		if err := m.RunAssembly(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := m2.State.(*qphys.Density).Rho.Data, ref.State.(*qphys.Density).Rho.Data; !slices.Equal(got, want) {
+		t.Fatal("a sibling machine decoheres differently from a machine built from a fresh copy")
+	}
+}
+
+// TestLeadEquivalent pins the predicate the replay engine shares proven
+// lead shots by: machines built from one config are equivalent at any
+// seeds, pooled resets included; every Config field but Seed matters;
+// and UploadPulse, SetQubitParams, Define and DefinePrimitive on either
+// machine end the equivalence for good, ResetState included.
+func TestLeadEquivalent(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.NumQubits = 2
+	build := func(c core.Config) *core.Machine {
+		t.Helper()
+		m, err := core.New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	base := build(cfg)
+	seeded := cfg
+	seeded.Seed = 99
+	other := build(seeded)
+	other.ResetState(5)
+	if !base.LeadEquivalent(other) || !other.LeadEquivalent(base) || !base.LeadEquivalent(base) {
+		t.Fatal("machines of one config at other seeds must be equivalent")
+	}
+
+	// One perturbation per field: the list must name every field but
+	// Seed, so a field added to Config needs a row here.
+	perturb := map[string]func(*core.Config){
+		"NumQubits": func(c *core.Config) { c.NumQubits = 3 },
+		"Backend":   func(c *core.Config) { c.Backend = core.BackendTrajectory },
+		"Qubit": func(c *core.Config) {
+			c.Qubit = []qphys.QubitParams{qphys.DefaultQubitParams(), qphys.DefaultQubitParams()}
+			c.Qubit[1].FreqDetuningHz = 1e3
+		},
+		"Readout":        func(c *core.Config) { c.Readout.NoiseSigma *= 1.5 },
+		"AmplitudeError": func(c *core.Config) { c.AmplitudeError = 0.01 },
+		"SSBHz":          func(c *core.Config) { c.SSBHz *= 2 },
+		"CollectK":       func(c *core.Config) { c.CollectK = 2 },
+		"TraceEvents":    func(c *core.Config) { c.TraceEvents = true },
+	}
+	ct := reflect.TypeFor[core.Config]()
+	for i := range ct.NumField() {
+		name := ct.Field(i).Name
+		if _, ok := perturb[name]; !ok && name != "Seed" {
+			t.Fatalf("Config.%s has no perturbation", name)
+		}
+	}
+	for name, f := range perturb {
+		c := cfg
+		f(&c)
+		if m := build(c); m.LeadEquivalent(base) || base.LeadEquivalent(m) {
+			t.Errorf("configs that differ in %s are equivalent", name)
+		}
+	}
+
+	customs := map[string]func(*core.Machine){
+		"UploadPulse": func(m *core.Machine) {
+			w, name, _ := m.CTPG[0].Lookup(2)
+			if err := m.UploadPulse(0, 2, name, w); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"SetQubitParams": func(m *core.Machine) {
+			if err := m.SetQubitParams(0, m.Cfg.Qubit[0]); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"Define": func(m *core.Machine) {
+			seq, _ := m.UOp.Lookup("X90")
+			if err := m.UOp.Define("X90", seq); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"DefinePrimitive": func(m *core.Machine) { m.UOp.DefinePrimitive("X90", awg.Codeword(2)) },
+	}
+	for name, custom := range customs {
+		m := build(cfg)
+		custom(m)
+		m.ResetState(cfg.Seed)
+		if m.LeadEquivalent(base) || base.LeadEquivalent(m) || m.LeadEquivalent(m) {
+			t.Errorf("a machine customized by %s is still equivalent", name)
+		}
 	}
 }

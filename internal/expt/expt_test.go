@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"quma/internal/asm"
 	"quma/internal/core"
+	"quma/internal/isa"
 	"quma/internal/qphys"
 )
 
@@ -296,6 +299,23 @@ func TestRBSequenceRngMatchesMathRand(t *testing.T) {
 	}
 }
 
+// rbProgramGrid calls f on the RB program inputs the shot-program tests
+// share: sequence lengths 0, 1, 7 and 128, qubits 0–2, and init/measure
+// cycle pairs from the default to zero, negative and extreme values.
+func rbProgramGrid(f func(p RBParams, pulses []string)) {
+	rng := rand.New(rand.NewSource(3))
+	for _, m := range []int{0, 1, 7, 128} {
+		pulses, _ := RandomCliffordSequence(m, rng)
+		for q := 0; q <= 2; q++ {
+			for _, cycles := range [][2]int{{40000, 300}, {0, 0}, {-1, 7}, {1, math.MaxInt}, {math.MinInt, -300}} {
+				p := DefaultRBParams()
+				p.Qubit, p.InitCycles, p.MeasureCycles = q, cycles[0], cycles[1]
+				f(p, pulses)
+			}
+		}
+	}
+}
+
 // TestRBShotProgramMatchesFmt pins RBShotProgram's text to the fmt form
 // it replaced, byte for byte.
 func TestRBShotProgramMatchesFmt(t *testing.T) {
@@ -311,18 +331,53 @@ func TestRBShotProgramMatchesFmt(t *testing.T) {
 		fmt.Fprintf(&b, "halt\n")
 		return b.String()
 	}
-	rng := rand.New(rand.NewSource(3))
-	for _, m := range []int{0, 1, 7, 128} {
-		pulses, _ := RandomCliffordSequence(m, rng)
-		for q := 0; q <= 2; q++ {
-			for _, cycles := range [][2]int{{40000, 300}, {0, 0}, {-1, 7}, {1, math.MaxInt}, {math.MinInt, -300}} {
-				p := DefaultRBParams()
-				p.Qubit, p.InitCycles, p.MeasureCycles = q, cycles[0], cycles[1]
-				if got, want := RBShotProgram(p, pulses), byFmt(p, pulses); got != want {
-					t.Fatalf("m=%d q=%d cycles=%v:\n%s\nwant\n%s", m, q, cycles, got, want)
-				}
-			}
+	rbProgramGrid(func(p RBParams, pulses []string) {
+		if got, want := RBShotProgram(p, pulses), byFmt(p, pulses); got != want {
+			t.Fatalf("m=%d q=%d cycles=%d,%d:\n%s\nwant\n%s", len(pulses), p.Qubit, p.InitCycles, p.MeasureCycles, got, want)
 		}
+	})
+}
+
+// TestRBProgramMatchesAssembler pins the program RunRB builds directly
+// to the one asm.Assemble makes of RBShotProgram's text: equal
+// instruction for instruction, or the same error where the assembler
+// rejects the input. Beyond the shared grid it covers qubits outside the
+// register file and pulse names the text form would not spell as a
+// plain token.
+func TestRBProgramMatchesAssembler(t *testing.T) {
+	accepted, rejected := 0, 0
+	check := func(p RBParams, pulses []string) {
+		want, wantErr := asm.Assemble(RBShotProgram(p, pulses))
+		if wantErr != nil {
+			rejected++
+		} else {
+			accepted++
+		}
+		got, err := rbProgram(p, pulses)
+		switch {
+		case wantErr != nil:
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("q=%d cycles=%d,%d pulses=%q: error %v, assembler's %v", p.Qubit, p.InitCycles, p.MeasureCycles, pulses, err, wantErr)
+			}
+		case err != nil:
+			t.Fatalf("q=%d cycles=%d,%d pulses=%q: %v, assembler accepts it", p.Qubit, p.InitCycles, p.MeasureCycles, pulses, err)
+		case !reflect.DeepEqual(got, want):
+			t.Fatalf("q=%d cycles=%d,%d pulses=%q:\n%+v\nassembler's\n%+v", p.Qubit, p.InitCycles, p.MeasureCycles, pulses, got, want)
+		}
+	}
+	rbProgramGrid(check)
+	p := DefaultRBParams()
+	for _, q := range []int{-1, isa.MaxQubits - 1, isa.MaxQubits} {
+		p.Qubit = q
+		check(p, []string{"X90", "Y180"})
+	}
+	p.Qubit = 1
+	for _, g := range []string{"", " X90", "X 90", "X90,", "a:b", "X90#c", "Y90//c", "{q1}", "Xm90\nhalt"} {
+		check(p, []string{"X90", g})
+	}
+	t.Logf("%d inputs assemble, %d are rejected", accepted, rejected)
+	if accepted == 0 || rejected == 0 {
+		t.Fatal("the inputs no longer cover both outcomes")
 	}
 }
 

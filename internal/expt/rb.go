@@ -4,12 +4,15 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 
+	"quma/internal/asm"
 	"quma/internal/core"
 	"quma/internal/fit"
+	"quma/internal/isa"
 	"quma/internal/prng"
 	"quma/internal/replay"
 )
@@ -96,6 +99,49 @@ func RBShotProgram(p RBParams, pulses []string) string {
 	return b.String()
 }
 
+// rbProgram returns the program asm.Assemble makes of
+// RBShotProgram(p, pulses), built directly, instruction for instruction
+// (TestRBProgramMatchesAssembler): RunRB meets a new sequence at almost
+// every point of a cold experiment, and parsing the text it has just
+// written was a tenth of that experiment's CPU. A qubit outside the
+// register file or a pulse name that is not a plain identifier takes the
+// text path, so it fails or parses exactly as the text does.
+func rbProgram(p RBParams, pulses []string) (*isa.Program, error) {
+	if p.Qubit < 0 || p.Qubit >= isa.MaxQubits || slices.ContainsFunc(pulses, notIdent) {
+		return asm.Assemble(RBShotProgram(p, pulses))
+	}
+	q := isa.MaskQ(p.Qubit)
+	instrs := make([]isa.Instruction, 0, 2*len(pulses)+5)
+	instrs = append(instrs,
+		isa.Instruction{Op: isa.OpMov, Rd: 15, Imm: int64(p.InitCycles)},
+		isa.Instruction{Op: isa.OpQNopReg, Rs: 15})
+	for _, g := range pulses {
+		instrs = append(instrs,
+			isa.Instruction{Op: isa.OpPulse, QAddr: q, UOp: g},
+			isa.Instruction{Op: isa.OpWait, Imm: 4})
+	}
+	instrs = append(instrs,
+		isa.Instruction{Op: isa.OpMPG, QAddr: q, Imm: int64(p.MeasureCycles)},
+		isa.Instruction{Op: isa.OpMD, QAddr: q, Rd: 7},
+		isa.Instruction{Op: isa.OpHalt})
+	prog := &isa.Program{Instrs: instrs, Labels: map[string]int{}}
+	if err := prog.Validate(); err != nil {
+		return nil, err
+	}
+	return prog, nil
+}
+
+// notIdent reports whether s is not a non-empty run of ASCII letters,
+// digits and underscores — not a name the assembler reads back as is.
+func notIdent(s string) bool {
+	for _, r := range s {
+		if !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '_') {
+			return true
+		}
+	}
+	return s == ""
+}
+
 // rbSeqRngs holds the sequence generators RunRB reseeds per point: a
 // rand.Rand over a prng.Source, math/rand's generator ported verbatim,
 // so a reseeded one draws exactly the sequence a fresh
@@ -129,7 +175,9 @@ func (e *Env) RunRB(ctx context.Context, cfg core.Config, p RBParams) (*RBResult
 		seqRng.Seed(DeriveSeed(p.Seed, i))
 		pulses, _ := RandomCliffordSequence(length, seqRng)
 		rbSeqRngs.Put(seqRng)
-		prog, err := e.progs.get(RBShotProgram(p, pulses))
+		prog, err := e.progs.getOrBuild(RBShotProgram(p, pulses), func(string) (*isa.Program, error) {
+			return rbProgram(p, pulses)
+		})
 		if err != nil {
 			return err
 		}

@@ -100,16 +100,6 @@ func DeriveSeed2(base int64, a, b int) int64 {
 	return DeriveSeed(DeriveSeed(base, a), b)
 }
 
-// sweepConfig returns a copy of cfg seeded for sweep point i, with the
-// Qubit slice deep-copied so concurrently built machines never append
-// into shared backing storage.
-func sweepConfig(cfg core.Config, seed int64) core.Config {
-	c := cfg
-	c.Seed = seed
-	c.Qubit = append([]qphys.QubitParams(nil), cfg.Qubit...)
-	return c
-}
-
 // PanicError wraps a panic recovered from a sweep worker: the panic
 // value and the stack captured at the recovery site. Converting the
 // panic into an error keeps one failing sweep point from killing the
@@ -227,13 +217,22 @@ func newProgramCache() *programCache {
 	return &programCache{progs: make(map[string]*isa.Program)}
 }
 
+// get returns the program src assembles to, assembling it on a miss.
 func (c *programCache) get(src string) (*isa.Program, error) {
+	return c.getOrBuild(src, asm.Assemble)
+}
+
+// getOrBuild returns the cached program for src or, on a miss, caches
+// and returns build(src), which must be what asm.Assemble(src) returns.
+// The cache stays keyed by text whichever built the program, so a
+// program keeps its pointer identity for the replay memo.
+func (c *programCache) getOrBuild(src string, build func(string) (*isa.Program, error)) (*isa.Program, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if p, ok := c.progs[src]; ok {
 		return p, nil
 	}
-	p, err := asm.Assemble(src)
+	p, err := build(src)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +313,11 @@ func (mp *machinePool) get(seed int64) (*core.Machine, error) {
 		m.ResetState(seed)
 		return m, nil
 	}
-	return core.New(sweepConfig(mp.cfg, seed))
+	// core.New copies Cfg.Qubit, so machines built concurrently from
+	// the pool's config share no parameters.
+	cfg := mp.cfg
+	cfg.Seed = seed
+	return core.New(cfg)
 }
 
 func (mp *machinePool) put(m *core.Machine) {

@@ -80,17 +80,20 @@ func TestProgramResultPureUnderWarmMemo(t *testing.T) {
 // TestWarmShardsSkipLead checks that the shot-shard runner really
 // reuses proven programs: with scalar shards run one after another,
 // every shard after the first takes a pooled machine that has already
-// proven the program, so it replays its lead shots and executes no
-// instruction — with the merged stats of a run that paid every lead.
+// proven the program, and with the shards as lanes of one lockstep group
+// on fresh machines, every lane after the first takes the entry the
+// first lane proved. Either way those shards replay their lead shots
+// and execute no instruction — with the merged stats of a run that paid
+// every lead.
 func TestWarmShardsSkipLead(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Backend = core.BackendTrajectory
 	cfg.NumQubits = 5
 	prog := asm.MustAssemble(RepCodeShotProgram(DefaultRepCodeParams(), false))
 	const shots = 1024
-	run := func(mode replay.Mode) (replay.Stats, []uint64) {
+	for _, lanes := range []int{1, 4} {
 		steps := make([]uint64, ShotShardCount(shots))
-		st, err := RunShots(context.Background(), cfg, prog, shots, Engine{ShotWorkers: 1, BatchLanes: 1, Replay: mode},
+		st, err := RunShots(context.Background(), cfg, prog, shots, Engine{ShotWorkers: 1, BatchLanes: lanes, Replay: replay.ModeAuto},
 			func(k int, m *core.Machine, _ replay.Stats) error {
 				steps[k] = m.Controller.Steps
 				return nil
@@ -98,22 +101,21 @@ func TestWarmShardsSkipLead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st, steps
-	}
-	st, steps := run(replay.ModeAuto)
-	if st.Lead != 3*len(steps) || st.Replayed != shots-st.Lead {
-		t.Fatalf("merged stats %+v, want every shard's lead counted", st)
-	}
-	skipped := 0
-	for _, s := range steps[1:] {
-		if s == 0 {
-			skipped++
+		if st.Lead != 3*len(steps) || st.Replayed != shots-st.Lead {
+			t.Fatalf("lanes %d: merged stats %+v, want every shard's lead counted", lanes, st)
 		}
-	}
-	// One shot worker runs the shards back to back, and the pool hands
-	// each the machine the previous one returned.
-	if steps[0] == 0 || skipped != len(steps[1:]) {
-		t.Fatalf("per-shard instruction counts %v: the first shard must run the pipeline lead and later ones skip it", steps)
+		skipped := 0
+		for _, s := range steps[1:] {
+			if s == 0 {
+				skipped++
+			}
+		}
+		// One shot worker runs scalar shards back to back, and the pool
+		// hands each the machine the previous one returned; four lanes
+		// are one group of four fresh, lead-equivalent machines.
+		if steps[0] == 0 || skipped != len(steps[1:]) {
+			t.Fatalf("lanes %d: per-shard instruction counts %v: the first shard must run the pipeline lead and later ones skip it", lanes, steps)
+		}
 	}
 }
 
@@ -121,7 +123,9 @@ func TestWarmShardsSkipLead(t *testing.T) {
 // machines an experiment returned survive garbage collections, and a
 // second RunRB on the same Env finds every program proven, so no lane
 // of it runs a single instruction (every lead replays from the memo)
-// and no machine is built.
+// and no machine is built. In the first, cold RunRB only one lane of
+// each point's two-lane group runs the pipeline lead: its sibling
+// replays its lead from the entry that lane proved.
 func TestPoolKeepsMachinesAcrossGC(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Backend = core.BackendTrajectory
@@ -131,6 +135,31 @@ func TestPoolKeepsMachinesAcrossGC(t *testing.T) {
 	p.Rounds = 300 // two shards per point
 	p.Workers, p.ShotWorkers = 1, 1
 	env := NewEnv()
+	mp := env.poolFor(cfg)
+	// pipelined counts the pooled machines whose last point ran a
+	// pipeline lead (the caller holds mp.mu).
+	pipelined := func() int {
+		n := 0
+		for _, m := range mp.free {
+			if m.Controller.Steps != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	// With one worker a point's two machines are back in the pool, and
+	// still hold their instruction counts, at the next point's first get.
+	checkCold := func(when string) {
+		mp.mu.Lock()
+		defer mp.mu.Unlock()
+		if len(mp.free) == 2 && pipelined() != 1 {
+			t.Errorf("%s: %d of the last point's two lanes ran the pipeline lead, want one", when, pipelined())
+		}
+	}
+	env.SetFaults(&FaultHooks{PoolGet: func() error {
+		checkCold("before a get")
+		return nil
+	}})
 	run := func() []byte {
 		res, err := env.RunRB(context.Background(), cfg, p)
 		if err != nil {
@@ -143,7 +172,7 @@ func TestPoolKeepsMachinesAcrossGC(t *testing.T) {
 		return out
 	}
 	first := run()
-	mp := env.poolFor(cfg)
+	checkCold("after the cold run")
 	if len(env.pools) != 1 {
 		t.Fatalf("%d pools, want the experiment's one", len(env.pools))
 	}

@@ -6,13 +6,16 @@
 //
 // Lead and detection shots stay per lane on the scalar machines — they
 // feed each lane's PRNG stream (cold-start transient, recording,
-// comparison) and let every lane validate replay safety against its own
-// controller and caches, or, on a warm lane (at its reset point, holding
-// a cold shot its machine proved), replay that window from the memo on
-// the scalar executor. Only the steady-state replayed shots run
-// batched, and only on the lanes that detected safety (or hold a proven
-// entry), hold trajectory state, and recorded a schedule value-identical
-// to the group's first member. Every other lane completes on its own — the
+// comparison) and let a lane validate replay safety against its own
+// controller and caches, or, on a lane the lead-skip rule admits
+// (warmEntry: at its reset point, holding a cold shot its machine
+// proved or that a lead-equivalent lane of the same call proved),
+// replay that window from the memo on the scalar executor. So a cold
+// group of lead-equivalent lanes runs one pipeline lead, its first
+// lane's. Only the steady-state replayed shots run batched, and only on
+// the lanes that detected safety (or hold a proven entry), hold
+// trajectory state, and recorded a schedule value-identical to the
+// group's first member. Every other lane completes on its own — the
 // full pipeline when unsafe, its own compiled schedule otherwise —
 // which is bit-identical anyway: batching is only ever a throughput
 // fast path, never a semantic one.
@@ -104,26 +107,37 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 		return stats, nil
 	}
 
-	// A warm lane — at its reset point, holding a cold shot it proved
-	// for this program — replays its lead window from the memo (ents[i]
-	// is then its entry). Every other lane runs the lead through the
-	// pipeline, recording shots 1 and 2 and, at a reset point, the cold
-	// shot 0 (colds[i]).
+	// A lane whose lead warmEntry admits replays it from the memo
+	// (ents[i] is then its entry). Lanes warm on their own are found
+	// first, so that a cold lane can take a warm sibling's entry. Every
+	// other lane runs the lead through the pipeline, recording shots 1
+	// and 2 and, at a reset point, the cold shot 0; a safe one memoizes
+	// at once, so that a later lane can take its entry.
 	scheds := make([][]op, len(lanes))
-	colds := make([][]op, len(lanes))
 	ents := make([]*entry, len(lanes))
 	reasons := make([]string, len(lanes))
+	atReset := make([]bool, len(lanes))
+	var provers []prover
+	for i, ln := range lanes {
+		atReset[i] = ln.M.TakeResetPoint()
+		if e := warmEntry(ln.M, p, counts[i], atReset[i], nil); e != nil {
+			provers = append(provers, prover{ln.M, e})
+		}
+	}
+	var cand *entry // the call's first entry, shared where it matches
+	if len(provers) > 0 {
+		cand = provers[0].e
+	}
 	coldOps := 0 // the last cold recording's length sizes the next
 	for i, ln := range lanes {
-		atReset := ln.M.TakeResetPoint()
-		if e := warmEntry(ln.M, p, counts[i], atReset); e != nil {
+		if e := warmEntry(ln.M, p, counts[i], atReset[i], provers); e != nil {
 			if err := e.replayLead(ctx, ln); err != nil {
 				return stats, err
 			}
 			scheds[i], ents[i] = e.sched, e
 			continue
 		}
-		recordCold := atReset && counts[i] > detectShots
+		recordCold := atReset[i] && counts[i] > detectShots
 		rec := recs[i]
 		var rs [detectShots][]op
 		for shot := 0; shot < min(counts[i], detectShots); shot++ {
@@ -146,7 +160,7 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 			coldOps = len(rs[0])
 		}
 		rec.recording = false
-		colds[i], scheds[i] = rs[0], rs[2]
+		scheds[i] = rs[2]
 		switch unsafe := ln.M.Controller.ReplayUnsafeReason(); {
 		case counts[i] <= detectShots:
 			reasons[i] = "too few shots to amortize recording"
@@ -154,6 +168,14 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 			reasons[i] = unsafe
 		case !schedulesEqual(rs[1], rs[2]):
 			reasons[i] = "schedule is not shot-invariant"
+		default:
+			ents[i] = memoize(ln.M, p, rs[2], rs[0], cand)
+			if cand == nil {
+				cand = ents[i]
+			}
+			if rs[0] != nil {
+				provers = append(provers, prover{ln.M, ents[i]})
+			}
 		}
 	}
 
@@ -162,7 +184,8 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 	// that differs from the group's) replay their own compiled
 	// schedule. The group is every other safe lane: trajectory state,
 	// schedule equal to its first member's (schedulesEqual compares by
-	// value, so distinct machines of identical configs match).
+	// value, so distinct machines of identical configs match), replayed
+	// from that member's entry.
 	var group []int
 	for i, ln := range lanes {
 		st := &stats[i]
@@ -179,36 +202,14 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 			group = append(group, i)
 			continue
 		}
-		e := ents[i]
-		if e == nil {
-			e = memoize(ln.M, p, scheds[i], colds[i], nil)
-		}
-		if st.Replayed, err = e.c.run(ctx, ln.M, ln.BaseShot, detectShots, counts[i], ln.OnShot); err != nil {
+		if st.Replayed, err = ents[i].c.run(ctx, ln.M, ln.BaseShot, detectShots, counts[i], ln.OnShot); err != nil {
 			return stats, err
 		}
 	}
 	if group == nil {
 		return stats, nil
 	}
-	// One entry per group: a warm member brings its proven entry, and
-	// every member that ran the pipeline lead stores the group's entry
-	// when its own recordings value-equal it, so each lane's machine can
-	// skip the lead at its next reset point.
-	var e *entry
-	for _, i := range group {
-		if ents[i] != nil {
-			e = ents[i]
-			break
-		}
-	}
-	for _, i := range group {
-		if ents[i] == nil {
-			if x := memoize(lanes[i].M, p, scheds[i], colds[i], e); e == nil {
-				e = x
-			}
-		}
-	}
-	return stats, e.c.runLockstep(ctx, lanes, group, counts, stats)
+	return stats, ents[group[0]].c.runLockstep(ctx, lanes, group, counts, stats)
 }
 
 // runLockstep replays the group's lanes from their first post-lead shot

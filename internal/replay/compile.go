@@ -56,10 +56,12 @@ type memo map[*isa.Program]memoSlot
 
 // memoSlot is one machine's hold on a program's entry. Entries are
 // shared by every machine whose own recordings value-equal them (the
-// lanes of one lockstep group), so what is particular to the machine
-// lives here: warm reports that this machine's own shot-0 recording,
-// made at a reset point while its µop unit was at definition generation
-// gen, proved the entry's cold shot.
+// lanes of one lockstep group) and by the LeadEquivalent lanes that
+// replayed their lead from them, so what is particular to the machine
+// lives here: warm reports that the entry's cold shot is proven for
+// this machine — by its own shot-0 recording at a reset point, or by a
+// LeadEquivalent lane of the same engine call — while its µop unit was
+// at definition generation gen.
 type memoSlot struct {
 	e    *entry
 	warm bool
@@ -126,18 +128,17 @@ func (cs *coldShot) matches(sched, cold []op) bool {
 // identity, the memo lets a machine pooled for a sweep (or for the batch
 // service, whose assembly cache keeps program pointers stable) compile
 // each program once, however many programs interleave on it. cand, when
-// non-nil, is the entry of the lane's lockstep group, preferred so the
+// non-nil, is an entry of the same engine call, preferred so a lockstep
 // group's machines share one compiled form. An entry is stored on m
 // only when m's own recordings value-equal it: a hit keeps the entry, a
 // steady-only hit gains a new entry that shares the compiled steady
 // form, and a miss compiles. On a pipeline lead every hit is validated
-// against the fresh recording, so a stale entry can only miss.
+// against the fresh recording, so a stale entry can only miss. An entry
+// stored with a cold shot is proven: m may replay its lead from it at a
+// later reset point, and so may a LeadEquivalent lane of the same call
+// (warmEntry).
 func memoize(m *core.Machine, p *isa.Program, sched, cold []op, cand *entry) *entry {
 	mm, _ := m.ReplayCache.(memo)
-	if mm == nil {
-		mm = make(memo)
-		m.ReplayCache = mm
-	}
 	own := mm[p]
 	if cold == nil && own.e != nil && schedulesEqual(own.e.sched, sched) {
 		// Keeps a cold shot this machine proved at an earlier reset
@@ -169,33 +170,57 @@ func memoize(m *core.Machine, p *isa.Program, sched, cold []op, cand *entry) *en
 			e.cold = newColdShot(e.sched, e.c, cold)
 		}
 	}
-	if _, ok := mm[p]; !ok && len(mm) >= maxCompiledPrograms {
+	remember(m, p, memoSlot{e: e, warm: cold != nil, gen: m.UOp.Generation()})
+	return e
+}
+
+// remember stores s as machine m's slot for program p. A full memo is
+// flushed before a new program enters it.
+func remember(m *core.Machine, p *isa.Program, s memoSlot) {
+	mm, _ := m.ReplayCache.(memo)
+	if _, ok := mm[p]; mm == nil || !ok && len(mm) >= maxCompiledPrograms {
 		mm = make(memo)
 		m.ReplayCache = mm
 	}
-	mm[p] = memoSlot{e: e, warm: cold != nil, gen: m.UOp.Generation()}
-	return e
+	mm[p] = s
+}
+
+// prover is a lane of one engine call whose machine holds a proven
+// entry for the call's program: one with a cold shot recorded at a
+// reset point of a safe run of more than detectShots shots.
+type prover struct {
+	m *core.Machine
+	e *entry
 }
 
 // warmEntry returns the entry from which machine m may replay the lead
 // shot window of a shots-shot run of p instead of running the pipeline,
-// or nil. That needs a machine at its reset point (atReset, from
-// core.Machine.TakeResetPoint), more than detectShots shots (shorter
-// runs stay on the pipeline), no event timeline (only the pipeline
-// produces it), and a cold shot this machine proved under its current
-// µop definitions (UploadPulse and SetQubitParams already drop the
-// memo). No fresh recording re-validates such a hit: the memo decides
-// correctness alone (see core.Machine.ReplayCache).
-func warmEntry(m *core.Machine, p *isa.Program, shots int, atReset bool) *entry {
+// or nil. It is the lead-skip rule, and the one place that states it.
+// m must be at its reset point (atReset, from TakeResetPoint), the run
+// must have more than detectShots shots (shorter runs stay on the
+// pipeline), and m must keep no event timeline (only the pipeline
+// produces it). Then either m holds a cold
+// shot it proved under its current µop definitions (UploadPulse and
+// SetQubitParams already drop the memo), or one of the call's provers
+// is core.Machine.LeadEquivalent to m — equal configs up to Seed, and
+// neither customized since core.New — and m stores that prover's entry
+// as its own proven one. No fresh recording re-validates such a hit:
+// the memo decides correctness alone (see core.Machine.ReplayCache).
+func warmEntry(m *core.Machine, p *isa.Program, shots int, atReset bool, provers []prover) *entry {
 	if !atReset || shots <= detectShots || m.Cfg.TraceEvents {
 		return nil
 	}
 	mm, _ := m.ReplayCache.(memo)
-	s := mm[p]
-	if !s.warm || s.gen != m.UOp.Generation() {
-		return nil
+	if s := mm[p]; s.warm && s.gen == m.UOp.Generation() {
+		return s.e
 	}
-	return s.e
+	for _, pr := range provers {
+		if pr.m.LeadEquivalent(m) {
+			remember(m, p, memoSlot{e: pr.e, warm: true, gen: m.UOp.Generation()})
+			return pr.e
+		}
+	}
+	return nil
 }
 
 // compiled is a shot schedule after compilation.

@@ -12,6 +12,7 @@ import (
 	"quma/internal/conformance"
 	"quma/internal/core"
 	"quma/internal/isa"
+	"quma/internal/qphys"
 )
 
 // laneRun is what one lane of an engine run leaves behind: its
@@ -102,26 +103,38 @@ func reference(t *testing.T, cfg core.Config, prog *isa.Program, shots int, cust
 // TestLeadElisionBitExact pins the lead-window skip against the full
 // pipeline. Lanes are warm (the machine already ran the program and was
 // reset, so it replays shots 0–2 from its memo) or cold (a fresh
-// machine), mixed within one RunBatch; every lane must reproduce a
-// ModeOff run on a fresh machine bit for bit, report the stats of a
-// pipeline lead, and have skipped the pipeline exactly when warm (a
-// skipped lead executes no instruction).
+// machine), mixed within one RunBatch or all cold; every lane must
+// reproduce a ModeOff run on a fresh machine bit for bit and report the
+// stats of a pipeline lead. The lanes' machines are lead-equivalent
+// (one config, seeds apart), so the group runs exactly one pipeline
+// lead when every lane is cold — its first lane's, three full-pipeline
+// shots in all — and none when a lane is warm: every other lane
+// replays its lead from the proven entry (a skipped lead executes no
+// instruction).
 func TestLeadElisionBitExact(t *testing.T) {
 	progs := safePrograms()
+	groups := []struct {
+		name string
+		nl   int
+		cold bool
+	}{{"lanes", 1, false}, {"lanes", 2, false}, {"lanes", 8, false}, {"cold", 2, true}, {"cold", 3, true}, {"cold", 8, true}}
 	for _, b := range []core.Backend{core.BackendDensity, core.BackendTrajectory} {
 		for pi, sp := range progs {
 			prog := sp.prog
-			for _, nl := range []int{1, 2, 8} {
-				if b == core.BackendDensity && nl > 2 {
-					// Density lanes never batch: two lanes already mix a
-					// warm and a cold one.
-					continue
-				}
-				for _, shots := range []int{4, 5, 300} {
-					t.Run(fmt.Sprintf("%s/prog%d/lanes%d/shots%d", b, pi, nl, shots), func(t *testing.T) {
-						lanes := make([]BatchLane, nl)
-						runs := make([]*laneRun, nl)
-						warm := func(j int) bool { return j%3 != 1 }
+			for _, shots := range []int{4, 5, 300} {
+				// Lane j runs at seed 50+j in every group, so the groups
+				// share its ModeOff reference.
+				refs := map[int]*laneRun{}
+				for _, g := range groups {
+					if b == core.BackendDensity && !g.cold && g.nl > 2 {
+						// Density lanes never batch: two lanes already mix a
+						// warm and a cold one.
+						continue
+					}
+					t.Run(fmt.Sprintf("%s/prog%d/%s%d/shots%d", b, pi, g.name, g.nl, shots), func(t *testing.T) {
+						lanes := make([]BatchLane, g.nl)
+						runs := make([]*laneRun, g.nl)
+						warm := func(j int) bool { return !g.cold && j%3 != 1 }
 						for j := range lanes {
 							cfg := elisionConfig(b, sp, int64(50+j))
 							m, err := core.New(cfg)
@@ -141,14 +154,27 @@ func TestLeadElisionBitExact(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						var steps, perShot uint64
 						for j := range lanes {
-							if got := lanes[j].M.Controller.Steps == 0; got != warm(j) {
-								t.Fatalf("lane %d (warm %v): lead skipped = %v", j, warm(j), got)
+							// Only an all-cold group's first lane proves the
+							// program; every other lane takes its entry.
+							if got, want := lanes[j].M.Controller.Steps == 0, !g.cold || j > 0; got != want {
+								t.Fatalf("lane %d (warm %v): lead skipped = %v, want %v", j, warm(j), got, want)
 							}
+							steps += lanes[j].M.Controller.Steps
 							if st := stats[j]; !st.Safe || !st.Compiled || st.Lead != detectShots || st.Replayed != shots-detectShots {
 								t.Fatalf("lane %d stats %+v, want a compiled run with a %d-shot lead", j, st, detectShots)
 							}
-							requireSameRun(t, reference(t, elisionConfig(b, sp, int64(50+j)), prog, shots, nil), runs[j])
+							ref := refs[j]
+							if ref == nil {
+								ref = reference(t, elisionConfig(b, sp, int64(50+j)), prog, shots, nil)
+								refs[j] = ref
+							}
+							requireSameRun(t, ref, runs[j])
+							perShot = ref.m.Controller.Steps / uint64(shots)
+						}
+						if g.cold && steps != detectShots*perShot {
+							t.Fatalf("the group executed %d instructions, want one pipeline lead of %d shots × %d", steps, detectShots, perShot)
 						}
 					})
 				}
@@ -162,7 +188,11 @@ func TestLeadElisionBitExact(t *testing.T) {
 // timeline, a preset register, a machine not reset since its last run,
 // a run too short to replay, and ModeOff. Each case must run the
 // pipeline and, where the reference is well defined, still reproduce a
-// fresh ModeOff run with the same customization.
+// fresh ModeOff run with the same customization. Its Sibling cases list
+// what keeps a cold lane from taking the entry its batch's first lane
+// proved: a customization of either machine since core.New, configs
+// that differ beyond Seed, a prover that is unsafe, runs detectShots
+// shots or fewer, or is not at its reset point, and an event timeline.
 func TestLeadElisionNeedsProvenResetPoint(t *testing.T) {
 	sp := safePrograms()[1]
 	prog := sp.prog
@@ -242,6 +272,93 @@ func TestLeadElisionNeedsProvenResetPoint(t *testing.T) {
 		}
 	}
 
+	// Siblings: lane 0 (the would-be prover) and lane 1 start cold in
+	// one RunBatch. Lane 1 may replay its lead from lane 0's entry only
+	// in the control case.
+	siblings := []struct {
+		name            string
+		skip            bool
+		src             string
+		trace           bool
+		proverShots     int
+		cfg             func(*core.Config) // lane 1's config
+		prover, sibling func(*core.Machine)
+	}{
+		{name: "Control", skip: true},
+		{name: "SiblingUploadPulse", sibling: reupload},
+		{name: "SiblingSetQubitParams", sibling: func(m *core.Machine) {
+			if err := m.SetQubitParams(0, m.Cfg.Qubit[0]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "SiblingDefine", sibling: func(m *core.Machine) {
+			seq, _ := m.UOp.Lookup("X90")
+			if err := m.UOp.Define("X90", seq); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "ProverDefinePrimitive", prover: func(m *core.Machine) { m.UOp.DefinePrimitive("X90", awg.Codeword(2)) }},
+		{name: "ConfigAmplitudeError", cfg: func(c *core.Config) { c.AmplitudeError = 1e-3 }},
+		{name: "ConfigQubit", cfg: func(c *core.Config) {
+			c.Qubit = make([]qphys.QubitParams, c.NumQubits)
+			for q := range c.Qubit {
+				c.Qubit[q] = qphys.DefaultQubitParams()
+			}
+			c.Qubit[1].T2 *= 0.9
+		}},
+		{name: "ProverUnsafe", src: feedbackShot},
+		{name: "ProverThreeShots", proverShots: detectShots},
+		{name: "ProverNotAtResetPoint", prover: func(m *core.Machine) { m.Controller.Regs[5] = 7 }},
+		{name: "TraceEvents", trace: true},
+	}
+	for _, b := range []core.Backend{core.BackendDensity, core.BackendTrajectory} {
+		for _, c := range siblings {
+			t.Run(string(b)+"/Sibling/"+c.name, func(t *testing.T) {
+				prog := sp.prog
+				if c.src != "" {
+					prog = asm.MustAssemble(c.src)
+				}
+				cfgs := [2]core.Config{elisionConfig(b, sp, 7), elisionConfig(b, sp, 8)}
+				for j := range cfgs {
+					cfgs[j].TraceEvents = c.trace
+				}
+				if c.cfg != nil {
+					c.cfg(&cfgs[1])
+				}
+				custom := [2]func(*core.Machine){c.prover, c.sibling}
+				counts := [2]int{shots, shots}
+				if c.proverShots != 0 {
+					counts[0] = c.proverShots
+				}
+				lanes := make([]BatchLane, 2)
+				runs := make([]*laneRun, 2)
+				for j := range lanes {
+					m, err := core.New(cfgs[j])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if custom[j] != nil {
+						custom[j](m)
+					}
+					runs[j] = &laneRun{m: m}
+					lanes[j] = BatchLane{M: m, Shots: counts[j], OnShot: watch(t, runs[j], 0)}
+				}
+				if _, err := RunBatch(context.Background(), prog, lanes, shots, ModeAuto); err != nil {
+					t.Fatal(err)
+				}
+				if lanes[0].M.Controller.Steps == 0 {
+					t.Fatal("the first lane skipped its lead")
+				}
+				if got := lanes[1].M.Controller.Steps == 0; got != c.skip {
+					t.Fatalf("the sibling's lead skipped = %v, want %v", got, c.skip)
+				}
+				for j := range lanes {
+					requireSameRun(t, reference(t, cfgs[j], prog, counts[j], custom[j]), runs[j])
+				}
+			})
+		}
+	}
+
 	// A machine that skipped its lead and runs again without a reset
 	// is not at a reset point: the second run takes the pipeline.
 	t.Run("NoReset", func(t *testing.T) {
@@ -268,9 +385,11 @@ func TestLeadElisionNeedsProvenResetPoint(t *testing.T) {
 	})
 }
 
-// TestLeadElisionSharesGroupEntry pins the memo's shape: after one
-// lockstep run on fresh machines, every lane holds the group's one
-// entry, proven warm, so each machine skips its lead at its next reset.
+// TestLeadElisionSharesGroupEntry pins the memo's shape: in one
+// lockstep run on fresh lead-equivalent machines only the first lane
+// runs the pipeline lead, the others replay theirs from its entry, and
+// afterwards every lane holds the group's one entry, proven warm, so
+// each machine skips its lead at its next reset.
 func TestLeadElisionSharesGroupEntry(t *testing.T) {
 	sp := safePrograms()[0]
 	prog := sp.prog
@@ -284,6 +403,11 @@ func TestLeadElisionSharesGroupEntry(t *testing.T) {
 	}
 	if _, err := RunBatch(context.Background(), prog, lanes, 20, ModeAuto); err != nil {
 		t.Fatal(err)
+	}
+	for j, ln := range lanes {
+		if got := ln.M.Controller.Steps != 0; got != (j == 0) {
+			t.Fatalf("lane %d ran the pipeline lead = %v, want only lane 0's", j, got)
+		}
 	}
 	e := lanes[0].M.ReplayCache.(memo)[prog].e
 	if e == nil || e.cold == nil {

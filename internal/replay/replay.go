@@ -38,27 +38,42 @@
 //     (core.Machine.ReplayCache) and validated against each fresh
 //     recording, so pooled machines compile each program once per
 //     lifetime.
-//   - Skips the lead on a machine that has already proven the program:
-//     the queue-based timing makes the classical pipeline deterministic,
-//     so from a reset point (core.Machine.TakeResetPoint) a safe program
-//     always issues the same three lead schedules. Each memo entry also
-//     keeps the cold-start shot 0, recorded at a reset point and stored
-//     as its head before the suffix it shares with the steady schedule.
-//     A lane whose machine is at its reset point and holds a cold shot it
-//     proved itself replays shot 0 from it and shots 1–2 from the steady
-//     schedule on the scalar executor — no pipeline, no recording — then
-//     joins the replay loop at shot 3 as before. On such a hit the memo
-//     decides correctness alone, with no fresh recording to validate it:
-//     a hit is valid only at a reset point, between the memo's
-//     invalidation points (UploadPulse, SetQubitParams and the µop
+//   - Skips the lead on a machine for which the program is proven: the
+//     queue-based timing makes the classical pipeline deterministic, so
+//     from a reset point (core.Machine.TakeResetPoint) a safe program
+//     always issues the same three lead schedules — on one machine, and
+//     on every machine that is core.Machine.LeadEquivalent to it. Each
+//     memo entry also keeps the cold-start shot 0, recorded at a reset
+//     point and stored as its head before the suffix it shares with the
+//     steady schedule. The rule, stated once (warmEntry): a lane whose
+//     machine is at its reset point, in a run of more than detectShots
+//     shots without Cfg.TraceEvents, replays shot 0 from a cold shot and
+//     shots 1–2 from the steady schedule on the scalar executor — no
+//     pipeline, no recording — then joins the replay loop at shot 3 as
+//     before, when either its machine proved that cold shot itself, or
+//     another lane of the same RunBatch call holds a proven entry (a
+//     lane warm on its own, or one whose pipeline lead just recorded the
+//     cold shot at a reset point in a safe run) and the two machines are
+//     lead-equivalent: configs equal up to Seed, and neither customized
+//     since core.New by UploadPulse, SetQubitParams, Define or
+//     DefinePrimitive. Such a lane stores the entry in its own memo as
+//     proven, so a cold lockstep group of equivalent lanes runs one
+//     pipeline lead, not one per lane. Lanes warm on their own go first,
+//     so a cold lane can take a warm sibling's entry. On such a hit the
+//     memo decides correctness alone, with no fresh recording to
+//     validate it: a hit is valid only at a reset point, between the
+//     memo's invalidation points (UploadPulse, SetQubitParams and the µop
 //     unit's definition generation), and mutating the machine's exported
 //     components directly after construction is unsupported (see
 //     core.Machine.ReplayCache). Runs of detectShots shots or fewer,
-//     ModeOff and Cfg.TraceEvents (only the pipeline produces the
-//     timeline) keep the pipeline lead. One entry is published per
-//     lockstep group and stored on every lane whose own recordings
-//     value-equal it, so entries are shared across machines and, being
-//     immutable, across the goroutines that drive them.
+//     ModeOff, Cfg.TraceEvents (only the pipeline produces the
+//     timeline), lanes that are not lead-equivalent to a prover (Rabi's
+//     per-point LUT upload customizes every lane) and provers that are
+//     unsafe or recorded no cold shot keep the pipeline lead. One entry
+//     is published per lockstep group and stored on every lane whose own
+//     recordings value-equal it or that replayed its lead from it, so
+//     entries are shared across machines and, being immutable, across
+//     the goroutines that drive them.
 //
 // Feedback programs (e.g. examples/feedback, the corrected repetition
 // code) are detected as unsafe and transparently fall back to full
