@@ -162,10 +162,12 @@
 //
 // # Compiled replay schedules
 //
-// Replay compiles the recorded schedule once into specialized
-// closure-free steps (internal/replay/compile.go lowering into
-// qphys.SchedOp); it is the engine's only replay path ("interp" survives
-// as a deprecated alias of it). The compiled-schedule invariants:
+// Replay runs specialized closure-free steps (qphys.SchedOp): the
+// engine's recorder lowers each recorded operation to exactly one step
+// as it is observed, so a recorded shot is already the compiled form
+// once its population carries are linked (internal/replay/compile.go).
+// It is the engine's only replay path ("interp" survives as a
+// deprecated alias of it). The compiled-schedule invariants:
 //
 //   - PRNG-order preservation. Compilation never adds, removes, or
 //     reorders a PRNG draw: one variate per multi-operator channel in
@@ -186,15 +188,15 @@
 //     the same Source for the cold draws (readout noise, density-matrix
 //     measurement). The stream is part of the determinism contract, with
 //     math/rand as its test oracle (internal/prng/stream_test.go).
-//   - Per-schedule tables. Each decoherence channel's axis-aligned
+//   - Per-recorder tables. Each decoherence channel's axis-aligned
 //     pricing coefficients and operator tables are hoisted out of the
-//     shot loop into one qphys.ChannelTable, deduplicated by the
-//     machine cache's Kraus-slice identity. A table accepts only the
+//     shot loop into one qphys.ChannelTable per recorder, deduplicated
+//     by the machine cache's Kraus-slice identity. A table accepts only the
 //     channel class the machine records (real-diagonal and anti-diagonal
 //     operators, 2 to 16 of them), so the compiled executors carry no
 //     dense or complex-diagonal path. Likewise the flux CZ is the one
-//     two-qubit step (qphys.SchedCZ): lowering panics on any other
-//     recorded two-qubit operator, and every executor panics, naming
+//     two-qubit step (qphys.SchedCZ): the recorder panics on any other
+//     two-qubit operator, and every executor panics, naming
 //     the kind, on a step kind it does not compile.
 //   - Population carries. A kernel that already sweeps the state
 //     (channel application, same-qubit unitary, projection) accumulates
@@ -203,8 +205,9 @@
 //     passes; carries thread through the CZ (negation keeps every
 //     |a|²) and across consecutive shots (the steady-state schedule is
 //     circular).
-//   - Devirtualized dispatch. A type switch binds the whole shot loop to
-//     the concrete backend: *qphys.Trajectory runs one RunSchedule pass
+//   - Devirtualized dispatch. One function (the replay engine's
+//     executor) binds a replayed lane to its concrete backend once:
+//     *qphys.Trajectory runs one RunSchedule pass
 //     per shot with the hot channel path inlined, *qphys.Density gets
 //     direct concrete-type calls and hoisted operator/conjugate tables.
 //     A new backend needs its own executor before it can replay. On a

@@ -70,10 +70,20 @@ func NewCTPG() *CTPG {
 // it to the DAC resolution. Re-uploading a codeword replaces the entry,
 // which is how recalibration works on the real device.
 func (c *CTPG) Upload(cw Codeword, name string, w pulse.Waveform) error {
+	if err := CheckFullScale(name, w); err != nil {
+		return err
+	}
+	c.lut[cw] = lutEntry{name: name, wave: pulse.Quantize(w, c.DACBits)}
+	return nil
+}
+
+// CheckFullScale reports whether waveform w, named name, fits the DAC
+// full scale: the check Upload applies, so a caller can reject a
+// waveform before any machine is built.
+func CheckFullScale(name string, w pulse.Waveform) error {
 	if w.MaxAbs() > 1 {
 		return fmt.Errorf("awg: waveform %q exceeds DAC full scale (max %.3f)", name, w.MaxAbs())
 	}
-	c.lut[cw] = lutEntry{name: name, wave: pulse.Quantize(w, c.DACBits)}
 	return nil
 }
 

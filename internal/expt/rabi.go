@@ -3,6 +3,7 @@ package expt
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"quma/internal/awg"
@@ -64,6 +65,13 @@ type RabiResult struct {
 	PiScale float64
 }
 
+// RabiPulse synthesizes the swept Rabi pulse at one amplitude scale:
+// the nominal π pulse scaled by scale, with the machine's amplitude
+// error applied as it is to the standard library.
+func RabiPulse(scale, ssbHz, amplitudeError float64) pulse.Waveform {
+	return awg.SynthesizeStandard(awg.StandardPulse{Codeword: RabiCodeword, Name: "RABI", Theta: math.Pi * scale}, ssbHz, amplitudeError)
+}
+
 // RunRabi sweeps the drive amplitude on the parallel sweep engine: each
 // scale point runs on its own machine seeded with DeriveSeed(cfg.Seed,
 // point), with the scaled pulse uploaded into the machine's spare LUT
@@ -83,11 +91,6 @@ func (e *Env) RunRabi(ctx context.Context, cfg core.Config, p RabiParams) (*Rabi
 	if cfg.NumQubits <= p.Qubit {
 		cfg.NumQubits = p.Qubit + 1
 	}
-	// The machine applies its own AmplitudeError to the standard
-	// library; the sweep reproduces that by scaling the nominal π pulse
-	// and re-synthesizing with the same error knob.
-	nominal := awg.StandardPulse{Codeword: RabiCodeword, Name: "RABI", Phi: 0, Theta: 3.141592653589793}
-
 	// Every scale point shares one per-shot program (the swept quantity
 	// lives in the LUT, not the program text), so the cache assembles it
 	// exactly once for the whole sweep.
@@ -107,9 +110,7 @@ func (e *Env) RunRabi(ctx context.Context, cfg core.Config, p RabiParams) (*Rabi
 		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, ShotShardPlan(p.Rounds), p.Engine,
 			func(m *core.Machine) error {
 				m.UOp.DefinePrimitive("RABI", RabiCodeword)
-				scaled := nominal
-				scaled.Theta = nominal.Theta * p.Scales[i]
-				w := awg.SynthesizeStandard(scaled, m.Cfg.SSBHz, cfg.AmplitudeError)
+				w := RabiPulse(p.Scales[i], m.Cfg.SSBHz, cfg.AmplitudeError)
 				if err := m.UploadPulse(p.Qubit, RabiCodeword, "RABI", w); err != nil {
 					return fmt.Errorf("expt: uploading scale %.3f: %w", p.Scales[i], err)
 				}

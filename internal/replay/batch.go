@@ -91,7 +91,7 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 	// pool or are discarded, never with a live probe).
 	recs := make([]*recorder, len(lanes))
 	for i, ln := range lanes {
-		recs[i] = &recorder{}
+		recs[i] = &recorder{tables: make(map[*qphys.Matrix]*qphys.ChannelTable)}
 		ln.M.SetProbe(recs[i])
 		ln.M.Controller.ResetReplayTracking()
 	}
@@ -113,7 +113,6 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 	// other lane runs the lead through the pipeline, recording shots 1
 	// and 2 and, at a reset point, the cold shot 0; a safe one memoizes
 	// at once, so that a later lane can take its entry.
-	scheds := make([][]op, len(lanes))
 	ents := make([]*entry, len(lanes))
 	reasons := make([]string, len(lanes))
 	atReset := make([]bool, len(lanes))
@@ -134,39 +133,40 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 			if err := e.replayLead(ctx, ln); err != nil {
 				return stats, err
 			}
-			scheds[i], ents[i] = e.sched, e
+			ents[i] = e
 			continue
 		}
 		recordCold := atReset[i] && counts[i] > detectShots
 		rec := recs[i]
-		var rs [detectShots][]op
+		var rs [detectShots]*compiled
 		for shot := 0; shot < min(counts[i], detectShots); shot++ {
-			// Recorded shots go into fresh schedules, each sized from the
-			// previous shot's operation count (the cold shot 0 from the
-			// previous lane's): shot 1 is kept for the comparison, and
-			// shot 2 and the cold shot may be memoized.
+			// Recorded shots go into fresh step slices, each sized from
+			// the previous shot's operation count (the cold shot 0 from
+			// the previous lane's): shot 1 is kept for the comparison,
+			// and shot 2 and the cold shot may be memoized. A shot's
+			// pulse count is read from the machine around it.
 			rec.recording = shot > 0 || recordCold
 			if rec.recording {
-				rec.sched = make([]op, 0, max(rec.ops, coldOps))
+				rec.steps = make([]qphys.SchedOp, 0, max(rec.ops, coldOps))
 			}
+			pulses := ln.M.PulsesPlayed
 			if err := laneFullShots(ctx, p, rec, ln, shot, shot+1); err != nil {
 				return stats, err
 			}
 			if rec.recording {
-				rs[shot] = rec.sched
+				rs[shot] = rec.shot(ln.M.PulsesPlayed - pulses)
 			}
 		}
 		if rs[0] != nil {
-			coldOps = len(rs[0])
+			coldOps = len(rs[0].ops)
 		}
 		rec.recording = false
-		scheds[i] = rs[2]
 		switch unsafe := ln.M.Controller.ReplayUnsafeReason(); {
 		case counts[i] <= detectShots:
 			reasons[i] = "too few shots to amortize recording"
 		case unsafe != "":
 			reasons[i] = unsafe
-		case !schedulesEqual(rs[1], rs[2]):
+		case !sameShot(rs[1], rs[2]):
 			reasons[i] = "schedule is not shot-invariant"
 		default:
 			ents[i] = memoize(ln.M, p, rs[2], rs[0], cand)
@@ -183,9 +183,9 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 	// cannot join the lockstep group (another backend, or a schedule
 	// that differs from the group's) replay their own compiled
 	// schedule. The group is every other safe lane: trajectory state,
-	// schedule equal to its first member's (schedulesEqual compares by
-	// value, so distinct machines of identical configs match), replayed
-	// from that member's entry.
+	// schedule equal to its first member's (sameShot compares by value,
+	// so distinct machines of identical configs match), replayed from
+	// that member's entry.
 	var group []int
 	for i, ln := range lanes {
 		st := &stats[i]
@@ -198,11 +198,11 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 		}
 		st.Safe, st.Compiled, st.Lead = true, true, detectShots
 		ln.M.SetProbe(nil)
-		if _, ok := ln.M.State.(*qphys.Trajectory); ok && (group == nil || schedulesEqual(scheds[group[0]], scheds[i])) {
+		if _, ok := ln.M.State.(*qphys.Trajectory); ok && (group == nil || sameShot(ents[group[0]].c, ents[i].c)) {
 			group = append(group, i)
 			continue
 		}
-		if st.Replayed, err = ents[i].c.run(ctx, ln.M, ln.BaseShot, detectShots, counts[i], ln.OnShot); err != nil {
+		if st.Replayed, err = ents[i].c.run(ctx, ln, executor(ln.M), detectShots, counts[i]); err != nil {
 			return stats, err
 		}
 	}
@@ -214,9 +214,10 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 
 // runLockstep replays the group's lanes from their first post-lead shot
 // on one compiled schedule: in lockstep on a qphys.TrajBatch while two
-// or more lanes have shots left, the last survivor alone on the scalar
-// executor. Lockstep runs up to the shortest member's count, then the
-// batch hands its state back and the survivors start a new one.
+// or more lanes have shots left, the last survivor alone on its scalar
+// executor, bound after the batch has handed its state back.
+// Lockstep runs up to the shortest member's count, then the batch hands
+// its state back and the survivors start a new one.
 func (c *compiled) runLockstep(ctx context.Context, lanes []BatchLane, group, counts []int, stats []Stats) error {
 	md := make([][]MD, len(group))
 	for j := range md {
@@ -270,7 +271,7 @@ func (c *compiled) runLockstep(ctx context.Context, lanes []BatchLane, group, co
 	}
 	i := group[0]
 	ln := lanes[i]
-	n, err := c.run(ctx, ln.M, ln.BaseShot, done, counts[i], ln.OnShot)
+	n, err := c.run(ctx, ln, executor(ln.M), done, counts[i])
 	stats[i].Replayed += n
 	return err
 }

@@ -1,22 +1,25 @@
-// compile.go turns a validated shot schedule into a compiled form:
-// closure-free specialized steps (qphys.SchedOp) bound to the concrete
-// state-backend type. Replaying the recorded operations one call at a
-// time through the qphys.State interface would pay, per shot, for
-// interface dispatch on every operation, per-call operator
-// classification and Born-weight derivation inside ApplyKraus1, and one
-// population pass per channel application and measurement. Compilation
-// hoists all of that out of the shot loop:
+// compile.go holds the compiled form of a shot schedule: closure-free
+// specialized steps (qphys.SchedOp) run by devirtualized executors.
+// Replaying the recorded operations one call at a time through the
+// qphys.State interface would pay, per shot, for interface dispatch on
+// every operation, per-call operator classification and Born-weight
+// derivation inside ApplyKraus1, and one population pass per channel
+// application and measurement. The compiled form hoists all of that out
+// of the shot loop:
 //
-//   - Every recorded operation lowers to exactly one step that applies
-//     the same operator — the schedule is never rewritten, reordered, or
-//     merged, so compiled replay performs the full pipeline's arithmetic.
-//     Compilation covers exactly the operation classes the machine
-//     records: single-qubit unitaries (pulse rotations and detuning
-//     phases; those with real diagonal entries, every pulse rotation,
-//     take the cheaper Apply1RD kernel), decoherence idles, the flux CZ
-//     (SchedCZ) and measurements.
+//   - The recorder (replay.go) lowers each operation applied to the
+//     state to exactly one step that applies the same operator, as the
+//     operation is observed — the schedule is never rewritten,
+//     reordered, or merged, so compiled replay performs the full
+//     pipeline's arithmetic. A recorded shot is thus already the
+//     compiled form; compiling it only links its population carries.
+//     Steps cover exactly the operation classes the machine records:
+//     single-qubit unitaries (pulse rotations and detuning phases; those
+//     with real diagonal entries, every pulse rotation, take the cheaper
+//     Apply1RD kernel; a timing-only pulse applies nothing and has no
+//     step), decoherence idles, the flux CZ (SchedCZ) and measurements.
 //   - Each decoherence channel's Kraus pricing coefficients and operator
-//     tables are hoisted once per schedule into a qphys.ChannelTable,
+//     tables are hoisted once per recorder into a qphys.ChannelTable,
 //     deduplicated by the machine cache's Kraus-slice identity. A
 //     recorded idle always carries 4 or 8 real-diagonal or anti-diagonal
 //     operators (qphys.DecoherenceChannel; identity idles are never
@@ -27,17 +30,18 @@
 //     populations during that step's own application pass, in the exact
 //     addition order a standalone pass would use. Carries flow through
 //     the CZ, which preserves every |a|² bit for bit. The CZ is the
-//     machine's only two-qubit gate, so lowering panics on any other
-//     recorded two-qubit operator, as NewChannelTable does on a channel
-//     it does not compile.
-//   - The executors are devirtualized: the trajectory backend runs the
-//     whole shot in one qphys.RunSchedule pass (or, for lockstep lanes,
+//     machine's only two-qubit gate, so the recorder panics on any other
+//     two-qubit operator, as NewChannelTable does on a channel it does
+//     not compile.
+//   - The executors are devirtualized, and a lane's backend is chosen in
+//     one place (executor): the trajectory backend runs the whole shot
+//     in one qphys.RunSchedule pass (or, for lockstep lanes,
 //     qphys.TrajBatch.RunScheduleBatch); the density backend gets direct
 //     concrete-type calls.
 //
 // All per-schedule scratch (step slice, channel tables, measurement
-// buffer) is allocated at compile time, so compiled replay performs zero
-// heap allocations per shot.
+// buffer) is allocated before the replay loop, so compiled replay
+// performs zero heap allocations per shot.
 package replay
 
 import (
@@ -68,106 +72,96 @@ type memoSlot struct {
 	gen  uint64
 }
 
-// entry is a proven program: the recorded steady-state schedule (for
-// validation against fresh recordings), its compiled form, and — when
-// one was recorded at a reset point — the cold-start shot. An entry is
-// immutable once published: shared entries are read by several shot
-// workers at once.
+// entry is a proven program: the compiled steady-state shot (which fresh
+// recordings are also validated against) and — when one was recorded at
+// a reset point — the cold-start shot. An entry is immutable once
+// published: shared entries are read by several shot workers at once.
 type entry struct {
-	sched []op
-	c     *compiled
-	cold  *coldShot
+	c    *compiled
+	cold *coldShot
 }
 
 // coldShot is shot 0 of a reset machine, stored relative to the steady
-// schedule it precedes. The two differ only in each qubit's first idle,
+// shot it precedes. The two differ only in each qubit's first idle,
 // which runs from time zero, so the cold shot keeps only its head — the
-// recording up to its longest common suffix with the steady schedule —
-// and replays that suffix from the steady compiled form. (RB m=128: the
-// head is op 0 of 504; the d=3 repcode: ops 0–26 of 52.)
+// steps before its longest common suffix with the steady shot — and
+// replays that suffix from the steady compiled form. (RB m=128: the
+// head is step 0 of 504; the d=3 repcode: steps 0–26 of 52.)
 type coldShot struct {
-	head []op      // the recorded operations before the shared suffix
-	post int       // length of the shared suffix, in recorded operations
-	c    *compiled // head, compiled without the wrap-around link
-	tail int       // first step of the shared suffix in the steady compiled form
-	// pulses is the cold shot's PulsesPlayed increment.
-	pulses uint64
+	// c is the head, linked without the wrap-around link; c.pulses is
+	// the whole cold shot's PulsesPlayed increment.
+	c    *compiled
+	tail int // first step of the shared suffix in the steady compiled form
 }
 
 // newColdShot builds the stored form of cold, a shot-0 recording, next
-// to the steady schedule sched and its compiled form c.
-func newColdShot(sched []op, c *compiled, cold []op) *coldShot {
+// to the steady compiled form c.
+func newColdShot(c, cold *compiled) *coldShot {
 	post := 0
-	for post < len(cold) && post < len(sched) && opEqual(&cold[len(cold)-1-post], &sched[len(sched)-1-post]) {
+	for post < len(cold.ops) && post < len(c.ops) && stepEqual(&cold.ops[len(cold.ops)-1-post], &c.ops[len(c.ops)-1-post]) {
 		post++
 	}
-	cs := &coldShot{head: slices.Clone(cold[:len(cold)-post]), post: post}
-	cs.c = lowerSchedule(cs.head, make(map[*qphys.Matrix]*qphys.ChannelTable))
-	cs.c.linkCarries(false)
-	// Lowered without tables, the steady schedule's part before the
-	// suffix only counts its steps and pulses.
-	pre := lowerSchedule(sched[:len(sched)-post], nil)
-	cs.tail = len(pre.ops)
-	cs.pulses = cs.c.pulses + c.pulses - pre.pulses
-	return cs
+	head := &compiled{ops: slices.Clone(cold.ops[:len(cold.ops)-post]), pulses: cold.pulses, nMD: cold.nMD}
+	head.linkCarries(false)
+	return &coldShot{c: head, tail: len(c.ops) - post}
 }
 
-// matches reports whether cold, a fresh shot-0 recording, value-equals
-// the stored cold shot. sched is the steady schedule the cold shot was
-// stored against, or any schedule value-equal to it: the recording
-// machine's own, whose shared cache entries compare by pointer.
-func (cs *coldShot) matches(sched, cold []op) bool {
-	n := len(cs.head)
-	return len(cold) == n+cs.post && schedulesEqual(cold[:n], cs.head) &&
-		schedulesEqual(cold[n:], sched[len(sched)-cs.post:])
+// matches reports whether cold, a fresh shot-0 recording, replays as the
+// stored cold shot, whose shared suffix is that of c, the steady form it
+// was stored against.
+func (cs *coldShot) matches(c, cold *compiled) bool {
+	n := len(cs.c.ops)
+	return cold.pulses == cs.c.pulses && len(cold.ops) == n+len(c.ops)-cs.tail &&
+		stepsEqual(cold.ops[:n], cs.c.ops) && stepsEqual(cold.ops[n:], c.ops[cs.tail:])
 }
 
 // memoize resolves machine m's entry for program p after a lead shot
-// window that recorded the steady schedule sched and, at a reset point,
+// window that recorded the steady shot steady and, at a reset point,
 // the cold shot cold (nil otherwise), and returns it. Keyed by program
 // identity, the memo lets a machine pooled for a sweep (or for the batch
 // service, whose assembly cache keeps program pointers stable) compile
 // each program once, however many programs interleave on it. cand, when
 // non-nil, is an entry of the same engine call, preferred so a lockstep
 // group's machines share one compiled form. An entry is stored on m
-// only when m's own recordings value-equal it: a hit keeps the entry, a
+// only when m's own recordings replay as it: a hit keeps the entry, a
 // steady-only hit gains a new entry that shares the compiled steady
-// form, and a miss compiles. On a pipeline lead every hit is validated
-// against the fresh recording, so a stale entry can only miss. An entry
-// stored with a cold shot is proven: m may replay its lead from it at a
-// later reset point, and so may a LeadEquivalent lane of the same call
-// (warmEntry).
-func memoize(m *core.Machine, p *isa.Program, sched, cold []op, cand *entry) *entry {
+// form, and a miss compiles the recording itself. On a pipeline lead
+// every hit is validated against the fresh recording, so a stale entry
+// can only miss. An entry stored with a cold shot is proven: m may
+// replay its lead from it at a later reset point, and so may a
+// LeadEquivalent lane of the same call (warmEntry).
+func memoize(m *core.Machine, p *isa.Program, steady, cold *compiled, cand *entry) *entry {
 	mm, _ := m.ReplayCache.(memo)
 	own := mm[p]
-	if cold == nil && own.e != nil && schedulesEqual(own.e.sched, sched) {
+	if cold == nil && own.e != nil && sameShot(own.e.c, steady) {
 		// Keeps a cold shot this machine proved at an earlier reset
 		// point.
 		return own.e
 	}
-	var steady *entry
+	var hit *entry // an entry whose steady form matches, cold shot or not
 	var e *entry
 	for _, x := range [2]*entry{cand, own.e} {
-		if x == nil || !schedulesEqual(x.sched, sched) {
+		if x == nil || !sameShot(x.c, steady) {
 			continue
 		}
-		if cold == nil || (x.cold != nil && x.cold.matches(sched, cold)) {
+		if cold == nil || (x.cold != nil && x.cold.matches(x.c, cold)) {
 			e = x
 			break
 		}
-		if steady == nil {
-			steady = x
+		if hit == nil {
+			hit = x
 		}
 	}
 	if e == nil {
-		e = &entry{sched: sched}
-		if steady != nil {
-			e.sched, e.c = steady.sched, steady.c
+		if hit != nil {
+			e = &entry{c: hit.c}
 		} else {
-			e.c = compileSchedule(sched)
+			// Compiling takes ownership of the recording.
+			steady.linkCarries(true)
+			e = &entry{c: steady}
 		}
 		if cold != nil {
-			e.cold = newColdShot(e.sched, e.c, cold)
+			e.cold = newColdShot(e.c, cold)
 		}
 	}
 	remember(m, p, memoSlot{e: e, warm: cold != nil, gen: m.UOp.Generation()})
@@ -223,75 +217,20 @@ func warmEntry(m *core.Machine, p *isa.Program, shots int, atReset bool, provers
 	return nil
 }
 
-// compiled is a shot schedule after compilation.
+// compiled is one shot's steps: as recorded, and once linkCarries has
+// run, compiled.
 type compiled struct {
 	ops []qphys.SchedOp
-	// pulses is the per-shot PulsesPlayed increment (pulse playbacks —
-	// including timing-only zero-rotation ones — and two-qubit flux
-	// pulses), applied once per replayed shot instead of per operation.
+	// pulses is the shot's PulsesPlayed increment (pulse playbacks —
+	// including timing-only ones, which have no step — and two-qubit flux
+	// pulses), read from the machine's counter around the recorded shot
+	// and applied once per replayed shot.
 	pulses uint64
 	// nMD is the number of measurements per shot (sizes the MD buffer).
 	nMD int
 }
 
-// compileSchedule compiles a recorded steady-state schedule. Channel
-// tables are deduplicated by the identity of the machine-cached Kraus
-// slice, so every application of one decoherence channel shares one
-// table.
-func compileSchedule(sched []op) *compiled {
-	c := lowerSchedule(sched, make(map[*qphys.Matrix]*qphys.ChannelTable))
-	c.linkCarries(true)
-	return c
-}
-
-// lowerSchedule lowers every recorded operation to its steps (none, one
-// or two each), with no population carries linked. Channel tables are
-// built into tables, keyed by Kraus-slice identity; a nil map leaves
-// channel steps without a table, which only counts the steps.
-func lowerSchedule(sched []op, tables map[*qphys.Matrix]*qphys.ChannelTable) *compiled {
-	c := &compiled{}
-	addUnitary := func(q int, u qphys.Matrix) {
-		kind := qphys.SchedApply1
-		if qphys.RealDiag2(u) {
-			kind = qphys.SchedApply1RD
-		}
-		c.ops = append(c.ops, qphys.SchedOp{Kind: kind, Q: int16(q), U: u, CarryFor: -1})
-	}
-	for i := range sched {
-		o := &sched[i]
-		switch o.kind {
-		case opIdle:
-			if o.u.N != 0 {
-				addUnitary(o.q, o.u)
-			}
-			if o.kraus != nil {
-				ct, ok := tables[&o.kraus[0]]
-				if !ok && tables != nil {
-					ct = qphys.NewChannelTable(o.kraus)
-					tables[&o.kraus[0]] = ct
-				}
-				c.ops = append(c.ops, qphys.SchedOp{Kind: qphys.SchedChannel, Q: int16(o.q), Ch: ct, CarryFor: -1})
-			}
-		case opPulse:
-			if o.u.N != 0 {
-				addUnitary(o.q, o.u)
-			}
-			c.pulses++
-		case opGate2:
-			if !qphys.IsCZ(o.u) {
-				panic(fmt.Sprintf("replay: recorded two-qubit gate on (q%d, q%d) is not the CZ; compiled replay has no step for it", o.q, o.qb))
-			}
-			c.ops = append(c.ops, qphys.SchedOp{Kind: qphys.SchedCZ, Q: int16(o.q), Qb: int16(o.qb), U: o.u, CarryFor: -1})
-			c.pulses++
-		case opMeasure:
-			c.ops = append(c.ops, qphys.SchedOp{Kind: qphys.SchedMeasure, Q: int16(o.q), CarryFor: -1})
-			c.nMD++
-		}
-	}
-	return c
-}
-
-// linkCarries links the population carries of a lowered schedule; wrap
+// linkCarries links the population carries of a recorded shot; wrap
 // adds the wrap-around link of a steady-state schedule, whose shots run
 // back to back.
 func (c *compiled) linkCarries(wrap bool) {
@@ -382,96 +321,76 @@ func runDensity(m *core.Machine, d *qphys.Density, ops []qphys.SchedOp, md []MD)
 	return md
 }
 
-// run replays shots first..shots-1 from the compiled schedule, binding
-// the whole shot loop to the concrete backend type once. The context is
-// consulted every ctxCheckShots shots (bounded-staleness preemption); a
-// preempted run returns the wrapped ctx.Err() with the count of shots
-// already replayed. base offsets the shot indices reported to onShot and
-// in preemption messages (Options.BaseShot): shot-sharded callers run
-// each shard as its own engine invocation but number shots globally.
-func (c *compiled) run(ctx context.Context, m *core.Machine, base, first, shots int, onShot func(int, []MD)) (int, error) {
-	md := make([]MD, 0, c.nMD)
-	replayed := 0
-	check := func(shot int) error {
-		if (shot-first)%ctxCheckShots != 0 {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("replay: preempted at shot %d: %w", base+shot, err)
-		}
-		return nil
-	}
+// executor binds machine m's state backend, once, to a function that
+// runs one shot's steps and appends its measurements to md; the caller
+// adds the shot's PulsesPlayed increment. It is the one place a
+// replayed shot's backend is chosen. The trajectory function threads
+// the population carry from each call into the next, so its calls must
+// run back to back on the state: the schedule is circular.
+func executor(m *core.Machine) func(ops []qphys.SchedOp, md []MD) []MD {
 	switch state := m.State.(type) {
 	case *qphys.Trajectory:
 		// The trajectory executor lives in qphys (one devirtualized pass
 		// per shot); the callback finishes each measurement through the
-		// machine chain and collects the shot's results. The population
-		// carry threads across shots — the schedule is circular.
+		// machine chain and collects the shot's results.
+		var out []MD
 		measure := func(q, outcome int) {
-			md = append(md, MD{Qubit: q, Result: m.FinishMeasure(outcome)})
+			out = append(out, MD{Qubit: q, Result: m.FinishMeasure(outcome)})
 		}
 		carry, carryQ := qphys.PopCarry{}, -1
-		for shot := first; shot < shots; shot++ {
-			if err := check(shot); err != nil {
-				return replayed, err
-			}
-			md = md[:0]
-			carry, carryQ = state.RunSchedule(c.ops, carry, carryQ, measure)
-			m.PulsesPlayed += c.pulses
-			replayed++
-			if onShot != nil {
-				onShot(base+shot, md)
-			}
+		return func(ops []qphys.SchedOp, md []MD) []MD {
+			out = md
+			carry, carryQ = state.RunSchedule(ops, carry, carryQ, measure)
+			return out
 		}
 	case *qphys.Density:
-		for shot := first; shot < shots; shot++ {
-			if err := check(shot); err != nil {
-				return replayed, err
-			}
-			md = runDensity(m, state, c.ops, md[:0])
-			m.PulsesPlayed += c.pulses
-			replayed++
-			if onShot != nil {
-				onShot(base+shot, md)
+		return func(ops []qphys.SchedOp, md []MD) []MD { return runDensity(m, state, ops, md) }
+	}
+	panic(fmt.Sprintf("replay: no compiled executor for state backend %T", m.State))
+}
+
+// run replays shots first..shots-1 of lane ln from the compiled
+// schedule through shot, the lane's executor. The context is consulted
+// every ctxCheckShots shots (bounded-staleness preemption); a preempted
+// run returns the wrapped ctx.Err() with the count of shots already
+// replayed. Shot indices reported to OnShot and in preemption messages
+// are offset by ln.BaseShot: shot-sharded callers run each shard as its
+// own engine invocation but number shots globally.
+func (c *compiled) run(ctx context.Context, ln BatchLane, shot func([]qphys.SchedOp, []MD) []MD, first, shots int) (int, error) {
+	md := make([]MD, 0, c.nMD)
+	for s := first; s < shots; s++ {
+		if (s-first)%ctxCheckShots == 0 {
+			if err := ctx.Err(); err != nil {
+				return s - first, fmt.Errorf("replay: preempted at shot %d: %w", ln.BaseShot+s, err)
 			}
 		}
-	default:
-		return 0, fmt.Errorf("replay: no compiled executor for state backend %T", m.State)
+		md = shot(c.ops, md[:0])
+		ln.M.PulsesPlayed += c.pulses
+		if ln.OnShot != nil {
+			ln.OnShot(ln.BaseShot+s, md)
+		}
 	}
-	return replayed, nil
+	return shots - first, nil
 }
 
 // replayLead runs a warm lane's lead shot window (shots 0 to
 // detectShots-1) from its proven entry instead of the pipeline: shot 0
 // from the cold shot (its head, then the shared suffix of the steady
-// form), shots 1 and 2 from the steady schedule, all on the scalar
+// form), shots 1 and 2 from the steady schedule, all on one scalar
 // executor. Each shot applies the operations the pipeline would, in its
 // order, so every result and the state after every shot are those of
-// the pipeline lead; the population carry is dropped between the cold
-// shot and the steady ones, which changes no bytes.
+// the pipeline lead.
 func (e *entry) replayLead(ctx context.Context, ln BatchLane) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("replay: preempted before shot %d: %w", ln.BaseShot, err)
 	}
-	m, cs := ln.M, e.cold
-	md := make([]MD, 0, e.c.nMD)
-	switch state := m.State.(type) {
-	case *qphys.Trajectory:
-		measure := func(q, outcome int) {
-			md = append(md, MD{Qubit: q, Result: m.FinishMeasure(outcome)})
-		}
-		carry, carryQ := state.RunSchedule(cs.c.ops, qphys.PopCarry{}, -1, measure)
-		state.RunSchedule(e.c.ops[cs.tail:], carry, carryQ, measure)
-	case *qphys.Density:
-		md = runDensity(m, state, cs.c.ops, md)
-		md = runDensity(m, state, e.c.ops[cs.tail:], md)
-	default:
-		return fmt.Errorf("replay: no compiled executor for state backend %T", m.State)
-	}
-	m.PulsesPlayed += cs.pulses
+	shot := executor(ln.M)
+	md := shot(e.cold.c.ops, make([]MD, 0, e.c.nMD))
+	md = shot(e.c.ops[e.cold.tail:], md)
+	ln.M.PulsesPlayed += e.cold.c.pulses
 	if ln.OnShot != nil {
 		ln.OnShot(ln.BaseShot, md)
 	}
-	_, err := e.c.run(ctx, m, ln.BaseShot, 1, detectShots, ln.OnShot)
+	_, err := e.c.run(ctx, ln, shot, 1, detectShots)
 	return err
 }

@@ -12,41 +12,50 @@ import (
 	"quma/internal/qphys"
 )
 
-// Unit tests of the schedule compiler: lowering, channel-table
+// Unit tests of the recorder and its compiled form: lowering, channel-table
 // deduplication, carry linking, and the machine-resident compile cache.
+
+// newRecording returns a recorder that records, as RunBatch's recorders
+// do during the lead.
+func newRecording() *recorder {
+	return &recorder{recording: true, tables: make(map[*qphys.Matrix]*qphys.ChannelTable)}
+}
+
+// recordLoweringShot feeds r, through its core.Probe methods, one shot
+// that exercises every lowering rule.
+func recordLoweringShot(r *recorder, kraus []qphys.Matrix, x90, y180, rz qphys.Matrix) {
+	var p core.Probe = r
+	p.Pulse1(x90, 0)
+	p.Pulse1(y180, 0)                // adjacent same-qubit: its own step
+	p.Idle(0, rz, nil)               // detuning phase of an identity idle: a unitary step
+	p.Idle(1, qphys.Matrix{}, kraus) // channel
+	p.Idle(2, qphys.Matrix{}, kraus) // same cached slice: shared table
+	p.Gate2(qphys.CZ(), 0, 1)        // CZ: NegateBoth
+	p.Idle(0, qphys.Matrix{}, kraus) // carry passes through the CZ
+	p.Pulse1(qphys.Matrix{}, 3)      // timing-only pulse: no step
+	p.Measured(0, 1)
+	p.Idle(1, qphys.Matrix{}, kraus) // the measurement cannot carry for it
+	p.Idle(2, qphys.Matrix{}, kraus) // channel(q1) carries for it
+}
 
 func TestCompileScheduleLowering(t *testing.T) {
 	kraus := qphys.DecoherenceChannel(8e-6, qphys.DefaultQubitParams())
 	x90 := qphys.REquator(0, 1.5)
 	y180 := qphys.REquator(1.2, 3.1)
 	rz := qphys.RZ(0.3)
-	cz := qphys.CZ()
-	sched := []op{
-		{kind: opPulse, q: 0, u: x90},
-		{kind: opPulse, q: 0, u: y180},           // adjacent same-qubit: its own step
-		{kind: opIdle, q: 0, u: rz},              // detuning phase of an identity idle: a unitary step
-		{kind: opIdle, q: 1, kraus: kraus},       // channel
-		{kind: opIdle, q: 2, kraus: kraus},       // same cached slice: shared table
-		{kind: opGate2, q: 0, qb: 1, u: cz},      // CZ: NegateBoth
-		{kind: opIdle, q: 0, kraus: kraus},       // carry passes through the CZ
-		{kind: opPulse, q: 3, u: qphys.Matrix{}}, // timing-only pulse: counter only
-		{kind: opMeasure, q: 0},
-		{kind: opIdle, q: 1, kraus: kraus}, // the measurement cannot carry for it
-		{kind: opIdle, q: 2, kraus: kraus}, // channel(q1) carries for it
-	}
-	c := compileSchedule(sched)
-	if c.pulses != 4 {
-		t.Errorf("pulses = %d, want 4 (3 pulses + 1 flux)", c.pulses)
-	}
+	r := newRecording()
+	recordLoweringShot(r, kraus, x90, y180, rz)
+	c := r.shot(4)
+	c.linkCarries(true)
 	if c.nMD != 1 {
 		t.Errorf("nMD = %d, want 1", c.nMD)
 	}
-	// Every recorded operation with an effect lowers to exactly one step
+	// Every operation applied to the state lowers to exactly one step
 	// applying the recorded operator: nothing is merged.
 	kinds := []uint8{qphys.SchedApply1RD, qphys.SchedApply1RD, qphys.SchedApply1, qphys.SchedChannel, qphys.SchedChannel,
 		qphys.SchedCZ, qphys.SchedChannel, qphys.SchedMeasure, qphys.SchedChannel, qphys.SchedChannel}
 	if len(c.ops) != len(kinds) {
-		t.Fatalf("compiled to %d steps, want %d: %+v", len(c.ops), len(kinds), c.ops)
+		t.Fatalf("recorded %d steps, want %d: %+v", len(c.ops), len(kinds), c.ops)
 	}
 	for i, k := range kinds {
 		if c.ops[i].Kind != k {
@@ -74,17 +83,139 @@ func TestCompileScheduleLowering(t *testing.T) {
 
 	// A diagonal phase gate other than the CZ keeps every |a|², yet the
 	// machine never records it, so compiled replay has no step for it:
-	// lowering panics instead of emitting one that no executor runs.
+	// the recorder panics instead of emitting one that no executor runs.
 	t.Run("non-CZ gate panics", func(t *testing.T) {
 		cs := qphys.Identity(4)
 		cs.Set(3, 3, 1i)
 		defer func() {
 			if msg, _ := recover().(string); !strings.Contains(msg, "not the CZ") {
-				t.Errorf("lowering a non-CZ two-qubit gate: panic %q, want one naming the CZ rule", msg)
+				t.Errorf("recording a non-CZ two-qubit gate: panic %q, want one naming the CZ rule", msg)
 			}
 		}()
-		compileSchedule([]op{{kind: opIdle, q: 1, kraus: kraus}, {kind: opGate2, q: 1, qb: 2, u: cs}})
+		r := newRecording()
+		r.Idle(1, qphys.Matrix{}, kraus)
+		r.Gate2(cs, 1, 2)
 	})
+}
+
+// TestRecordingMatchesCompiledForm pins the comparisons the engine makes
+// between recordings and stored compiled forms: step equality ignores
+// carry links and compares channels by operators, and the pulse count
+// is part of a shot.
+func TestRecordingMatchesCompiledForm(t *testing.T) {
+	kraus := qphys.DecoherenceChannel(8e-6, qphys.DefaultQubitParams())
+	x90 := qphys.REquator(0, 1.5)
+	y180 := qphys.REquator(1.2, 3.1)
+	rz := qphys.RZ(0.3)
+
+	t.Run("fresh recording equals linked form", func(t *testing.T) {
+		// Two recorders build their own channel tables, as two lanes or
+		// two engine calls do; the stored form is linked, the fresh one
+		// is not.
+		stored, fresh := newRecording(), newRecording()
+		recordLoweringShot(stored, kraus, x90, y180, rz)
+		recordLoweringShot(fresh, kraus, x90, y180, rz)
+		c := stored.shot(4)
+		c.linkCarries(true)
+		f := fresh.shot(4)
+		if f.ops[3].Ch == c.ops[3].Ch {
+			t.Fatal("each recorder must build its own channel tables")
+		}
+		linked := 0
+		for i := range c.ops {
+			if c.ops[i].CarryFor != f.ops[i].CarryFor {
+				linked++
+			}
+		}
+		if linked == 0 {
+			t.Fatal("the linked form must differ from the recording in its carry links")
+		}
+		if !sameShot(f, c) || !sameShot(c, f) {
+			t.Error("a fresh recording must compare equal to the linked compiled form of an equal recording")
+		}
+		other := newRecording()
+		recordLoweringShot(other, kraus, x90, x90, rz)
+		if sameShot(other.shot(4), c) {
+			t.Error("a recording with another rotation must not compare equal")
+		}
+	})
+
+	t.Run("timing-only pulse breaks shot invariance", func(t *testing.T) {
+		// Shots 1 and 2 differ only in a timing-only pulse: no step
+		// records it, so only the shot's pulse count (read from the
+		// machine around each shot) tells them apart.
+		var rs [2]*compiled
+		for k := range rs {
+			r := newRecording()
+			r.Pulse1(x90, 0)
+			r.Idle(0, qphys.Matrix{}, kraus)
+			pulses := uint64(1)
+			if k == 1 {
+				r.Pulse1(qphys.Matrix{}, 0)
+				pulses++
+			}
+			r.Measured(0, 0)
+			rs[k] = r.shot(pulses)
+		}
+		if !stepsEqual(rs[0].ops, rs[1].ops) {
+			t.Fatal("a timing-only pulse must record no step")
+		}
+		if sameShot(rs[0], rs[1]) {
+			t.Error("shots that differ in a timing-only pulse must not count as shot-invariant")
+		}
+	})
+}
+
+// TestColdShotMatchesHeadAndTail records a fresh shot 0 on a reset
+// machine and checks that it matches the entry's stored cold shot —
+// its head, then the shared suffix of the steady form — and that a
+// steady shot does not.
+func TestColdShotMatchesHeadAndTail(t *testing.T) {
+	for _, src := range []string{simpleShot, repCodeShotSrc} {
+		cfg := core.DefaultConfig()
+		cfg.Backend = core.BackendTrajectory
+		cfg.NumQubits = 5
+		m, err := core.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := asm.MustAssemble(src)
+		if _, err := Run(context.Background(), m, prog, Options{Shots: detectShots + 2, Mode: ModeCompiled}); err != nil {
+			t.Fatal(err)
+		}
+		e := m.ReplayCache.(memo)[prog].e
+		if e == nil || e.cold == nil {
+			t.Fatal("no cold shot memoized")
+		}
+		if e.cold.tail <= 0 || e.cold.tail > len(e.c.ops) {
+			t.Fatalf("cold shot tail %d outside the steady form's %d steps", e.cold.tail, len(e.c.ops))
+		}
+
+		fresh, err := core.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		record := func() *compiled {
+			r := newRecording()
+			fresh.SetProbe(r)
+			defer fresh.SetProbe(nil)
+			pulses := fresh.PulsesPlayed
+			if err := fresh.RunProgram(prog); err != nil {
+				t.Fatal(err)
+			}
+			return r.shot(fresh.PulsesPlayed - pulses)
+		}
+		cold := record()
+		if !e.cold.matches(e.c, cold) {
+			t.Error("a shot-0 recording must match its stored head + tail")
+		}
+		if n := len(e.cold.c.ops); !stepsEqual(cold.ops[:n], e.cold.c.ops) || !stepsEqual(cold.ops[n:], e.c.ops[e.cold.tail:]) {
+			t.Error("the stored cold shot must split the recording at its head")
+		}
+		if steady := record(); e.cold.matches(e.c, steady) {
+			t.Error("a steady-state recording must not match the cold shot")
+		}
+	}
 }
 
 // TestExecutorsRejectUncompiledSteps pins that every compiled executor

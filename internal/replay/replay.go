@@ -9,22 +9,27 @@
 // unwinding, projection, readout noise) differs. The engine therefore:
 //
 //   - Records: runs leading shots through the full pipeline, capturing the
-//     timestamped quantum event schedule via core.Probe — idle-advance
-//     channel applications, pulse rotations, two-qubit flux unitaries, and
-//     measurement chains, in deterministic-domain order.
+//     quantum event schedule via core.Probe — idle-advance channel
+//     applications, pulse rotations, two-qubit flux unitaries, and
+//     measurement chains, in deterministic-domain order. The recorder
+//     lowers each recorded operation to exactly one compiled step
+//     (qphys.SchedOp) as it is observed, so a recorded shot is already
+//     the compiled form, up to its population-carry links.
 //   - Detects: conservatively decides whether the schedule is
 //     shot-invariant. Two conditions must hold: (1) the execution
 //     controller observed no classical consumption of a measurement
 //     result or of cross-shot register/memory state
-//     (exec.Controller.ReplayUnsafeReason), and (2) the schedules of two
-//     consecutive steady-state shots are identical — which also catches
+//     (exec.Controller.ReplayUnsafeReason), and (2) two consecutive
+//     steady-state shots record the same steps and pulse counts (a
+//     timing-only pulse has no step; its count is what remains of it) —
+//     which also catches
 //     timing-induced variation such as SSB-phase drift when the shot
 //     period is not a multiple of the modulation period.
-//   - Replays: compiles the steady-state schedule once into specialized
-//     closure-free steps bound to the concrete backend type (see
-//     compile.go) — hoisted per-schedule channel pricing tables,
-//     population carries threaded between steps and across shots, and
-//     devirtualized executors — then drives the qphys.State backend
+//   - Replays: compiles the steady-state shot once by linking its
+//     population carries (see compile.go) — channel pricing tables
+//     hoisted at record time, carries threaded between steps and across
+//     shots, and devirtualized executors, each lane's chosen in one
+//     place (executor) — then drives the qphys.State backend
 //     directly from the compiled form for all remaining shots: no
 //     assembler, no pipeline, no timing queues. Every step applies
 //     exactly the operation the full pipeline applies, in the same
@@ -45,7 +50,7 @@
 //     on every machine that is core.Machine.LeadEquivalent to it. Each
 //     memo entry also keeps the cold-start shot 0, recorded at a reset
 //     point and stored as its head before the suffix it shares with the
-//     steady schedule. The rule, stated once (warmEntry): a lane whose
+//     steady shot. The rule, stated once (warmEntry): a lane whose
 //     machine is at its reset point, in a run of more than detectShots
 //     shots without Cfg.TraceEvents, replays shot 0 from a cold shot and
 //     shots 1–2 from the steady schedule on the scalar executor — no
@@ -248,64 +253,94 @@ func (s *Stats) Merge(t Stats) {
 	}
 }
 
-// op kinds of a recorded schedule.
-const (
-	opIdle = iota
-	opPulse
-	opGate2
-	opMeasure
-)
-
-// op is one recorded quantum operation. Matrices and Kraus slices alias
-// the machine's rotation/decoherence cache entries, which are immutable
-// for the duration of a run — the schedule stores no copies.
-type op struct {
-	kind  uint8
-	q, qb int
-	u     qphys.Matrix
-	kraus []qphys.Matrix
-}
-
-// recorder implements core.Probe: it always collects per-shot measurement
-// results (for OnShot delivery) and, when recording, appends the
-// operation stream to the schedule.
+// recorder is the engine's core.Probe. It always collects the shot's
+// measurement results (for OnShot delivery) and, when recording, lowers
+// each operation applied to the state, as it is observed, to the one
+// compiled step that applies it (see compile.go): a recorded shot is
+// already the compiled form, up to its population-carry links.
 type recorder struct {
 	recording bool
-	sched     []op
-	md        []MD
-	// ops counts the current shot's operations, recorded or not: the
-	// previous shot's count sizes the next recording, so a schedule is
-	// allocated once instead of regrown op by op.
+	steps     []qphys.SchedOp
+	// tables holds the recording's channel tables, keyed by the identity
+	// of the machine-cached Kraus slice, so every application of one
+	// decoherence channel shares one table. The map is the recorder's
+	// own; published entries only read the tables.
+	tables map[*qphys.Matrix]*qphys.ChannelTable
+	md     []MD
+	// ops counts the current shot's observed operations, recorded or
+	// not: the previous shot's count sizes the next recording, so its
+	// steps are allocated once instead of regrown step by step.
 	ops int
+}
+
+func (r *recorder) step(s qphys.SchedOp) {
+	s.CarryFor = -1
+	r.steps = append(r.steps, s)
+}
+
+// unitary lowers a single-qubit unitary; one with a real diagonal
+// (every pulse rotation) takes the cheaper Apply1RD kernel.
+func (r *recorder) unitary(q int, u qphys.Matrix) {
+	kind := qphys.SchedApply1
+	if qphys.RealDiag2(u) {
+		kind = qphys.SchedApply1RD
+	}
+	r.step(qphys.SchedOp{Kind: kind, Q: int16(q), U: u})
 }
 
 func (r *recorder) Idle(q int, rz qphys.Matrix, kraus []qphys.Matrix) {
 	r.ops++
-	if r.recording {
-		r.sched = append(r.sched, op{kind: opIdle, q: q, u: rz, kraus: kraus})
+	if !r.recording {
+		return
+	}
+	if rz.N != 0 {
+		r.unitary(q, rz)
+	}
+	if kraus != nil {
+		ct, ok := r.tables[&kraus[0]]
+		if !ok {
+			ct = qphys.NewChannelTable(kraus)
+			r.tables[&kraus[0]] = ct
+		}
+		r.step(qphys.SchedOp{Kind: qphys.SchedChannel, Q: int16(q), Ch: ct})
 	}
 }
 
+// Pulse1 lowers a played pulse to its rotation; a timing-only pulse
+// (u.N == 0) applies nothing and lowers to no step.
 func (r *recorder) Pulse1(u qphys.Matrix, q int) {
 	r.ops++
-	if r.recording {
-		r.sched = append(r.sched, op{kind: opPulse, q: q, u: u})
+	if r.recording && u.N != 0 {
+		r.unitary(q, u)
 	}
 }
 
+// Gate2 lowers the CZ, the machine's only two-qubit gate; compiled
+// replay has no step for any other.
 func (r *recorder) Gate2(u qphys.Matrix, qa, qb int) {
 	r.ops++
-	if r.recording {
-		r.sched = append(r.sched, op{kind: opGate2, q: qa, qb: qb, u: u})
+	if !r.recording {
+		return
 	}
+	if !qphys.IsCZ(u) {
+		panic(fmt.Sprintf("replay: recorded two-qubit gate on (q%d, q%d) is not the CZ; compiled replay has no step for it", qa, qb))
+	}
+	r.step(qphys.SchedOp{Kind: qphys.SchedCZ, Q: int16(qa), Qb: int16(qb), U: u})
 }
 
 func (r *recorder) Measured(q, result int) {
 	r.ops++
 	if r.recording {
-		r.sched = append(r.sched, op{kind: opMeasure, q: q})
+		r.step(qphys.SchedOp{Kind: qphys.SchedMeasure, Q: int16(q)})
 	}
 	r.md = append(r.md, MD{Qubit: q, Result: result})
+}
+
+// shot packages the steps recorded since the last reset of r.steps as
+// one shot that played pulses pulses (its PulsesPlayed increment, which
+// timing-only pulses move without a step).
+func (r *recorder) shot(pulses uint64) *compiled {
+	return &compiled{ops: r.steps, pulses: pulses, nMD: len(r.md)}
 }
 
 // matrixEqual reports whether two matrices hold the same entries. A
@@ -326,16 +361,21 @@ func krausEqual(a, b []qphys.Matrix) bool {
 	return len(a) == 0 || &a[0] == &b[0] || slices.EqualFunc(a, b, matrixEqual)
 }
 
-// schedulesEqual compares two recorded shot schedules operation by
-// operation, matrices by value. Value equality is what every use needs:
-// the compiled form derives from matrix values alone, and cached
-// matrices are never mutated (a recalibration replaces the entry). So
-// shot-invariance detection, the memo's staleness check and lockstep
-// grouping across distinct machines — whose schedules alias separate
-// caches — all accept exactly the schedules one compiled form replays
-// bit-identically. Within one machine the pointer shortcuts make the
-// comparison as cheap as identity.
-func schedulesEqual(a, b []op) bool {
+// sameShot reports whether two recorded or compiled shots replay
+// identically: the same pulse count and the same steps. Value equality
+// is what every use needs: a step derives from matrix values alone, and
+// cached matrices are never mutated (a recalibration replaces the
+// entry). So shot-invariance detection, the memo's staleness check and
+// lockstep grouping across distinct machines — whose recordings alias
+// separate caches — all accept exactly the shots one compiled form
+// replays bit-identically. Within one machine the pointer shortcuts make
+// the comparison as cheap as identity.
+func sameShot(a, b *compiled) bool {
+	return a.pulses == b.pulses && stepsEqual(a.ops, b.ops)
+}
+
+// stepsEqual compares two step sequences step by step (stepEqual).
+func stepsEqual(a, b []qphys.SchedOp) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -344,17 +384,19 @@ func schedulesEqual(a, b []op) bool {
 		return true
 	}
 	for i := range a {
-		if !opEqual(&a[i], &b[i]) {
+		if !stepEqual(&a[i], &b[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// opEqual compares two recorded operations, matrices by value.
-func opEqual(x, y *op) bool {
-	return x.kind == y.kind && x.q == y.q && x.qb == y.qb &&
-		matrixEqual(x.u, y.u) && krausEqual(x.kraus, y.kraus)
+// stepEqual compares two steps by what they apply: kind, qubits, the
+// unitary by value and the channel by table or by Kraus operators.
+// CarryFor is ignored — a fresh recording has no carry links yet.
+func stepEqual(x, y *qphys.SchedOp) bool {
+	return x.Kind == y.Kind && x.Q == y.Q && x.Qb == y.Qb && matrixEqual(x.U, y.U) &&
+		(x.Ch == y.Ch || x.Ch != nil && y.Ch != nil && krausEqual(x.Ch.Ops(), y.Ch.Ops()))
 }
 
 // Run executes the program Shots times on the machine, per Options.Mode:

@@ -168,6 +168,14 @@
 // (epoch-flushed on overflow; flushes cost recomputation, never
 // correctness).
 //
+// Physical bounds are checked at submit as well, so an accepted job can
+// only fail on execution-time physics or timeouts: amp_error must keep
+// every standard-library pulse, and for Rabi every scale the sweep will
+// run (the request's, or the default ones), within the DAC full scale —
+// the same synthesis and awg.CheckFullScale that the machine's upload
+// applies — and delays_cycles must be non-negative. Each violation is a
+// 400 naming its field.
+//
 // # Durability and recovery
 //
 // With Config.Journal set (quma-serve -journal-dir), the server keeps a

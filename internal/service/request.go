@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"quma/internal/asm"
+	"quma/internal/awg"
 	"quma/internal/core"
 	"quma/internal/expt"
 	"quma/internal/qphys"
@@ -268,7 +269,24 @@ func (r ExperimentRequest) Validate(i int) []FieldError {
 	if r.T2Sec < 0 {
 		add("t2_sec", "must be non-negative")
 	}
+	// Every machine synthesizes its standard pulse library, and Rabi
+	// each swept pulse, with amp_error applied; an upload over the DAC
+	// full scale fails the job, so the same check rejects it here.
+	ssb := r.config().SSBHz
+	for _, sp := range awg.StandardLibrary() {
+		if err := awg.CheckFullScale(sp.Name, awg.SynthesizeStandard(sp, ssb, r.AmplitudeError)); err != nil {
+			add("amp_error", "is %g: %v", r.AmplitudeError, err)
+			break
+		}
+	}
 	switch r.Type {
+	case "t1", "ramsey", "echo":
+		for j, d := range r.DelaysCycles {
+			if d < 0 {
+				add("delays_cycles", "delay %d is %d, must be non-negative", j, d)
+				break
+			}
+		}
 	case "rb":
 		if len(r.Lengths) > 0 && len(r.Lengths) < 3 {
 			add("lengths", "need at least 3 sequence lengths, got %d", len(r.Lengths))
@@ -289,6 +307,16 @@ func (r ExperimentRequest) Validate(i int) []FieldError {
 	case "rabi":
 		if len(r.Scales) > 0 && len(r.Scales) < 8 {
 			add("scales", "need at least 8 amplitude scales, got %d", len(r.Scales))
+		}
+		field, scales := "scales", r.Scales
+		if len(scales) == 0 {
+			field, scales = "amp_error", expt.DefaultRabiParams().Scales
+		}
+		for _, sc := range scales {
+			if err := awg.CheckFullScale("RABI", expt.RabiPulse(sc, ssb, r.AmplitudeError)); err != nil {
+				add(field, "scale %g with amp_error %g: %v", sc, r.AmplitudeError, err)
+				break
+			}
 		}
 	case "repcode":
 		if d := r.DataQubits; d != 0 && (d%2 == 0 || d < 3 || d > 7) {

@@ -278,6 +278,9 @@ func TestMalformedRequestsReturnStructured400(t *testing.T) {
 		{"negative batch_lanes", `{"experiments": [{"type": "repcode", "backend": "trajectory", "batch_lanes": -1}]}`, "invalid_fields", "batch_lanes", 0},
 		{"negative shot_workers", `{"experiments": [{"type": "t1", "shot_workers": -1}]}`, "invalid_fields", "shot_workers", 0},
 		{"negative workers", `{"experiments": [{"type": "t1", "workers": -1}]}`, "invalid_fields", "workers", 0},
+		{"amp_error over full scale", `{"experiments": [{"type": "t1", "amp_error": 0.12}]}`, "invalid_fields", "amp_error", 0},
+		{"rabi scale over full scale", `{"experiments": [{"type": "rabi", "scales": [0, 0.2, 0.4, 0.6, 0.8, 1, 1.5, 2]}]}`, "invalid_fields", "scales", 0},
+		{"negative delay", `{"experiments": [{"type": "t1", "delays_cycles": [0, -800]}]}`, "invalid_fields", "delays_cycles", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
